@@ -187,6 +187,14 @@ def _parse_settings(value: str, seed: int, *, expect: int | None = None) -> np.n
     return pairs
 
 
+def _experiment_config(args, seed: int) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(shots=args.shots, mode=args.mode, seed=seed,
+                                threads=args.threads)
+    except ValueError as exc:  # --shots or --threads below 1
+        raise UsageError(str(exc)) from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -200,6 +208,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
+    for flag in ("lambda_n", "settings_n", "mc_samples"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     cfg = ValidatorConfig(
@@ -221,7 +234,7 @@ def cmd_simulate(args) -> int:
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     pairs = _parse_settings(args.settings, seed)
-    cfg = ExperimentConfig(shots=args.shots, mode=args.mode, seed=seed, threads=args.threads)
+    cfg = _experiment_config(args, seed)
     ests = run_experiment(model, pairs, cfg)
     buf = io.StringIO()
     write_correlations_csv(buf, ests)
@@ -233,7 +246,7 @@ def cmd_chsh(args) -> int:
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     pairs = _parse_settings(args.settings, seed, expect=4)
-    cfg = ExperimentConfig(shots=args.shots, mode=args.mode, seed=seed, threads=args.threads)
+    cfg = _experiment_config(args, seed)
     result = chsh(model, cfg, settings=pairs)
     buf = io.StringIO()
     write_chsh_csv(buf, result)
@@ -252,6 +265,8 @@ def cmd_scan(args) -> int:
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     if args.points < 2:
         raise UsageError("--points must be at least 2")
+    if args.lambda_n < 1:
+        raise UsageError("--lambda-n must be at least 1")
     gen = RandomStream(seed).split(13).generator()
     if model.lambda_space.quadrature is not None:
         batch, w = model.lambda_space.quadrature

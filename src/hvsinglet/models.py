@@ -6,14 +6,17 @@ measurement axes (a, b) a 2x2 probability table over the joint outcomes
 Averaging the table over the lambda measure must return the singlet
 statistics P(sigma, tau | a, b) = (1 - sigma*tau*a.b)/4.
 
-Two rule styles are supported:
+Three rule styles are supported:
 
 * canonical: P_lambda = (1 - sigma*tau*(a.b - C(lambda, a, b)))/4 for some
   correction function C with zero lambda-average. The lambda-level marginals
   are 1/2 identically, so all the lambda dependence sits in the correlation.
-* direct: an arbitrary per-lambda table rule (used for the sign-based model,
-  whose entries are 0 or 1/2), together with a validity mask for the
-  measure-zero set where the rule is undefined.
+* kernel: P_lambda = (1 - sigma*tau*k(lambda, a, b))/4 for a per-lambda
+  kernel k given directly (the sign-based model, k in {-1, +1}), together
+  with a validity mask for the measure-zero set where the rule is undefined.
+  A canonical model is the kernel k = a.b - C.
+* direct: an arbitrary per-lambda table rule with a validity mask, for
+  tables whose marginals need not be trivial.
 
 The measure over lambda never depends on the settings, and per-lambda
 marginals for canonical models never depend on the remote axis; the
@@ -77,9 +80,10 @@ __all__ = [
 OUTCOMES = (1, -1)
 
 # sigma*tau for table index (i, j); used to turn tables into correlators.
+# Shared with the validator and the simulator.
 _SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-# Tolerance below which a sign argument in the direct rule counts as zero.
+# Tolerance below which a sign argument in the sign rule counts as zero.
 SIGN_EPS = 1e-12
 
 _FAMILIES = ("family1", "family2", "wrongtrial", "cerf", "recipe")
@@ -276,8 +280,9 @@ class CFunction:
 class HiddenVariableModel:
     """A named hidden-variable model: lambda measure plus conditional rule.
 
-    Exactly one of ``c_function`` (canonical form) or ``table_rule``
-    (direct form) is set. ``table_rule`` maps (batch, a, b) to
+    Exactly one of ``c_function`` (canonical form), ``kernel_rule``
+    (kernel form) or ``table_rule`` (direct form) is set. ``kernel_rule``
+    maps (batch, a, b) to (k (n,), ok (n,) bool) and ``table_rule`` to
     (tables (n,2,2), ok (n,) bool); rows with ok False hit the rule's
     measure-zero undefined set.
     """
@@ -287,14 +292,21 @@ class HiddenVariableModel:
     c_function: CFunction | None = None
     table_rule: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
     spec: dict = field(default_factory=dict)
+    kernel_rule: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
-        if (self.c_function is None) == (self.table_rule is None):
-            raise ValueError("exactly one of c_function or table_rule is required")
+        rules = (self.c_function, self.kernel_rule, self.table_rule)
+        if sum(r is not None for r in rules) != 1:
+            raise ValueError("exactly one of c_function, kernel_rule or table_rule is required")
 
     @property
     def is_canonical(self) -> bool:
         return self.c_function is not None
+
+    @property
+    def has_kernel(self) -> bool:
+        """True when tables are (1 - sigma*tau*k)/4 for a per-lambda kernel k."""
+        return self.table_rule is None
 
     @property
     def declared_exponents(self) -> tuple[float | None, float | None]:
@@ -315,17 +327,25 @@ class HiddenVariableModel:
         vals = self.c_function(batch, a, b)
         return float(vals[0]) if single else vals
 
-    def tables_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lambda tables plus validity mask (no admissibility checks)."""
+    def kernel_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lambda kernel k, tables (1 - sigma*tau*k)/4, plus validity mask."""
         batch, _ = self._as_batch(lam)
         a = require_unit(a, name="a")
         b = require_unit(b, name="b")
-        if self.c_function is not None:
-            x = setting_dot(a, b)
-            c = self.c_function(batch, a, b)
-            return _tables_from_kernel(x - c), np.ones(len(batch), dtype=bool)
-        tables, ok = self.table_rule(batch, a, b)
-        return tables, ok
+        if self.kernel_rule is not None:
+            return self.kernel_rule(batch, a, b)
+        if self.c_function is None:
+            raise ValueError(f"model '{self.name}' has a table rule, not a kernel")
+        x = setting_dot(a, b)
+        return x - self.c_function(batch, a, b), np.ones(len(batch), dtype=bool)
+
+    def tables_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lambda tables plus validity mask (no admissibility checks)."""
+        if self.has_kernel:
+            k, ok = self.kernel_masked(lam, a, b)
+            return _tables_from_kernel(k), ok
+        batch, _ = self._as_batch(lam)
+        return self.table_rule(batch, require_unit(a, name="a"), require_unit(b, name="b"))
 
     def tables(self, lam, a, b, *, check: bool = False) -> np.ndarray:
         """Per-lambda tables; raises on undefined rows.
@@ -433,34 +453,50 @@ def wrongtrial_c(g, x):
 
 
 def _cerf_kernel(U: np.ndarray, V: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Sign-model correlator kernel K(u, v, a, b) in {-1, +1}, with mask."""
-    su_arg = U @ a
-    sv_arg = V @ a
+    """Sign-model correlator kernel K(u, v, a, b) in {-1, +1}, with mask.
+
+    The rule reads only signs, so (u +- v).b needs no normalization: for
+    unit u, v we have |u +- v| <= 2, hence |(u +- v).b| > 2.5*SIGN_EPS
+    already implies both |u +- v| > SIGN_EPS and a normalized argument
+    above SIGN_EPS. Only rows inside that band rerun the normalized test,
+    so k and ok match the normalized rule on every row.
+    """
+    ua = U @ a
+    va = V @ a
+    ub = U @ b
+    vb = V @ b
+    pb = ub + vb
+    mb = ub - vb
+    ok = (np.abs(ua) > SIGN_EPS) & (np.abs(va) > SIGN_EPS)
+    band = (np.abs(pb) <= 2.5 * SIGN_EPS) | (np.abs(mb) <= 2.5 * SIGN_EPS)
+    if band.any():
+        rows = np.flatnonzero(band)
+        pb[rows], mb[rows], ok_band = _normalized_sign_args(U[rows], V[rows], b)
+        ok[rows] &= ok_band
+    # K = sgn(u.a) sgn((u+v).b) h with h = -1 exactly when sgn(u.a) != sgn(v.a)
+    # and sgn((u+v).b) != sgn((u-v).b), else h = +1
+    ua_pos = ua > 0.0
+    pb_pos = pb > 0.0
+    flip = (ua_pos != pb_pos) ^ ((ua_pos != (va > 0.0)) & (pb_pos != (mb > 0.0)))
+    return np.where(flip, -1.0, 1.0), ok
+
+
+def _normalized_sign_args(U: np.ndarray, V: np.ndarray, b: np.ndarray):
+    """(u+v).b/|u+v| and (u-v).b/|u-v| with the mask of the normalized rule."""
     nplus = U + V
     nminus = U - V
     nplus_norm = np.linalg.norm(nplus, axis=-1)
     nminus_norm = np.linalg.norm(nminus, axis=-1)
     ok = (nplus_norm > SIGN_EPS) & (nminus_norm > SIGN_EPS)
-    # normalize defensively; rows failing ok are overwritten below anyway
+    # normalize defensively; rows failing ok are masked anyway
     np_b = np.where(ok, (nplus @ b) / np.where(ok, nplus_norm, 1.0), 0.0)
     nm_b = np.where(ok, (nminus @ b) / np.where(ok, nminus_norm, 1.0), 0.0)
-    ok &= (np.abs(su_arg) > SIGN_EPS) & (np.abs(sv_arg) > SIGN_EPS)
     ok &= (np.abs(np_b) > SIGN_EPS) & (np.abs(nm_b) > SIGN_EPS)
-    su = np.sign(su_arg)
-    sp = np.sign(np_b)
-    x = su * np.sign(sv_arg)
-    y = sp * np.sign(nm_b)
-    # (1 + x + y - x*y)/2 is -1 when x = y = -1 and +1 otherwise
-    h = (1.0 + x + y - x * y) / 2.0
-    k = su * sp * h
-    return k, ok
+    return np_b, nm_b, ok
 
 
-def _cerf_table_rule(batch: LambdaBatch, a: np.ndarray, b: np.ndarray):
-    U = batch.vectors[:, 0, :]
-    V = batch.vectors[:, 1, :]
-    k, ok = _cerf_kernel(U, V, a, b)
-    return _tables_from_kernel(k), ok
+def _cerf_kernel_rule(batch: LambdaBatch, a: np.ndarray, b: np.ndarray):
+    return _cerf_kernel(batch.vectors[:, 0, :], batch.vectors[:, 1, :], a, b)
 
 
 def cerf_prob(u, v, a, b) -> np.ndarray:
@@ -617,10 +653,10 @@ def wrongtrial_model(gamma: float = 0.4, measure: str = "two_point", *, weights=
 
 
 def cerf_model(seed: int = 0) -> HiddenVariableModel:
-    """Direct sign model on two independent uniform unit vectors (u, v)."""
+    """Sign-kernel model on two independent uniform unit vectors (u, v)."""
     space = _cerf_space()
     spec = {"family": "cerf", "seed": int(seed), "parameters": {}}
-    return HiddenVariableModel("cerf", space, table_rule=_cerf_table_rule, spec=spec)
+    return HiddenVariableModel("cerf", space, kernel_rule=_cerf_kernel_rule, spec=spec)
 
 
 def _normalize_spec(family: str, space: LambdaSpace, seed: int, extra: dict | None = None) -> dict:
@@ -692,11 +728,13 @@ def _recipe_c_function(space: LambdaSpace, f: RecipeFunction, s: float, scale: f
 
     def mean_f(a: np.ndarray, b: np.ndarray) -> float:
         key = a.tobytes() + b.tobytes() if f.setting_dependent else b""
-        if key not in cache:
+        # other threads may clear the cache at any time, so never re-read it
+        val = cache.get(key)
+        if val is None:
             if len(cache) > 64:
                 cache.clear()
-            cache[key] = float(np.sum(qweights * f.fn(qnodes, a, b)))
-        return cache[key]
+            val = cache[key] = float(np.sum(qweights * f.fn(qnodes, a, b)))
+        return val
 
     def fn(batch: LambdaBatch, a, b):
         x = setting_dot(a, b)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RandomStream, as_generator, require_unit, sample_uniform_sphere, unit
-from .models import OUTCOMES, HiddenVariableModel, LambdaPoint, sample_valid_tables
+from .models import _SIGMA_TAU, OUTCOMES, HiddenVariableModel, LambdaPoint, sample_valid_tables
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -37,7 +37,6 @@ __all__ = [
     "write_chsh_csv",
 ]
 
-_SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _BLOCK = 65536
 
 # Settings maximizing the quantum CHSH value S = 2*sqrt(2) for the singlet

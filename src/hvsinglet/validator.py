@@ -22,8 +22,13 @@ the canonical form P = (1 - sigma*tau*(a.b - C))/4:
 
 Checks that integrate over lambda use the model's quadrature when it has
 one and fall back to Monte Carlo with 5-sigma gates otherwise; an MC check
-whose standard error is too large to resolve its tolerance reports
-``inconclusive`` rather than guessing.
+whose standard error is too large to resolve its tolerance (above 1e-2)
+reports ``inconclusive`` rather than guessing. An MC check draws its settings
+pairs first and then each lambda block once, evaluating that block at every
+pair (common random numbers), so its pairs share their draws. Models with a
+per-lambda kernel k are averaged through k instead of whole tables. A check
+that evaluated no rows, or an MC pair with fewer than two samples, reports
+``inconclusive``: there is no evidence to pass on.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ import numpy as np
 
 from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, with_dot
 from .models import (
+    _SIGMA_TAU,
     HiddenVariableModel,
-    LambdaBatch,
     LambdaPoint,
     OUTCOMES,
     qm_table,
@@ -80,7 +85,6 @@ CONSTRAINT_ORDER = (
     "qm-reproduction",
 )
 
-_SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _SIGMA = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _TAU = np.array([[1.0, -1.0], [1.0, -1.0]])
 
@@ -108,7 +112,7 @@ class Witness:
     def to_dict(self) -> dict:
         as_list = lambda v: None if v is None else [float(x) for x in v]
         return {
-            "value": float(self.value),
+            "value": _finite_or_none(self.value),
             "lambda": None if self.lam is None else self.lam.to_jsonable(),
             "a": as_list(self.a),
             "b": as_list(self.b),
@@ -131,12 +135,17 @@ class ConstraintReport:
         return {
             "constraint-id": self.constraint_id,
             "status": self.status.value,
-            "extremal_value": None if self.extremal_value is None else float(self.extremal_value),
+            "extremal_value": _finite_or_none(self.extremal_value),
             "tolerance": float(self.tolerance),
             "samples_used": int(self.samples_used),
             "witness": None if self.witness is None else self.witness.to_dict(),
             "details": _jsonable(self.details),
         }
+
+
+def _finite_or_none(x) -> float | None:
+    """JSON has no inf or nan; such values serialize as null."""
+    return None if x is None or not np.isfinite(x) else float(x)
 
 
 def _jsonable(obj):
@@ -146,9 +155,17 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (float, np.floating)):
+        return _finite_or_none(obj)
+    if isinstance(obj, np.integer):
         return obj.item()
     return obj
+
+
+def _no_evidence(constraint_id: str, tol: float, details: dict | None = None) -> ConstraintReport:
+    """A check that evaluated no rows can neither pass nor fail."""
+    return ConstraintReport(constraint_id, CheckStatus.INCONCLUSIVE, None, tol, 0,
+                            details={**(details or {}), "reason": "no samples"})
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +241,7 @@ def _lambda_nodes(model: HiddenVariableModel, gen, n: int):
         nodes, w = model.lambda_space.quadrature
         return nodes, w, True
     batch = model.lambda_space.sample(gen, n)
-    return batch, np.full(len(batch), 1.0 / len(batch)), False
+    return batch, np.full(len(batch), 1.0 / max(len(batch), 1)), False
 
 
 def _random_pair(gen, endpoint: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -283,6 +300,9 @@ def check_table_scan(model: HiddenVariableModel, n_settings: int, n_lambda: int,
             worst_max = Witness(float(flat.flat[j]), kept.point(row), a, b,
                                 OUTCOMES[entry // 2], OUTCOMES[entry % 2])
 
+    if used == 0:
+        return tuple(_no_evidence(cid, tol) for cid in CONSTRAINT_ORDER[:3])
+
     def verdict(cond: bool) -> CheckStatus:
         return CheckStatus.PASS if cond else CheckStatus.FAIL
 
@@ -309,6 +329,8 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
         a, b = _random_pair(gen, endpoint=False)
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
+        if not np.any(ok):
+            continue
         tables = tables[ok]
         kept = batch.take(ok)
         used += len(tables)
@@ -323,6 +345,8 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
                 else:
                     w.tau = OUTCOMES[side]
                 worst = w
+    if used == 0:
+        return _no_evidence("marginal-triviality", tol)
     status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
     return ConstraintReport("marginal-triviality", status, worst.value, tol, used, worst)
 
@@ -334,7 +358,64 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 def _implied_c(model: HiddenVariableModel, batch, a, b):
     if model.is_canonical:
         return model.c_values(batch, a, b), np.ones(len(batch), dtype=bool)
+    if model.has_kernel:
+        k, ok = model.kernel_masked(batch, a, b)
+        return dot(a, b) - k, ok
     return model.implied_c(batch, a, b)
+
+
+def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evaluate):
+    """Per-pair Monte Carlo means and standard errors of ``evaluate`` values.
+
+    Common random numbers: each lambda block is drawn once from ``gen`` and
+    evaluated at every settings pair, one pair at a time, so the pairs share
+    their draws and no (block x pairs) array is built. ``evaluate`` maps
+    (batch, a, b) to (values (n, ...), ok (n,)). Rows with ok False are
+    dropped and made up from later blocks until every pair holds
+    ``mc_samples`` values. A block that adds no row to any pair still short
+    of that stops the loop, and those pairs keep fewer values.
+
+    Returns [(a, b, mean, stderr)] over the pairs with at least two values,
+    the number of values used, and ``short``: True when some pair has fewer
+    than two values (one value has no spread to estimate a stderr from) or
+    there are no pairs.
+    """
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    sums: list = [0.0] * len(pairs)
+    sums_sq: list = [0.0] * len(pairs)
+    while len(pairs) and (counts < mc_samples).any():
+        need = mc_samples - counts
+        batch = model.lambda_space.sample(gen, min(_MC_BLOCK, int(need.max())))
+        progress = False
+        for p, (a, b) in enumerate(pairs):
+            if need[p] <= 0:
+                continue
+            vals, ok = evaluate(batch, a, b)
+            if not ok.all():
+                vals = vals[ok]
+            vals = vals[:need[p]]
+            sums[p] = sums[p] + vals.sum(axis=0)
+            sums_sq[p] = sums_sq[p] + (vals * vals).sum(axis=0)
+            counts[p] += len(vals)
+            progress = progress or len(vals) > 0
+        if not progress:
+            break
+    estimates = []
+    for (a, b), n, total, total_sq in zip(pairs, counts, sums, sums_sq):
+        if n >= 2:
+            mean = total / n
+            var = np.maximum(0.0, total_sq / n - mean * mean)
+            estimates.append((a, b, mean, np.sqrt(var / n)))
+    return estimates, int(counts.sum()), len(estimates) < max(len(pairs), 1)
+
+
+def _mc_status(worst_z: float, max_stderr: float, short: bool) -> CheckStatus:
+    """5-sigma fail gate, then inconclusive when any pair is unresolved."""
+    if worst_z > 5.0:
+        return CheckStatus.FAIL
+    if short or max_stderr > 1e-2:
+        return CheckStatus.INCONCLUSIVE
+    return CheckStatus.PASS
 
 
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
@@ -345,6 +426,8 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
     if quad is not None:
         nodes, w = quad
         tol = 1e-10
+        if n_settings < 1:
+            return _no_evidence("zero-average", tol, {"mode": "quadrature"})
         worst = Witness(-np.inf)
         for _ in range(n_settings):
             a, b = _random_pair(gen, endpoint=False)
@@ -358,39 +441,20 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
             details={"mode": "quadrature"})
 
     # Monte Carlo path: per-setting mean of the implied correction
-    worst = Witness(-np.inf)
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
+    estimates, used, short = _mc_estimates(
+        model, gen, pairs, mc_samples, lambda batch, a, b: _implied_c(model, batch, a, b))
+    worst = None
     max_stderr = 0.0
-    worst_z = 0.0
-    used = 0
-    for _ in range(n_settings):
-        a, b = _random_pair(gen, endpoint=False)
-        total = 0.0
-        total_sq = 0.0
-        n_done = 0
-        while n_done < mc_samples:
-            m = min(_MC_BLOCK, mc_samples - n_done)
-            batch = model.lambda_space.sample(gen, m)
-            c, ok = _implied_c(model, batch, a, b)
-            c = c[ok]
-            total += float(c.sum())
-            total_sq += float((c * c).sum())
-            n_done += len(c)
-        mean = total / n_done
-        var = max(0.0, total_sq / n_done - mean * mean)
-        stderr = np.sqrt(var / n_done)
-        used += n_done
+    worst_z = -np.inf
+    for a, b, mean, stderr in estimates:
         max_stderr = max(max_stderr, stderr)
-        if abs(mean) > worst.value:
+        if worst is None or abs(mean) > worst.value:
             worst = Witness(abs(mean), None, a, b)
         worst_z = max(worst_z, abs(mean) / stderr if stderr > 0 else np.inf)
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    if worst_z > 5.0:
-        status = CheckStatus.FAIL
-    elif max_stderr > 1e-2:
-        status = CheckStatus.INCONCLUSIVE
-    else:
-        status = CheckStatus.PASS
-    return ConstraintReport("zero-average", status, worst.value, 1e-2, used, worst, details)
+    return ConstraintReport("zero-average", _mc_status(worst_z, max_stderr, short),
+                            None if worst is None else worst.value, 1e-2, used, worst, details)
 
 
 def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int,
@@ -412,6 +476,8 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
             j = int(np.argmax(c))
             if c[j] > worst.value:
                 worst = Witness(float(c[j]), nodes.take(ok).point(j), a, b)
+    if used == 0:
+        return _no_evidence("coincident-zero", tol)
     status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
     return ConstraintReport("coincident-zero", status, worst.value, tol, used, worst)
 
@@ -550,6 +616,8 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
             b = with_dot(a, tangent, sign * (1.0 - eps))
             nodes, w, _ = _lambda_nodes(model, gen, n_lambda)
             g = np.abs(_g_values(model, nodes, a, b, sp, sm))
+            if len(g) == 0:
+                continue
             used += len(g)
             nonzero_weight = max(nonzero_weight, float(np.sum(w[g > 1e-9])))
             j = int(np.argmax(g))
@@ -563,6 +631,8 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
         min_fraction = min(min_fraction, nonzero_weight)
         side_details[label] = {"bound": bound, "max_abs_g": max_g,
                                "nonzero_fraction": nonzero_weight}
+    if used == 0:
+        return _no_evidence("endpoint-g-bound", tol)
     ok = worst_margin <= tol and min_fraction >= 0.01
     status = CheckStatus.PASS if ok else CheckStatus.FAIL
     return ConstraintReport(
@@ -602,6 +672,8 @@ def check_expansion(model: HiddenVariableModel, source,
             a = sample_uniform_sphere(gen)
             tangent = sample_uniform_sphere(gen)
             nodes, _, _ = _lambda_nodes(model, gen, n_lambda)
+            if len(nodes) == 0:
+                continue
             for sign in (+1.0, -1.0):
                 x = sign * (1.0 - eps)
                 b = with_dot(a, tangent, x)
@@ -624,6 +696,8 @@ def check_expansion(model: HiddenVariableModel, source,
                     worst = Witness(float(rel[j]), nodes.point(j), a, b)
                 max_rel = max(max_rel, float(rel[j]))
         per_eps[f"{eps:g}"] = max_rel
+    if used == 0:
+        return _no_evidence("expansion", tol)
     details = {"max_rel_dev_per_eps": per_eps, "s_plus": float(sp), "s_minus": float(sm)}
     if negative is not None:
         return ConstraintReport("expansion", CheckStatus.FAIL, negative.value, tol, used,
@@ -644,6 +718,8 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
     if quad is not None:
         nodes, w = quad
         tol = 1e-9
+        if n_settings < 1:
+            return _no_evidence("qm-reproduction", tol, {"mode": "quadrature"})
         worst = Witness(-np.inf)
         for _ in range(n_settings):
             a, b = _random_pair(gen, endpoint=False)
@@ -658,27 +734,18 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
                                 n_settings * len(nodes), worst,
                                 details={"mode": "quadrature"})
 
+    # Monte Carlo path: kernel models average k, whose mean kbar gives the
+    # mean table (1 - sigma*tau*kbar)/4 with per-entry stderr stderr(k)/4
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
+    evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
+    estimates, used, short = _mc_estimates(model, gen, pairs, mc_samples, evaluate)
     worst_z = -np.inf
     worst = None
     max_stderr = 0.0
-    used = 0
-    for _ in range(n_settings):
-        a, b = _random_pair(gen, endpoint=False)
-        total = np.zeros((2, 2))
-        total_sq = np.zeros((2, 2))
-        n_done = 0
-        while n_done < mc_samples:
-            m = min(_MC_BLOCK, mc_samples - n_done)
-            batch = model.lambda_space.sample(gen, m)
-            tables, ok = model.tables_masked(batch, a, b)
-            tables = tables[ok]
-            total += tables.sum(axis=0)
-            total_sq += (tables * tables).sum(axis=0)
-            n_done += len(tables)
-        mean = total / n_done
-        var = np.maximum(0.0, total_sq / n_done - mean * mean)
-        stderr = np.sqrt(var / n_done)
-        used += n_done
+    for a, b, mean, stderr in estimates:
+        if model.has_kernel:
+            mean = (1.0 - _SIGMA_TAU * mean) / 4.0
+            stderr = np.full((2, 2), stderr / 4.0)
         max_stderr = max(max_stderr, float(stderr.max()))
         dev = np.abs(mean - qm_table(a, b))
         z = dev / np.where(stderr > 0, stderr, np.inf)
@@ -687,13 +754,8 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
             worst_z = float(z[i, j])
             worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    if worst_z > 5.0:
-        status = CheckStatus.FAIL
-    elif max_stderr > 1e-2:
-        status = CheckStatus.INCONCLUSIVE
-    else:
-        status = CheckStatus.PASS
-    return ConstraintReport("qm-reproduction", status, worst_z, 5.0, used, worst, details)
+    return ConstraintReport("qm-reproduction", _mc_status(worst_z, max_stderr, short),
+                            None if worst is None else worst_z, 5.0, used, worst, details)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +792,7 @@ class SuiteResult:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def overall_exit_code(reports: list[ConstraintReport]) -> int:

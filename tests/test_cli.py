@@ -61,6 +61,62 @@ def test_validate_inconclusive_exits_two(capsys):
     assert json.loads(out)["overall"] == "inconclusive"
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def checks_by_id(report):
+    return {c["constraint-id"]: c for c in report["checks"]}
+
+
+def test_validate_zero_mc_samples_inconclusive(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--model", "cerf", "--mc-samples", "0",
+                           *FAST_VALIDATE)
+    assert code == EX_INCONCLUSIVE
+    checks = checks_by_id(strict_json(out))
+    for cid in ("zero-average", "qm-reproduction"):
+        assert checks[cid]["status"] == "inconclusive"
+        assert checks[cid]["samples_used"] == 0
+
+
+@pytest.mark.parametrize("argv, starved", [
+    (("--model", "family1", "--lambda-n", "0"),
+     ("normalization", "positivity", "entry-half-bound")),
+    (("--model", "cerf", "--mc-samples", "1"), ("zero-average", "qm-reproduction")),
+])
+def test_validate_without_evidence_is_inconclusive_strict_json(capsys, argv, starved):
+    code, out, _ = run_cli(capsys, "validate", *argv, "--settings-n", "10")
+    assert code == EX_INCONCLUSIVE
+    assert "Infinity" not in out and "NaN" not in out
+    checks = checks_by_id(strict_json(out))
+    for cid in starved:
+        assert checks[cid]["status"] == "inconclusive", cid
+        assert checks[cid]["extremal_value"] is None
+        assert checks[cid]["details"].get("max_z") is None
+    assert all(c["status"] != "pass" or c["samples_used"] > 0 for c in checks.values())
+
+
+SIMULATE_F1 = ("simulate", "--model", "family1", "--settings", "random:2")
+CHSH_F1 = ("chsh", "--model", "family1")
+VALIDATE_F1 = ("validate", "--model", "family1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*SIMULATE_F1, "--threads", "0"), (*SIMULATE_F1, "--shots", "0"),
+    (*CHSH_F1, "--threads", "0"), (*CHSH_F1, "--shots", "-5"),
+    (*VALIDATE_F1, "--threads", "0"), (*VALIDATE_F1, "--mc-samples", "-1"),
+    (*VALIDATE_F1, "--lambda-n", "-1"), (*VALIDATE_F1, "--settings-n", "-3"),
+    ("scan", "--model", "cerf", "--lambda-n", "0"),
+])
+def test_bad_numeric_flags_exit_64(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EX_USAGE
+    assert out == "" and "must be" in err
+
+
 def test_validate_out_file_and_spec_model(tmp_path, capsys):
     spec = {"family": "family1", "gamma": 0.3, "seed": 5}
     model_path = tmp_path / "m.json"

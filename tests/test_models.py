@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from numpy.testing import assert_allclose
 from hvsinglet.geometry import RandomStream, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
     RECIPE_REGISTRY,
+    SIGN_EPS,
+    HiddenVariableModel,
     LambdaBatch,
     LambdaPoint,
     MeasureZeroError,
@@ -30,6 +34,7 @@ from hvsinglet.models import (
     qm_table,
     sample_valid_tables,
     wrongtrial_model,
+    _cerf_kernel,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -271,6 +276,90 @@ def test_sample_valid_tables_redraws_degenerate_rows():
     assert len(got) == 1000 and t.shape == (1000, 2, 2)
 
 
+def _normalized_cerf_kernel(U, V, a, b):
+    """The sign kernel with explicitly normalized u +- v: the reference rule."""
+    su_arg = U @ a
+    sv_arg = V @ a
+    nplus = U + V
+    nminus = U - V
+    nplus_norm = np.linalg.norm(nplus, axis=-1)
+    nminus_norm = np.linalg.norm(nminus, axis=-1)
+    ok = (nplus_norm > SIGN_EPS) & (nminus_norm > SIGN_EPS)
+    np_b = np.where(ok, (nplus @ b) / np.where(ok, nplus_norm, 1.0), 0.0)
+    nm_b = np.where(ok, (nminus @ b) / np.where(ok, nminus_norm, 1.0), 0.0)
+    ok &= (np.abs(su_arg) > SIGN_EPS) & (np.abs(sv_arg) > SIGN_EPS)
+    ok &= (np.abs(np_b) > SIGN_EPS) & (np.abs(nm_b) > SIGN_EPS)
+    su = np.sign(su_arg)
+    sp = np.sign(np_b)
+    x = su * np.sign(sv_arg)
+    y = sp * np.sign(nm_b)
+    h = (1.0 + x + y - x * y) / 2.0
+    return su * sp * h, ok
+
+
+def _assert_kernel_matches_oracle(U, V, a, b):
+    k, ok = _cerf_kernel(U, V, a, b)
+    k_ref, ok_ref = _normalized_cerf_kernel(U, V, a, b)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(k[ok], k_ref[ok])
+    return ok
+
+
+def test_cerf_kernel_matches_normalized_rule_on_random_rows():
+    gen = RandomStream(31).generator()
+    U = sample_uniform_sphere(gen, 65536)
+    V = sample_uniform_sphere(gen, 65536)
+    for _ in range(4):
+        a, b = sample_uniform_sphere(gen), sample_uniform_sphere(gen)
+        _assert_kernel_matches_oracle(U, V, a, b)
+
+
+def test_cerf_kernel_matches_normalized_rule_on_adversarial_rows():
+    gen = RandomStream(32).generator()
+    a, b = sample_uniform_sphere(gen), sample_uniform_sphere(gen)
+    U = sample_uniform_sphere(gen, 400)
+    V = sample_uniform_sphere(gen, 400)
+    V[:50] = -U[:50]                                   # u + v = 0
+    V[50:100] = U[50:100]                              # u - v = 0
+    perp = U[100:150] - np.outer(U[100:150] @ a, a)    # u orthogonal to a
+    U[100:150] = perp / np.linalg.norm(perp, axis=1)[:, None]
+    # (u + v).b, then (u - v).b, within a few SIGN_EPS of zero: inside the
+    # 2.5*SIGN_EPS band that reruns the normalized test, and just outside it
+    for i in range(150, 400):
+        sign = 1.0 if i < 275 else -1.0
+        vb = sign * (gen.uniform(-4e-12, 4e-12) - U[i] @ b)
+        t = sample_uniform_sphere(gen)
+        t -= (t @ b) * b
+        V[i] = vb * b + np.sqrt(1.0 - vb * vb) * t / np.linalg.norm(t)
+    ok = _assert_kernel_matches_oracle(U, V, a, b)
+    assert not ok[:150].any()
+    assert ok[150:].any() and not ok[150:].all()
+
+
+def test_cerf_model_has_kernel_rule():
+    m = cerf_model()
+    assert m.has_kernel and m.table_rule is None and not m.is_canonical
+    gen = RandomStream(33).generator()
+    batch = m.lambda_space.sample(gen, 1000)
+    a, b = unit([0.3, -0.5, 0.81]), unit([-0.2, 0.9, 0.4])
+    k, ok = m.kernel_masked(batch, a, b)
+    t, ok_t = m.tables_masked(batch, a, b)
+    assert np.array_equal(ok, ok_t)
+    assert_allclose(t, (1.0 - np.array([[1.0, -1.0], [-1.0, 1.0]]) * k[:, None, None]) / 4.0,
+                    rtol=0, atol=0)
+    corr, _ = m.correlations_masked(batch, a, b)
+    assert np.array_equal(corr[ok], -k[ok])
+
+
+def test_model_needs_exactly_one_rule():
+    m = cerf_model()
+    with pytest.raises(ValueError, match="exactly one"):
+        HiddenVariableModel("none", m.lambda_space)
+    with pytest.raises(ValueError, match="exactly one"):
+        HiddenVariableModel("two", m.lambda_space, kernel_rule=m.kernel_rule,
+                            table_rule=lambda batch, a, b: m.tables_masked(batch, a, b))
+
+
 # ---------------------------------------------------------------------------
 # Lambda plumbing
 
@@ -372,6 +461,32 @@ def test_recipe_rejects_bad_inputs():
         build_recipe_model("poly1", 0.5)
     with pytest.raises(ModelSpecError):
         build_recipe_model("poly1", 1.0, gamma=1.5)
+
+
+def test_recipe_mean_cache_is_thread_safe():
+    # more distinct settings than the cache holds, so the threads keep clearing it
+    m = build_recipe_model("cross_uab", 1.0, seed=5, n_polar=8, n_azimuth=16)
+    nodes, _ = m.lambda_space.quadrature
+    gen = RandomStream(34).generator()
+    settings = list(zip(sample_uniform_sphere(gen, 150), sample_uniform_sphere(gen, 150)))
+    serial = [m.c_values(nodes, a, b) for a, b in settings]
+
+    def sweep(order):
+        return [(i, m.c_values(nodes, *settings[i])) for _ in range(4) for i in order]
+
+    idx = list(range(len(settings)))
+    orders = [idx, idx[::-1], idx[50:] + idx[:50], idx[100:] + idx[:100]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            runs = [f.result(timeout=120) for f in [pool.submit(sweep, o) for o in orders]]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        assert len(run) == 4 * len(settings)
+        for i, vals in run:
+            assert np.array_equal(vals, serial[i])
 
 
 def test_recipe_build_is_deterministic():

@@ -10,6 +10,7 @@ from hvsinglet.geometry import RandomStream, sample_uniform_sphere, unit
 from hvsinglet.models import (
     HiddenVariableModel,
     LambdaBatch,
+    LambdaSpace,
     builtin_model,
     build_recipe_model,
     family1_model,
@@ -21,6 +22,7 @@ from hvsinglet.validator import (
     CheckStatus,
     ConstraintReport,
     CONSTRAINT_ORDER,
+    SuiteResult,
     ValidatorConfig,
     Witness,
     check_coincident_zero,
@@ -169,6 +171,72 @@ def test_zero_average_mc_paths():
     # starved of samples the verdict degrades to inconclusive, not fail
     rep = check_zero_average(m, 2, stream(8), mc_samples=2000)
     assert rep.status is CheckStatus.INCONCLUSIVE
+
+
+def test_mc_budget_off_block_multiple_is_spent_exactly():
+    m = builtin_model("cerf")
+    budget = 65536 + 4465
+    rep = check_zero_average(m, 3, stream(27), mc_samples=budget)
+    assert rep.samples_used == 3 * budget
+    rep = check_qm_reproduction(m, 2, stream(28), mc_samples=budget)
+    assert rep.samples_used == 2 * budget
+
+
+def test_mc_kernel_path_matches_table_path():
+    # the same rule given as tables: same draws, so the same statistics
+    cerf = builtin_model("cerf")
+    tables = HiddenVariableModel("cerf-tables", cerf.lambda_space,
+                                 table_rule=lambda batch, a, b: cerf.tables_masked(batch, a, b))
+    by_k = check_qm_reproduction(cerf, 3, stream(29), mc_samples=100_000)
+    by_table = check_qm_reproduction(tables, 3, stream(29), mc_samples=100_000)
+    assert by_k.samples_used == by_table.samples_used == 300_000
+    assert by_k.status is by_table.status is CheckStatus.PASS
+    for key in ("max_stderr", "max_z"):
+        assert by_k.details[key] == pytest.approx(by_table.details[key], rel=1e-9)
+    assert by_k.extremal_value == pytest.approx(by_table.extremal_value, rel=1e-9)
+
+
+def test_mc_checks_without_samples_are_inconclusive():
+    m = builtin_model("cerf")
+    for budget in (0, 1):
+        for rep in (check_zero_average(m, 2, stream(30), mc_samples=budget),
+                    check_qm_reproduction(m, 2, stream(31), mc_samples=budget)):
+            assert rep.status is CheckStatus.INCONCLUSIVE, (rep.constraint_id, budget)
+            assert rep.samples_used == 2 * budget
+            assert rep.extremal_value is None and rep.witness is None
+
+
+def test_scan_checks_without_rows_are_inconclusive():
+    m = builtin_model("family1")
+    for rep in check_table_scan(m, 5, 0, stream(32)):
+        assert rep.status is CheckStatus.INCONCLUSIVE
+        assert rep.samples_used == 0 and rep.extremal_value is None
+    assert check_marginal_triviality(m, 5, 0, stream(33)).status is CheckStatus.INCONCLUSIVE
+    assert check_coincident_zero(builtin_model("cerf"), 5, 0, stream(34)).status \
+        is CheckStatus.INCONCLUSIVE
+    assert check_zero_average(m, 0, stream(35)).status is CheckStatus.INCONCLUSIVE
+    assert check_qm_reproduction(m, 0, stream(36)).status is CheckStatus.INCONCLUSIVE
+    # a canonical model without quadrature samples its endpoint rows
+    sampled = HiddenVariableModel("family1-mc", LambdaSpace(
+        m.lambda_space.shape, m.lambda_space.sampler), c_function=m.c_function)
+    res = run_full_suite(sampled, ValidatorConfig(**{**FAST.__dict__, "n_lambda": 0,
+                                                     "exponent_lambda": 0}), seed=1)
+    for cid in ("normalization", "coincident-zero", "endpoint-g-bound", "expansion"):
+        assert res.report(cid).status is CheckStatus.INCONCLUSIVE, cid
+    assert res.exit_code == 2
+
+
+def test_report_json_has_no_non_finite_numbers():
+    rep = ConstraintReport("zero-average", CheckStatus.FAIL, float("-inf"), 1e-2, 2,
+                           Witness(float("inf")), details={"max_z": np.inf, "dev": [np.nan]})
+    text = SuiteResult({"family": "x"}, 0, [rep]).to_json()
+
+    def reject(name):
+        raise ValueError(name)
+
+    row = json.loads(text, parse_constant=reject)["checks"][0]
+    assert row["extremal_value"] is None and row["witness"]["value"] is None
+    assert row["details"] == {"max_z": None, "dev": [None]}
 
 
 def test_coincident_zero_passes_all_families():
