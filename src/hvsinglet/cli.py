@@ -36,6 +36,7 @@ from .models import (
     model_from_spec,
 )
 from .simulator import (
+    _MAX_PAIRS,
     OPTIMAL_CHSH_SETTINGS,
     ExperimentConfig,
     chsh,
@@ -165,6 +166,7 @@ def _parse_settings(value: str, seed: int, *, expect: int | None = None) -> np.n
             raise UsageError(f"bad settings count in {value!r}") from None
         if n < 1 or (expect is not None and n != expect):
             raise UsageError(f"need {expect or 'at least 1'} settings pairs, got {n}")
+        _check_pair_count(n)
         gen = RandomStream(seed).split(14).generator()
         pairs = np.stack([sample_uniform_sphere(gen, n), sample_uniform_sphere(gen, n)], axis=1)
         return pairs
@@ -184,14 +186,22 @@ def _parse_settings(value: str, seed: int, *, expect: int | None = None) -> np.n
                          f"{np.abs(norms - 1.0).max():.2e})")
     if expect is not None and len(pairs) != expect:
         raise UsageError(f"{value}: expected {expect} pairs, got {len(pairs)}")
+    _check_pair_count(len(pairs))
     return pairs
+
+
+def _check_pair_count(n: int) -> None:
+    # each pair index takes a 20-bit stream-split field; reject before any work
+    if n > _MAX_PAIRS:
+        raise UsageError(f"at most {_MAX_PAIRS} settings pairs (the stream split limit), "
+                         f"got {n}")
 
 
 def _experiment_config(args, seed: int) -> ExperimentConfig:
     try:
         return ExperimentConfig(shots=args.shots, mode=args.mode, seed=seed,
                                 threads=args.threads)
-    except ValueError as exc:  # --shots or --threads below 1
+    except ValueError as exc:  # --shots or --threads out of range
         raise UsageError(str(exc)) from None
 
 

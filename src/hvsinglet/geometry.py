@@ -82,11 +82,24 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
     m = 1 if n is None else int(n)
     if m < 0:
         raise GeometryError("n must be nonnegative")
+    out = np.empty((m, 3))
+    _fill_uniform_sphere(rng, out)
+    return out[0] if n is None else out
+
+
+def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write len(out) uniform points on S^2 into the (n, 3) view ``out``.
+
+    The rule and draw order of ``sample_uniform_sphere`` (z, then azimuth);
+    samplers use it to fill one slot of a preallocated (n, nv, 3) block.
+    """
+    m = len(out)
     z = rng.uniform(-1.0, 1.0, size=m)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    return out[0] if n is None else out
+    out[:, 2] = z
+    np.multiply(r, np.cos(phi), out=out[:, 0])
+    np.multiply(r, np.sin(phi), out=out[:, 1])
 
 
 def rotate_towards(a, direction, epsilon: float) -> np.ndarray:

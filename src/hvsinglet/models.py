@@ -35,6 +35,7 @@ from .geometry import (
     GeometryError,
     RandomStream,
     SphereGrid,
+    _fill_uniform_sphere,
     as_generator,
     dot,
     require_unit,
@@ -567,10 +568,14 @@ def _scalar_space(measure: str, gamma: float, *, weights=None, n_nodes: int = 16
 def _with_unit_vector(base: LambdaSpace, grid: SphereGrid) -> LambdaSpace:
     """Product measure: base scalars times one uniform unit vector."""
 
+    nv = base.shape.vectors
+
     def sampler(gen: np.random.Generator, n: int) -> LambdaBatch:
         b = base.sampler(gen, n)
-        u = sample_uniform_sphere(gen, n)
-        return LambdaBatch(b.scalars, np.concatenate([b.vectors, u[:, None, :]], axis=1))
+        vectors = np.empty((n, nv + 1, 3))
+        vectors[:, :nv] = b.vectors
+        _fill_uniform_sphere(gen, vectors[:, nv])
+        return LambdaBatch(b.scalars, vectors)
 
     quad = None
     if base.quadrature is not None:
@@ -594,9 +599,10 @@ def _with_unit_vector(base: LambdaSpace, grid: SphereGrid) -> LambdaSpace:
 
 def _cerf_space() -> LambdaSpace:
     def sampler(gen: np.random.Generator, n: int) -> LambdaBatch:
-        u = sample_uniform_sphere(gen, n)
-        v = sample_uniform_sphere(gen, n)
-        return LambdaBatch(np.zeros((n, 0)), np.stack([u, v], axis=1))
+        vectors = np.empty((n, 2, 3))
+        _fill_uniform_sphere(gen, vectors[:, 0])  # u, then v: the draw order
+        _fill_uniform_sphere(gen, vectors[:, 1])
+        return LambdaBatch(np.zeros((n, 0)), vectors)
 
     return LambdaSpace(LambdaShape(0, 2), sampler, None, meta={"measure": "two_sphere"})
 
@@ -928,27 +934,39 @@ def sample_valid_tables(model: HiddenVariableModel, source, n: int, a, b,
     hand-built degenerate settings (exactly orthogonal sign arguments)
     cannot poison an estimate.
     """
+    return _sample_valid(model, model.tables_masked, source, n, a, b, max_rounds)
+
+
+def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int, a, b,
+                  max_rounds: int = 100) -> tuple[LambdaBatch, np.ndarray]:
+    """The redraw loop behind ``sample_valid_tables`` for any masked evaluator.
+
+    ``evaluate(batch, a, b)`` returns (values, ok) with values indexed by
+    row: tables (n,2,2) from ``tables_masked``, kernels (n,) from
+    ``kernel_masked``. Draws are the same for every evaluator with the same
+    mask, so a kernel estimate consumes the stream exactly as a table one.
+    """
     gen = as_generator(source)
     batches: list[LambdaBatch] = []
-    tables: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     need = int(n)
     for _ in range(max_rounds):
         if need <= 0:
             break
         cand = model.lambda_space.sample(gen, need)
-        t, ok = model.tables_masked(cand, a, b)
+        v, ok = evaluate(cand, a, b)
         if np.all(ok):
             batches.append(cand)
-            tables.append(t)
+            values.append(v)
             need = 0
             break
         batches.append(cand.take(ok))
-        tables.append(t[ok])
+        values.append(v[ok])
         need -= int(np.count_nonzero(ok))
     if need > 0:
         raise MeasureZeroError(
             f"model '{model.name}': sampling stalled, rule undefined on almost all draws"
         )
     if len(batches) == 1:
-        return batches[0], tables[0]
-    return LambdaBatch.concat(batches), np.concatenate(tables, axis=0)
+        return batches[0], values[0]
+    return LambdaBatch.concat(batches), np.concatenate(values, axis=0)

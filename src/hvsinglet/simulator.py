@@ -4,6 +4,12 @@ Sampling is organized in fixed 65536-shot blocks, each driven by its own
 counter-based stream derived from (seed, pair index, block index). Blocks
 are merged in index order, so estimates are bitwise identical for any
 thread count; ``threads`` buys wall time only.
+
+Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
+the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
+uses four running-sum compares per shot. It consumes the same random
+numbers with the same arithmetic as the table draw, so the output bytes
+are those of the table path.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RandomStream, as_generator, require_unit, sample_uniform_sphere, unit
-from .models import _SIGMA_TAU, OUTCOMES, HiddenVariableModel, LambdaPoint, sample_valid_tables
+from .geometry import (_SPLIT_MAX, RandomStream, as_generator, require_unit,
+                       sample_uniform_sphere, unit)
+from .models import (_SIGMA_TAU, OUTCOMES, HiddenVariableModel, LambdaPoint, _sample_valid,
+                     sample_valid_tables)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -38,6 +46,10 @@ __all__ = [
 ]
 
 _BLOCK = 65536
+# Pair and block indices each take one 20-bit stream-split field, so a run
+# holds at most _SPLIT_MAX settings pairs and _SPLIT_MAX blocks per pair.
+_MAX_PAIRS = _SPLIT_MAX
+_MAX_SHOTS = _SPLIT_MAX * _BLOCK
 
 # Settings maximizing the quantum CHSH value S = 2*sqrt(2) for the singlet
 # (E(a, b) = -a.b): pairs ordered (a0,b0), (a0,b1), (a1,b0), (a1,b1), with
@@ -62,6 +74,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.shots > _MAX_SHOTS:
+            raise ValueError(f"shots must be <= {_MAX_SHOTS} ({_SPLIT_MAX} blocks of "
+                             f"{_BLOCK}, the stream split limit), got {self.shots}")
         if self.mode not in ("sampling", "analytic"):
             raise ValueError(f"mode must be 'sampling' or 'analytic', got {self.mode!r}")
         if self.threads < 1:
@@ -103,12 +118,26 @@ def sample_outcome(table, source) -> tuple[int, int]:
     return OUTCOMES[idx // 2], OUTCOMES[idx % 2]
 
 
-def _sample_products(tables: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Vectorized outcome draws; returns the products sigma*tau in {-1, +1}."""
-    cum = np.cumsum(tables.reshape(len(tables), 4), axis=1)
-    u = gen.random(len(tables))
-    idx = np.clip((u[:, None] >= cum).sum(axis=1), 0, 3)
-    return np.where((idx == 0) | (idx == 3), 1.0, -1.0)
+def _sample_products(cols, gen: np.random.Generator) -> np.ndarray:
+    """Vectorized outcome draws; returns the products sigma*tau in {-1, +1}.
+
+    ``cols`` holds the table columns (p00, p01, p10, p11), each (n,). One
+    uniform u per row gives idx = clip(#{j : u >= cum_j}, 0, 3) over the
+    running sums cum_j, and sigma*tau = +1 iff idx is 0 or 3. The sums are
+    added in the order np.cumsum uses, so the draw is bit-identical to a
+    cumsum over (n, 2, 2) tables, even for inadmissible tables whose
+    negative entries make cum non-monotone.
+    """
+    p00, p01, p10, p11 = cols
+    u = gen.random(len(p00))
+    count = (u >= p00).astype(np.int8)
+    cum = p00 + p01
+    count += u >= cum
+    cum += p10
+    count += u >= cum
+    cum += p11
+    count += u >= cum
+    return np.where((count == 1) | (count == 2), -1.0, 1.0)
 
 
 def _blocks(shots: int) -> list[int]:
@@ -135,7 +164,8 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     a lambda-level Monte Carlo average of the conditional correlator with
     ``shots`` draws. mode 'sampling' simulates the experiment shot by shot:
     draw lambda, draw (sigma, tau) from the conditional table, average the
-    products.
+    products. Kernel models draw from k alone (the Monte Carlo correlator is
+    -k). A Monte Carlo estimate from fewer than two draws reports stderr NaN.
     """
     cfg = config or ExperimentConfig()
     a = require_unit(a, name="a")
@@ -152,13 +182,21 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
 
     sizes = _blocks(cfg.shots)
 
-    def mc_block(k: int) -> tuple[float, float, int]:
-        gen = pair_stream.split(k).generator()
-        batch, tables = sample_valid_tables(model, gen, sizes[k], a, b)
+    def block_values(gen: np.random.Generator, n: int) -> np.ndarray:
+        if model.has_kernel:  # tables (1 - sigma*tau*k)/4 are never built
+            _, k = _sample_valid(model, model.kernel_masked, gen, n, a, b)
+            if cfg.mode == "analytic":
+                return -k
+            diag = (1.0 - k) / 4.0
+            off = (1.0 + k) / 4.0
+            return _sample_products((diag, off, off, diag), gen)
+        _, tables = sample_valid_tables(model, gen, n, a, b)
         if cfg.mode == "analytic":
-            vals = np.einsum("nij,ij->n", tables, _SIGMA_TAU)
-        else:
-            vals = _sample_products(tables, gen)
+            return np.einsum("nij,ij->n", tables, _SIGMA_TAU)
+        return _sample_products(tables.reshape(n, 4).T, gen)
+
+    def mc_block(i: int) -> tuple[float, float, int]:
+        vals = block_values(pair_stream.split(i).generator(), sizes[i])
         return float(vals.sum()), float((vals * vals).sum()), len(vals)
 
     parts = _map_ordered(mc_block, range(len(sizes)), cfg.threads)
@@ -166,8 +204,11 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     total_sq = sum(p[1] for p in parts)
     n = sum(p[2] for p in parts)
     e = total / n
-    var = max(0.0, (total_sq - n * e * e) / max(1, n - 1))
-    stderr = float(np.sqrt(var / n))
+    if n < 2:  # one draw carries no estimate of its own spread
+        stderr = float("nan")
+    else:
+        var = max(0.0, (total_sq - n * e * e) / (n - 1))
+        stderr = float(np.sqrt(var / n))
     return CorrelationEstimate(a, b, e, stderr, e_qm, n, cfg.mode, cfg.seed)
 
 
@@ -178,6 +219,9 @@ def run_experiment(model: HiddenVariableModel, settings,
     pairs = np.asarray(settings, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
         raise ValueError(f"settings must have shape (n, 2, 3), got {pairs.shape}")
+    if len(pairs) > _MAX_PAIRS:
+        raise ValueError(f"at most {_MAX_PAIRS} settings pairs (the stream split limit), "
+                         f"got {len(pairs)}")
     return [estimate_correlation(model, pairs[i, 0], pairs[i, 1], cfg, pair_index=i)
             for i in range(len(pairs))]
 

@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
+from hvsinglet.simulator import _MAX_PAIRS, _MAX_SHOTS, CSV_HEADER
 from hvsinglet.validator import CONSTRAINT_ORDER
 
 FAST_VALIDATE = ["--lambda-n", "200", "--settings-n", "10"]
@@ -262,3 +268,83 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "hvsinglet" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Stream-split limits, one-draw estimates, and a fuzz over the numeric flags
+
+
+def test_settings_over_split_limit_rejected_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--model", "family1",
+                             "--settings", f"random:{_MAX_PAIRS + 1}", "--shots", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EX_USAGE and out == ""
+    assert f"at most {_MAX_PAIRS} settings pairs" in err
+
+
+def test_settings_file_over_split_limit_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_PAIRS", 2)
+    p = tmp_path / "three.json"
+    p.write_text(json.dumps([[[0, 0, 1], [1, 0, 0]]] * 3))
+    code, out, err = run_cli(capsys, "simulate", "--model", "family1", "--settings", str(p))
+    assert code == EX_USAGE and out == "" and "at most 2 settings pairs" in err
+
+
+def test_shots_over_split_limit_exit_64(capsys):
+    code, out, err = run_cli(capsys, "chsh", "--model", "family1",
+                             "--shots", str(_MAX_SHOTS + 1))
+    assert code == EX_USAGE and out == ""
+    assert f"shots must be <= {_MAX_SHOTS}" in err
+
+
+def test_chsh_one_shot_reports_nan_stderr(capsys):
+    code, out, err = run_cli(capsys, "chsh", "--model", "cerf", "--shots", "1")
+    assert code == EX_OK
+    rows = [dict(zip(CSV_HEADER, r)) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert [r["stderr"] for r in rows] == ["nan"] * 5
+    assert "+- nan" in err
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_counts = st.one_of(st.integers(-2, 8), st.sampled_from([_MAX_PAIRS + 1, 1 << 40]))
+_shots = st.one_of(st.integers(-2, 3000), st.sampled_from([_MAX_SHOTS + 1]))
+
+
+@st.composite
+def _numeric_argv(draw):
+    model = draw(st.sampled_from(["family1", "cerf"]))
+    command = draw(st.sampled_from(["simulate", "chsh", "validate"]))
+    argv = [command, "--model", model, "--seed", str(draw(st.integers(0, 3))),
+            "--threads", str(draw(st.integers(-1, 4)))]
+    if command == "validate":
+        for flag, hi in (("--lambda-n", 40), ("--settings-n", 4), ("--mc-samples", 400)):
+            argv += [flag, str(draw(st.integers(-1, hi)))]
+        return argv
+    argv += ["--shots", str(draw(_shots)),
+             "--mode", draw(st.sampled_from(["sampling", "analytic"]))]
+    if command == "simulate":
+        argv += ["--settings", f"random:{draw(_counts)}"]
+    return argv
+
+
+@given(_numeric_argv())
+@settings(max_examples=40, deadline=None)
+def test_numeric_flags_fuzz_keep_exit_and_output_contract(argv):
+    code, out = _run_quiet(argv)
+    assert code in (EX_OK, EX_VIOLATION, EX_INCONCLUSIVE, EX_USAGE)
+    if code == EX_USAGE:
+        assert out == ""
+    elif argv[0] == "validate":
+        assert strict_json(out)["exit_code"] == code
+    else:
+        assert code == EX_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == CSV_HEADER and len(rows) > 1
+        assert all(len(r) == len(CSV_HEADER) for r in rows)

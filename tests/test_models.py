@@ -15,6 +15,7 @@ from hvsinglet.models import (
     HiddenVariableModel,
     LambdaBatch,
     LambdaPoint,
+    LambdaSpace,
     MeasureZeroError,
     ModelSpecError,
     NegativeProbabilityError,
@@ -35,6 +36,9 @@ from hvsinglet.models import (
     sample_valid_tables,
     wrongtrial_model,
     _cerf_kernel,
+    _sample_valid,
+    _scalar_space,
+    _tables_from_kernel,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -276,6 +280,25 @@ def test_sample_valid_tables_redraws_degenerate_rows():
     assert len(got) == 1000 and t.shape == (1000, 2, 2)
 
 
+def test_kernel_redraws_match_table_redraws():
+    # a sampler that turns ~10% of the u draws orthogonal to Z forces redraw rounds
+    cerf = cerf_model()
+
+    def sampler(gen, n):
+        batch = cerf.lambda_space.sampler(gen, n)
+        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
+        return batch
+
+    space = LambdaSpace(cerf.lambda_space.shape, sampler)
+    m = HiddenVariableModel("holey", space, kernel_rule=cerf.kernel_rule)
+    b = unit([0.3, 0.1, 0.95])
+    got_t, t = sample_valid_tables(m, RandomStream(9).generator(), 1000, Z, b)
+    got_k, k = _sample_valid(m, m.kernel_masked, RandomStream(9).generator(), 1000, Z, b)
+    assert len(got_k) == 1000 and k.shape == (1000,)
+    assert np.array_equal(got_k.vectors, got_t.vectors)
+    assert np.array_equal(_tables_from_kernel(k), t)
+
+
 def _normalized_cerf_kernel(U, V, a, b):
     """The sign kernel with explicitly normalized u +- v: the reference rule."""
     su_arg = U @ a
@@ -391,6 +414,28 @@ def test_sampler_determinism_per_family():
         b2 = m.lambda_space.sample(s, 64)
         assert np.array_equal(b1.scalars, b2.scalars)
         assert np.array_equal(b1.vectors, b2.vectors)
+
+
+def test_vector_samplers_match_stacked_sphere_draws():
+    # samplers fill one (n, nv, 3) block in place; a stack/concatenate of
+    # sample_uniform_sphere draws from the same stream is the reference
+    n = 1000
+    cerf = cerf_model().lambda_space.sample(RandomStream(21).generator(), n)
+    gen = RandomStream(21).generator()
+    u = sample_uniform_sphere(gen, n)
+    v = sample_uniform_sphere(gen, n)
+    assert np.array_equal(cerf.vectors, np.stack([u, v], axis=1))
+    assert cerf.scalars.shape == (n, 0)
+
+    for measure in ("two_point", "uniform"):
+        fam2 = family2_model(measure=measure).lambda_space.sample(
+            RandomStream(22).generator(), n)
+        gen = RandomStream(22).generator()
+        base = _scalar_space(measure, 0.5, n_nodes=8).sampler(gen, n)
+        u = sample_uniform_sphere(gen, n)
+        assert np.array_equal(fam2.scalars, base.scalars)
+        assert np.array_equal(fam2.vectors,
+                              np.concatenate([base.vectors, u[:, None, :]], axis=1))
 
 
 def test_two_point_weights_drive_the_measure():

@@ -5,9 +5,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hvsinglet.geometry import RandomStream, unit
-from hvsinglet.models import LambdaPoint, builtin_model, family1_model
+from hvsinglet import simulator
+from hvsinglet.geometry import RandomStream, unit, with_dot
+from hvsinglet.models import (
+    HiddenVariableModel,
+    LambdaPoint,
+    LambdaSpace,
+    _tables_from_kernel,
+    builtin_model,
+    family1_model,
+    sample_valid_tables,
+    wrongtrial_model,
+)
 from hvsinglet.simulator import (
+    _MAX_PAIRS,
+    _MAX_SHOTS,
     CHSH_SIGNS,
     CSV_HEADER,
     OPTIMAL_CHSH_SETTINGS,
@@ -20,6 +32,7 @@ from hvsinglet.simulator import (
     malus_gap_report,
     malus_marginal,
     run_experiment,
+    _sample_products,
     sample_outcome,
     write_chsh_csv,
     write_correlations_csv,
@@ -196,3 +209,165 @@ def test_csv_deterministic_across_threads(tmp_path):
         r = chsh(m, ExperimentConfig(shots=70_000, seed=8, threads=threads))
         texts.append(csv_text(write_chsh_csv, r))
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------------------
+# Outcome draws: the column draw against the cumsum/broadcast rule it replaced
+
+
+def _cumsum_products(tables, gen):
+    """The table draw as first written: the oracle for ``_sample_products``."""
+    cum = np.cumsum(tables.reshape(len(tables), 4), axis=1)
+    u = gen.random(len(tables))
+    idx = np.clip((u[:, None] >= cum).sum(axis=1), 0, 3)
+    return np.where((idx == 0) | (idx == 3), 1.0, -1.0)
+
+
+def _columns(tables):
+    return tables.reshape(len(tables), 4).T
+
+
+def _assert_same_draws(tables, cols, seed):
+    new = _sample_products(cols, RandomStream(seed).generator())
+    old = _cumsum_products(tables, RandomStream(seed).generator())
+    assert np.array_equal(new, old)
+    return new
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def test_column_draw_matches_cumsum_on_random_tables():
+    gen = RandomStream(40).generator()
+    t = gen.random((50_000, 4))
+    t /= t.sum(axis=1, keepdims=True)
+    prods = _assert_same_draws(t.reshape(-1, 2, 2), _columns(t.reshape(-1, 2, 2)), 41)
+    assert set(np.unique(prods)) == {-1.0, 1.0}
+
+
+def test_column_draw_matches_cumsum_on_kernel_tables():
+    gen = RandomStream(42).generator()
+    for k in (np.where(gen.random(50_000) < 0.5, -1.0, 1.0), gen.uniform(-1.0, 1.0, 50_000)):
+        diag = (1.0 - k) / 4.0
+        off = (1.0 + k) / 4.0
+        _assert_same_draws(_tables_from_kernel(k), (diag, off, off, diag), 43)
+
+
+def test_column_draw_matches_cumsum_on_negative_entries():
+    # wrongtrial near |a.b| = 1: entries below 0 and above 1/2, non-monotone cum
+    m = wrongtrial_model(0.4)
+    gen = RandomStream(44).generator()
+    for x in (1.0 - 1e-4, -(1.0 - 1e-6), 1.0 - 1e-9):
+        b = with_dot(Z, X, x)
+        t, ok = m.tables_masked(m.lambda_space.sample(gen, 20_000), Z, b)
+        assert ok.all() and t.min() < 0.0
+        _assert_same_draws(t, _columns(t), 45)
+
+
+def test_column_draw_matches_cumsum_at_ties():
+    # u landing exactly on a running sum, and on sums of a non-monotone table
+    # the last table has (0.01 + 0.01) + 0.04 != (0.01 + 0.04) + 0.01: the sum order shows
+    t = np.array([[[0.25, 0.25], [0.25, 0.25]], [[-0.1, 0.6], [0.6, -0.1]],
+                  [[0.0, 0.5], [0.5, 0.0]], [[0.6, -0.1], [-0.1, 0.6]],
+                  [[0.01, 0.01], [0.04, 0.94]]])
+    cum = np.cumsum(t.reshape(-1, 4), axis=1)
+    rows = np.repeat(np.arange(len(t)), 7)
+    u = np.concatenate([np.r_[0.0, c, np.nextafter(c[1:3], 0.0)] for c in cum])
+    new = _sample_products(_columns(t[rows]), _FixedUniforms(u))
+    old = _cumsum_products(t[rows], _FixedUniforms(u))
+    assert np.array_equal(new, old)
+
+
+# ---------------------------------------------------------------------------
+# The kernel path of estimate_correlation against the table path
+
+
+def _as_table_rule(model):
+    return HiddenVariableModel(model.name + "-tables", model.lambda_space,
+                               table_rule=lambda batch, a, b: model.tables_masked(batch, a, b))
+
+
+@pytest.mark.parametrize("name, mode", [("cerf", "sampling"), ("cerf", "analytic"),
+                                        ("family1", "sampling")])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_estimate_equals_table_estimate(name, mode, threads):
+    m = builtin_model(name)
+    assert m.has_kernel
+    b = unit([0.25, -0.33, 0.91])
+    cfg = ExperimentConfig(shots=150_001, mode=mode, seed=13, threads=threads)  # partial block
+    kern = estimate_correlation(m, Z, b, cfg, pair_index=3)
+    tab = estimate_correlation(_as_table_rule(m), Z, b, cfg, pair_index=3)
+    assert (kern.e_est, kern.stderr, kern.n_shots) == (tab.e_est, tab.stderr, tab.n_shots)
+
+
+def test_kernel_draw_columns_are_the_table_entries(monkeypatch):
+    seen = []
+
+    def spy(cols, gen):
+        seen.append(np.stack(cols, axis=1))
+        return _sample_products(cols, gen)
+
+    monkeypatch.setattr(simulator, "_sample_products", spy)
+    m = builtin_model("family2")
+    b = unit([0.25, -0.33, 0.91])
+    estimate_correlation(m, Z, b, ExperimentConfig(shots=5000, seed=15), pair_index=2)
+    gen = RandomStream(15).split(2, 2).split(0).generator()
+    _, tables = sample_valid_tables(m, gen, 5000, Z, b)
+    assert len(seen) == 1 and np.array_equal(seen[0], tables.reshape(-1, 4))
+
+
+def test_kernel_estimate_equals_table_estimate_with_redraws():
+    cerf = builtin_model("cerf")
+
+    def sampler(gen, n):  # ~10% of the rows land on the undefined set at a = Z
+        batch = cerf.lambda_space.sampler(gen, n)
+        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
+        return batch
+
+    m = HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
+                            kernel_rule=cerf.kernel_rule)
+    cfg = ExperimentConfig(shots=70_000, seed=14)
+    kern = estimate_correlation(m, Z, unit([0.3, 0.1, 0.95]), cfg)
+    tab = estimate_correlation(_as_table_rule(m), Z, unit([0.3, 0.1, 0.95]), cfg)
+    assert (kern.e_est, kern.stderr) == (tab.e_est, tab.stderr)
+
+
+# ---------------------------------------------------------------------------
+# Edge sizes
+
+
+@pytest.mark.parametrize("mode", ["sampling", "analytic"])
+def test_one_draw_estimate_has_no_stderr(mode):
+    e = estimate_correlation(builtin_model("cerf"), Z, X,
+                             ExperimentConfig(shots=1, mode=mode, seed=3))
+    assert e.n_shots == 1 and abs(e.e_est) == 1.0
+    assert np.isnan(e.stderr)
+    r = chsh(builtin_model("cerf"), ExperimentConfig(shots=1, mode=mode, seed=3))
+    assert np.isnan(r.stderr)
+    two = estimate_correlation(builtin_model("cerf"), Z, X,
+                               ExperimentConfig(shots=2, mode=mode, seed=3))
+    assert np.isfinite(two.stderr)
+    # quadrature needs no draws: its stderr stays 0 at shots=1
+    quad = estimate_correlation(builtin_model("family1"), Z, X,
+                                ExperimentConfig(shots=1, mode="analytic"))
+    assert quad.stderr == 0.0
+
+
+def test_stream_split_limits_are_checked_up_front(monkeypatch):
+    assert ExperimentConfig(shots=_MAX_SHOTS).shots == _MAX_SHOTS
+    with pytest.raises(ValueError, match=str(_MAX_SHOTS)):
+        ExperimentConfig(shots=_MAX_SHOTS + 1)
+    assert _MAX_PAIRS == (1 << 20) - 1
+    monkeypatch.setattr(simulator, "_MAX_PAIRS", 2)
+    m = builtin_model("family1")
+    with pytest.raises(ValueError, match="at most 2 settings pairs"):
+        run_experiment(m, np.array([[Z, X]] * 3), ExperimentConfig(shots=16))
+    assert len(run_experiment(m, np.array([[Z, X]] * 2), ExperimentConfig(shots=16))) == 2
