@@ -277,12 +277,7 @@ def cmd_scan(args) -> int:
         raise UsageError("--points must be at least 2")
     if args.lambda_n < 1:
         raise UsageError("--lambda-n must be at least 1")
-    gen = RandomStream(seed).split(13).generator()
-    if model.lambda_space.quadrature is not None:
-        batch, w = model.lambda_space.quadrature
-    else:
-        batch = model.lambda_space.sample(gen, args.lambda_n)
-        w = np.full(len(batch), 1.0 / len(batch))
+    batch, w = model.lambda_space.nodes(RandomStream(seed).split(13), args.lambda_n)
     a = np.array([0.0, 0.0, 1.0])
     tangent = np.array([1.0, 0.0, 0.0])
     rows = []

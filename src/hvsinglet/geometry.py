@@ -20,7 +20,6 @@ __all__ = [
     "require_unit",
     "dot",
     "sample_uniform_sphere",
-    "rotate_towards",
     "with_dot",
     "SphereGrid",
     "sphere_quadrature",
@@ -100,25 +99,6 @@ def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
     out[:, 2] = z
     np.multiply(r, np.cos(phi), out=out[:, 0])
     np.multiply(r, np.sin(phi), out=out[:, 1])
-
-
-def rotate_towards(a, direction, epsilon: float) -> np.ndarray:
-    """Tilt unit vector ``a`` by a small step ``epsilon`` towards ``direction``.
-
-    Uses the component of ``direction`` orthogonal to ``a``; the result is
-    exactly renormalized, with a.b = 1/sqrt(1+epsilon^2) = 1 - epsilon^2/2 + ...
-    Useful for probing the neighborhood of coincident settings.
-    """
-    a = require_unit(a, name="a")
-    if not (0.0 < epsilon <= 0.1):
-        raise GeometryError("epsilon must lie in (0, 0.1]")
-    d = np.asarray(direction, dtype=float)
-    perp = d - np.dot(d, a) * a
-    norm = float(np.linalg.norm(perp))
-    if norm < 1e-9:
-        raise GeometryError("direction is (anti)parallel to a, no tilt plane")
-    b = a + epsilon * (perp / norm)
-    return b / np.linalg.norm(b)
 
 
 def with_dot(a, direction, target: float) -> np.ndarray:

@@ -18,6 +18,14 @@ Three rule styles are supported:
 * direct: an arbitrary per-lambda table rule with a validity mask, for
   tables whose marginals need not be trivial.
 
+``HiddenVariableModel`` alone maps a rule style to a correlator or a
+correction: ``correlations_masked`` gives the per-lambda correlator (-k for
+canonical and kernel models, the table contraction for direct rules) and
+``implied_c`` the correction (C for canonical models, correlator + a.b
+otherwise). Outside this module only the outcome draw and the Monte Carlo
+mean tables ask ``has_kernel``, to skip building tables.
+``LambdaSpace.nodes`` gives the quadrature, or else a 1/n-weighted sample.
+
 The measure over lambda never depends on the settings, and per-lambda
 marginals for canonical models never depend on the remote axis; the
 violation of outcome independence is the only nonlocal ingredient.
@@ -59,11 +67,9 @@ __all__ = [
     "setting_dot",
     "canonical_prob",
     "canonical_table",
-    "hv_correlator",
     "family1_c",
     "family2_c",
     "wrongtrial_c",
-    "cerf_prob",
     "family1_model",
     "family2_model",
     "wrongtrial_model",
@@ -86,6 +92,9 @@ _SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Tolerance below which a sign argument in the sign rule counts as zero.
 SIGN_EPS = 1e-12
+
+# Redraw rounds before sampling gives up on a rule undefined on most draws.
+_MAX_REDRAW_ROUNDS = 100
 
 _FAMILIES = ("family1", "family2", "wrongtrial", "cerf", "recipe")
 _MEASURES = ("two_point", "uniform")
@@ -200,6 +209,13 @@ class LambdaSpace:
             raise RuntimeError("sampler returned wrong batch length")
         return batch
 
+    def nodes(self, source, n: int) -> tuple[LambdaBatch, np.ndarray]:
+        """Quadrature nodes and weights when present, else n draws weighted 1/n."""
+        if self.quadrature is not None:
+            return self.quadrature
+        batch = self.sample(source, n)
+        return batch, np.full(len(batch), 1.0 / max(len(batch), 1))
+
 
 # ---------------------------------------------------------------------------
 # Probability rules
@@ -271,10 +287,8 @@ class CFunction:
     s_plus: float | None = None
     s_minus: float | None = None
 
-    def __call__(self, lam, a, b) -> np.ndarray:
-        batch = lam.batch() if isinstance(lam, LambdaPoint) else lam
-        vals = np.asarray(self.fn(batch, np.asarray(a, float), np.asarray(b, float)), dtype=float)
-        return vals
+    def __call__(self, batch: LambdaBatch, a, b) -> np.ndarray:
+        return np.asarray(self.fn(batch, np.asarray(a, float), np.asarray(b, float)), dtype=float)
 
 
 @dataclass
@@ -384,36 +398,28 @@ class HiddenVariableModel:
         return tables[0] if single else tables
 
     def correlations_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lambda correlator sum_{sigma,tau} sigma*tau*P, with mask."""
-        batch, _ = self._as_batch(lam)
-        tables, ok = self.tables_masked(batch, a, b)
+        """Per-lambda correlator sum_{sigma,tau} sigma*tau*P, with mask.
+
+        That is -k for models with a kernel; only direct rules build tables.
+        """
+        if self.has_kernel:
+            k, ok = self.kernel_masked(lam, a, b)
+            return -k, ok
+        tables, ok = self.tables_masked(lam, a, b)
         return np.einsum("nij,ij->n", tables, _SIGMA_TAU), ok
 
-    def correlations(self, lam, a, b) -> np.ndarray | float:
-        batch, single = self._as_batch(lam)
-        vals, ok = self.correlations_masked(batch, a, b)
-        if not np.all(ok):
-            bad = int(np.count_nonzero(~ok))
-            raise MeasureZeroError(
-                f"model '{self.name}': rule undefined on {bad} of {len(batch)} lambda rows"
-            )
-        return float(vals[0]) if single else vals
-
     def implied_c(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """C inferred from the correlator, a.b + sum sigma*tau*P, with mask.
+        """Correction C with mask: C itself for canonical models, else correlator + a.b.
 
-        For canonical models this equals C(lambda, a, b) identically; for
-        direct rules with trivial per-lambda marginals it is the correction
-        appearing in the table decomposition.
+        For a kernel model that is a.b - k; for a direct rule with trivial
+        per-lambda marginals it is the correction in the table decomposition.
         """
         batch, _ = self._as_batch(lam)
-        vals, ok = self.correlations_masked(batch, a, b)
-        return vals + dot(a, b), ok
-
-
-def hv_correlator(model: HiddenVariableModel, lam, a, b):
-    """Lambda-conditioned correlator E(lambda, a, b) = sum sigma*tau*P."""
-    return model.correlations(lam, a, b)
+        if self.c_function is not None:
+            return self.c_function(batch, a, b), np.ones(len(batch), dtype=bool)
+        corr, ok = self.correlations_masked(batch, a, b)
+        corr += dot(a, b)  # a fresh array: -k or the table contraction
+        return corr, ok
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +504,6 @@ def _normalized_sign_args(U: np.ndarray, V: np.ndarray, b: np.ndarray):
 
 def _cerf_kernel_rule(batch: LambdaBatch, a: np.ndarray, b: np.ndarray):
     return _cerf_kernel(batch.vectors[:, 0, :], batch.vectors[:, 1, :], a, b)
-
-
-def cerf_prob(u, v, a, b) -> np.ndarray:
-    """Single-lambda table for the sign model; entries are 0 or 1/2.
-
-    Raises MeasureZeroError when any sign argument vanishes (u.a, v.a,
-    or (u +- v).b within 1e-12 of zero), the rule's undefined set.
-    """
-    U = require_unit(u, name="u")[None]
-    V = require_unit(v, name="v")[None]
-    a = require_unit(a, name="a")
-    b = require_unit(b, name="b")
-    k, ok = _cerf_kernel(U, V, a, b)
-    if not ok[0]:
-        raise MeasureZeroError("sign rule undefined: a sign argument is zero")
-    return _tables_from_kernel(k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +693,14 @@ def frobenius_bound(s: float) -> float:
     return (1.0 - t) ** (1.0 - s) * (1.0 + t) ** (-s)
 
 
+# sup|g| probe of the recipe builder: random setting pairs (setting-dependent
+# base functions only) and fresh lambda draws, and the fraction of the
+# positivity budget a rescaled g may use.
+_PROBE_SETTINGS = 64
+_PROBE_LAMBDA = 4096
+_RECIPE_SAFETY = 0.99
+
+
 @dataclass(frozen=True)
 class RecipeFunction:
     """A bounded base function f(lambda, a, b) for the constructive recipe."""
@@ -752,14 +750,13 @@ def _recipe_c_function(space: LambdaSpace, f: RecipeFunction, s: float, scale: f
 
 def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
                        measure: str = "uniform", weights=None, n_nodes: int = 16,
-                       n_polar: int = 32, n_azimuth: int = 64, seed: int = 0,
-                       n_probe_settings: int = 64, n_probe_lambda: int = 4096,
-                       safety: float = 0.99) -> HiddenVariableModel:
+                       n_polar: int = 32, n_azimuth: int = 64,
+                       seed: int = 0) -> HiddenVariableModel:
     """Turn a bounded base function into an admissible canonical model.
 
     Recipe: center f per setting, g = f - mean_lambda f, then attach the
     envelope (1 - (a.b)^2)^s. If sup|g| exceeds the positivity budget
-    frobenius_bound(s), rescale g by safety * bound / sup. The final
+    frobenius_bound(s), rescale g by 0.99 * bound / sup. The final
     multiplier is recorded in the model spec so reloading is deterministic.
     """
     if f_name not in RECIPE_REGISTRY:
@@ -785,7 +782,7 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     gen = stream.generator()
     qnodes, qweights = space.quadrature
     corner_dirs = sample_uniform_sphere(gen, 8)
-    probe_parts = [qnodes, space.sample(gen, n_probe_lambda)]
+    probe_parts = [qnodes, space.sample(gen, _PROBE_LAMBDA)]
     corner_scalars = np.array([float(gamma), -float(gamma), 0.0])
     if f.needs_vector:
         corner_vecs = np.concatenate([sample_uniform_sphere(gen, 3), corner_dirs])
@@ -797,8 +794,8 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     probe = LambdaBatch.concat(probe_parts)
 
     if f.setting_dependent:
-        axes = sample_uniform_sphere(gen, n_probe_settings)
-        axes_b = sample_uniform_sphere(gen, n_probe_settings)
+        axes = sample_uniform_sphere(gen, _PROBE_SETTINGS)
+        axes_b = sample_uniform_sphere(gen, _PROBE_SETTINGS)
         setting_pairs = list(zip(axes, axes_b))
         for d in corner_dirs:
             setting_pairs.append((d, d))
@@ -814,26 +811,10 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
         sup = max(sup, float(np.max(np.abs(g))))
 
     bound = frobenius_bound(s)
-    scale = 1.0 if sup <= bound else safety * bound / sup
+    scale = 1.0 if sup <= bound else _RECIPE_SAFETY * bound / sup
     cfun = _recipe_c_function(space, f, s, scale)
     spec = _normalize_spec("recipe", space, seed, extra={"f": f_name, "scale": scale})
     spec["s"] = s
-    return HiddenVariableModel("recipe", space, c_function=cfun, spec=spec)
-
-
-def _recipe_model_from_spec(spec: dict, space: LambdaSpace) -> HiddenVariableModel:
-    f_name = spec["parameters"].get("f")
-    if f_name not in RECIPE_REGISTRY:
-        known = ", ".join(sorted(RECIPE_REGISTRY))
-        raise ModelSpecError(f"unknown recipe function '{f_name}' (known: {known})")
-    f = RECIPE_REGISTRY[f_name]
-    s = float(spec.get("s", 1.0))
-    if s < 1.0:
-        raise ModelSpecError(f"recipe exponent s must be >= 1, got {s}")
-    scale = float(spec["parameters"].get("scale", 1.0))
-    if scale <= 0.0:
-        raise ModelSpecError(f"recipe scale must be positive, got {scale}")
-    cfun = _recipe_c_function(space, f, s, scale)
     return HiddenVariableModel("recipe", space, c_function=cfun, spec=spec)
 
 
@@ -843,6 +824,20 @@ def _recipe_model_from_spec(spec: dict, space: LambdaSpace) -> HiddenVariableMod
 
 _TOP_KEYS = {"family", "parameters", "scalar_measure", "gamma", "s", "seed"}
 _PARAM_KEYS = {"weights", "n_nodes", "n_polar", "n_azimuth", "f", "scale"}
+_DEFAULT_GAMMA = {"family1": 0.4, "family2": 0.5, "wrongtrial": 0.4, "recipe": 1.0}
+
+
+def _spec_number(value, key: str, kind):
+    """``kind(value)`` for a spec entry; ModelSpecError naming ``key`` if malformed."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelSpecError(f"{key} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ModelSpecError(f"{key} must be finite, got {value!r}")
+    if kind is int and number != value:  # 2.7 or "3" would be read as another count
+        raise ModelSpecError(f"{key} must be an integer, got {value!r}")
+    return number
 
 
 def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableModel:
@@ -876,15 +871,17 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
     measure = spec.get("scalar_measure", "two_point")
     if measure not in _MEASURES:
         raise ModelSpecError(f"unknown scalar_measure {measure!r} (known: {', '.join(_MEASURES)})")
-    gamma = spec.get("gamma", {"family1": 0.4, "family2": 0.5, "wrongtrial": 0.4, "recipe": 1.0}[family])
-    try:
-        gamma = float(gamma)
-    except (TypeError, ValueError):
-        raise ModelSpecError(f"gamma must be a number, got {gamma!r}") from None
+    gamma = _spec_number(spec.get("gamma", _DEFAULT_GAMMA[family]), "gamma", float)
     weights = params.get("weights")
-    n_nodes = int(params.get("n_nodes", 16))
-    n_polar = int(params.get("n_polar", 64 if family == "family2" else 32))
-    n_azimuth = int(params.get("n_azimuth", 2 * n_polar))
+    if weights is not None:
+        try:
+            weights = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):
+            raise ModelSpecError(f"weights must be two numbers, got {weights!r}") from None
+    n_nodes = _spec_number(params.get("n_nodes", 16), "n_nodes", int)
+    n_polar = _spec_number(params.get("n_polar", 64 if family == "family2" else 32), "n_polar",
+                           int)
+    n_azimuth = _spec_number(params.get("n_azimuth", 2 * n_polar), "n_azimuth", int)
     if grid_n is not None:
         n_polar, n_azimuth = int(grid_n), 2 * int(grid_n)
 
@@ -897,13 +894,23 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
                              n_polar=n_polar, n_azimuth=n_azimuth, seed=seed)
 
     # recipe: rebuild the lambda space, then reuse the stored scale
-    base = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
     f_name = params.get("f")
-    if f_name in RECIPE_REGISTRY and RECIPE_REGISTRY[f_name].needs_vector:
-        base = _with_unit_vector(base, sphere_quadrature(n_polar, n_azimuth))
-    full = dict(spec)
-    full.setdefault("parameters", {})
-    return _recipe_model_from_spec({**full, "gamma": gamma, "scalar_measure": measure}, base)
+    if not isinstance(f_name, str) or f_name not in RECIPE_REGISTRY:
+        known = ", ".join(sorted(RECIPE_REGISTRY))
+        raise ModelSpecError(f"unknown recipe function {f_name!r} (known: {known})")
+    f = RECIPE_REGISTRY[f_name]
+    s = _spec_number(spec.get("s", 1.0), "s", float)
+    if s < 1.0:
+        raise ModelSpecError(f"recipe exponent s must be >= 1, got {s}")
+    scale = _spec_number(params.get("scale", 1.0), "scale", float)
+    if scale <= 0.0:
+        raise ModelSpecError(f"recipe scale must be positive, got {scale}")
+    space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
+    if f.needs_vector:
+        space = _with_unit_vector(space, sphere_quadrature(n_polar, n_azimuth))
+    full = {**spec, "parameters": params, "gamma": gamma, "scalar_measure": measure}
+    return HiddenVariableModel("recipe", space, c_function=_recipe_c_function(space, f, s, scale),
+                               spec=full)
 
 
 def load_model(path, *, grid_n: int | None = None) -> HiddenVariableModel:
@@ -925,8 +932,8 @@ def builtin_model(name: str, *, seed: int = 0) -> HiddenVariableModel:
 # Sampling support
 
 
-def sample_valid_tables(model: HiddenVariableModel, source, n: int, a, b,
-                        max_rounds: int = 100) -> tuple[LambdaBatch, np.ndarray]:
+def sample_valid_tables(model: HiddenVariableModel, source, n: int,
+                        a, b) -> tuple[LambdaBatch, np.ndarray]:
     """Draw n lambda values with defined tables at (a, b), redrawing bad rows.
 
     Returns (batch, tables). For continuous measures the undefined set has
@@ -934,11 +941,11 @@ def sample_valid_tables(model: HiddenVariableModel, source, n: int, a, b,
     hand-built degenerate settings (exactly orthogonal sign arguments)
     cannot poison an estimate.
     """
-    return _sample_valid(model, model.tables_masked, source, n, a, b, max_rounds)
+    return _sample_valid(model, model.tables_masked, source, n, a, b)
 
 
-def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int, a, b,
-                  max_rounds: int = 100) -> tuple[LambdaBatch, np.ndarray]:
+def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
+                  a, b) -> tuple[LambdaBatch, np.ndarray]:
     """The redraw loop behind ``sample_valid_tables`` for any masked evaluator.
 
     ``evaluate(batch, a, b)`` returns (values, ok) with values indexed by
@@ -950,7 +957,7 @@ def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int, a, b,
     batches: list[LambdaBatch] = []
     values: list[np.ndarray] = []
     need = int(n)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_REDRAW_ROUNDS):
         if need <= 0:
             break
         cand = model.lambda_space.sample(gen, need)

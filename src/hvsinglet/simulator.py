@@ -15,31 +15,24 @@ are those of the table path.
 from __future__ import annotations
 
 import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_SPLIT_MAX, RandomStream, as_generator, require_unit,
-                       sample_uniform_sphere, unit)
-from .models import (_SIGMA_TAU, OUTCOMES, HiddenVariableModel, LambdaPoint, _sample_valid,
-                     sample_valid_tables)
+from .geometry import _SPLIT_MAX, RandomStream, require_unit, unit
+from .models import HiddenVariableModel, LambdaPoint, _sample_valid, sample_valid_tables
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
     "ExperimentConfig",
     "CorrelationEstimate",
     "ChshResult",
-    "MalusReport",
-    "sample_outcome",
     "estimate_correlation",
     "run_experiment",
     "chsh",
     "hv_chsh_values",
     "find_chsh_witness",
-    "malus_marginal",
-    "malus_gap_report",
     "CSV_HEADER",
     "write_correlations_csv",
     "write_chsh_csv",
@@ -108,16 +101,6 @@ class ChshResult:
         return sum(e.n_shots for e in self.estimates)
 
 
-def sample_outcome(table, source) -> tuple[int, int]:
-    """Draw one (sigma, tau) pair from a 2x2 probability table."""
-    t = np.asarray(table, dtype=float)
-    if t.shape != (2, 2) or t.min() < -1e-12 or abs(float(t.sum()) - 1.0) > 1e-9:
-        raise ValueError("not a probability table")
-    gen = as_generator(source)
-    idx = int(np.clip(np.searchsorted(np.cumsum(t.ravel()), gen.random(), side="right"), 0, 3))
-    return OUTCOMES[idx // 2], OUTCOMES[idx % 2]
-
-
 def _sample_products(cols, gen: np.random.Generator) -> np.ndarray:
     """Vectorized outcome draws; returns the products sigma*tau in {-1, +1}.
 
@@ -164,8 +147,8 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     a lambda-level Monte Carlo average of the conditional correlator with
     ``shots`` draws. mode 'sampling' simulates the experiment shot by shot:
     draw lambda, draw (sigma, tau) from the conditional table, average the
-    products. Kernel models draw from k alone (the Monte Carlo correlator is
-    -k). A Monte Carlo estimate from fewer than two draws reports stderr NaN.
+    products. Kernel models draw from k alone. A Monte Carlo estimate from
+    fewer than two draws reports stderr NaN.
     """
     cfg = config or ExperimentConfig()
     a = require_unit(a, name="a")
@@ -183,16 +166,14 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     sizes = _blocks(cfg.shots)
 
     def block_values(gen: np.random.Generator, n: int) -> np.ndarray:
+        if cfg.mode == "analytic":
+            return _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
         if model.has_kernel:  # tables (1 - sigma*tau*k)/4 are never built
             _, k = _sample_valid(model, model.kernel_masked, gen, n, a, b)
-            if cfg.mode == "analytic":
-                return -k
             diag = (1.0 - k) / 4.0
             off = (1.0 + k) / 4.0
             return _sample_products((diag, off, off, diag), gen)
         _, tables = sample_valid_tables(model, gen, n, a, b)
-        if cfg.mode == "analytic":
-            return np.einsum("nij,ij->n", tables, _SIGMA_TAU)
         return _sample_products(tables.reshape(n, 4).T, gen)
 
     def mc_block(i: int) -> tuple[float, float, int]:
@@ -264,69 +245,11 @@ def hv_chsh_values(model: HiddenVariableModel, lam, settings=None) -> np.ndarray
 def find_chsh_witness(model: HiddenVariableModel, settings=None, n_lambda: int = 4096,
                       source=None) -> tuple[float, LambdaPoint]:
     """Largest per-lambda CHSH value over quadrature nodes or a sample."""
-    if model.lambda_space.quadrature is not None:
-        batch = model.lambda_space.quadrature[0]
-    else:
-        gen = as_generator(source if source is not None else RandomStream(0).split(15))
-        batch = model.lambda_space.sample(gen, n_lambda)
+    batch, _ = model.lambda_space.nodes(
+        source if source is not None else RandomStream(0).split(15), n_lambda)
     vals = hv_chsh_values(model, batch, settings)
     j = int(np.nanargmax(vals))
     return float(vals[j]), batch.point(j)
-
-
-# ---------------------------------------------------------------------------
-# Single-side marginals
-
-
-def malus_marginal(sigma: int, a, u) -> float:
-    """Malus-style detection probability (1 + sigma * a.u)/2 for axis u."""
-    if sigma not in OUTCOMES:
-        raise ValueError(f"sigma must be +-1, got {sigma}")
-    a = require_unit(a, name="a")
-    u = require_unit(u, name="u")
-    return (1.0 + sigma * float(np.dot(a, u))) / 2.0
-
-
-@dataclass
-class MalusReport:
-    """Contrast between model marginals and a Malus-law vector rule."""
-
-    applicable: bool
-    max_gap: float = 0.0
-    axis: np.ndarray | None = None
-    lam: LambdaPoint | None = None
-    samples_used: int = 0
-
-
-def malus_gap_report(model: HiddenVariableModel, n_axes: int = 20, n_lambda: int = 200,
-                     source=None) -> MalusReport:
-    """Largest gap between per-lambda marginals and the Malus law.
-
-    Models with trivial marginals sit at distance up to 1/2 from any
-    deterministic-vector response; reported as a diagnostic, not a
-    constraint (it is what setting independence costs).
-    """
-    if model.lambda_space.shape.vectors < 1:
-        return MalusReport(applicable=False)
-    gen = as_generator(source if source is not None else RandomStream(0).split(16))
-    worst = MalusReport(applicable=True)
-    for _ in range(n_axes):
-        a = sample_uniform_sphere(gen)
-        b_ref = sample_uniform_sphere(gen)
-        batch = model.lambda_space.sample(gen, n_lambda)
-        tables, ok = model.tables_masked(batch, a, b_ref)
-        margins = tables[ok].sum(axis=2)  # per-lambda P(sigma | a)
-        u = batch.vectors[ok, 0, :]
-        worst.samples_used += int(np.count_nonzero(ok))
-        for side, sigma in enumerate(OUTCOMES):
-            malus = (1.0 + sigma * (u @ a)) / 2.0
-            gap = np.abs(margins[:, side] - malus)
-            j = int(np.argmax(gap))
-            if gap[j] > worst.max_gap:
-                worst.max_gap = float(gap[j])
-                worst.axis = a
-                worst.lam = batch.take(ok).point(j)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +300,3 @@ def write_chsh_csv(target, result: ChshResult) -> None:
     ])
     _write_rows(target, rows)
 
-
-def csv_text(writer_fn, payload) -> str:
-    """Render a CSV writer's output to a string (stdout convenience)."""
-    buf = io.StringIO()
-    writer_fn(buf, payload)
-    return buf.getvalue()

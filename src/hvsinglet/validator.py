@@ -28,7 +28,11 @@ pairs first and then each lambda block once, evaluating that block at every
 pair (common random numbers), so its pairs share their draws. Models with a
 per-lambda kernel k are averaged through k instead of whole tables. A check
 that evaluated no rows, or an MC pair with fewer than two samples, reports
-``inconclusive``: there is no evidence to pass on.
+``inconclusive``: there is no evidence to pass on. Neither is zero spread:
+a pair whose draws are all equal has stderr 0, which counts as z = 0 when
+the deviation is 0 too and leaves the pair unresolved otherwise. The checks
+take the correction from ``model.implied_c`` and their lambda rows from
+``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -235,15 +239,6 @@ class ValidatorConfig:
     threads: int = 1
 
 
-def _lambda_nodes(model: HiddenVariableModel, gen, n: int):
-    """Quadrature nodes and weights when present, else a sampled batch."""
-    if model.lambda_space.quadrature is not None:
-        nodes, w = model.lambda_space.quadrature
-        return nodes, w, True
-    batch = model.lambda_space.sample(gen, n)
-    return batch, np.full(len(batch), 1.0 / max(len(batch), 1)), False
-
-
 def _random_pair(gen, endpoint: bool) -> tuple[np.ndarray, np.ndarray]:
     """A settings pair, biased toward near-coincident axes when asked.
 
@@ -355,17 +350,9 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 # Integral constraints
 
 
-def _implied_c(model: HiddenVariableModel, batch, a, b):
-    if model.is_canonical:
-        return model.c_values(batch, a, b), np.ones(len(batch), dtype=bool)
-    if model.has_kernel:
-        k, ok = model.kernel_masked(batch, a, b)
-        return dot(a, b) - k, ok
-    return model.implied_c(batch, a, b)
-
-
-def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evaluate):
-    """Per-pair Monte Carlo means and standard errors of ``evaluate`` values.
+def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evaluate,
+                  compare):
+    """Per-pair Monte Carlo comparisons of the mean of ``evaluate`` values.
 
     Common random numbers: each lambda block is drawn once from ``gen`` and
     evaluated at every settings pair, one pair at a time, so the pairs share
@@ -375,14 +362,24 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
     ``mc_samples`` values. A block that adds no row to any pair still short
     of that stops the loop, and those pairs keep fewer values.
 
-    Returns [(a, b, mean, stderr)] over the pairs with at least two values,
-    the number of values used, and ``short``: True when some pair has fewer
-    than two values (one value has no spread to estimate a stderr from) or
-    there are no pairs.
+    ``compare(a, b, mean, stderr)`` turns a pair's mean and standard error
+    (from the (n - 1) variance) into (dev, stderr) of the compared
+    quantities, and z = dev / stderr. Zero spread is not evidence: a value
+    whose draws are all equal has that draw as its mean and stderr 0,
+    exactly (rounding in the sums would otherwise fake a tiny stderr and
+    deviation); where stderr is 0, dev 0 gives z = 0 and any other dev
+    leaves z NaN.
+
+    Returns [(a, b, dev, stderr, z)] over the pairs with at least two values,
+    the number of values used, and ``unresolved``: True when there are no
+    pairs, some pair has fewer than two values (one value has no spread to
+    estimate a stderr from) or some z is NaN.
     """
     counts = np.zeros(len(pairs), dtype=np.int64)
     sums: list = [0.0] * len(pairs)
     sums_sq: list = [0.0] * len(pairs)
+    first: list = [None] * len(pairs)
+    spread: list = [False] * len(pairs)  # some draw differs from the first
     while len(pairs) and (counts < mc_samples).any():
         need = mc_samples - counts
         batch = model.lambda_space.sample(gen, min(_MC_BLOCK, int(need.max())))
@@ -394,6 +391,10 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
             if not ok.all():
                 vals = vals[ok]
             vals = vals[:need[p]]
+            if len(vals) and not np.all(spread[p]):
+                if first[p] is None:
+                    first[p] = vals[0]
+                spread[p] = spread[p] | (vals != first[p]).any(axis=0)
             sums[p] = sums[p] + vals.sum(axis=0)
             sums_sq[p] = sums_sq[p] + (vals * vals).sum(axis=0)
             counts[p] += len(vals)
@@ -401,19 +402,27 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
         if not progress:
             break
     estimates = []
-    for (a, b), n, total, total_sq in zip(pairs, counts, sums, sums_sq):
-        if n >= 2:
-            mean = total / n
-            var = np.maximum(0.0, total_sq / n - mean * mean)
-            estimates.append((a, b, mean, np.sqrt(var / n)))
-    return estimates, int(counts.sum()), len(estimates) < max(len(pairs), 1)
+    unresolved = not (len(pairs) and (counts >= 2).all())
+    for p, (a, b) in enumerate(pairs):
+        n = counts[p]
+        if n < 2:
+            continue
+        mean = sums[p] / n
+        var = np.maximum(0.0, (sums_sq[p] - n * mean * mean) / (n - 1))
+        dev, stderr = compare(a, b, np.where(spread[p], mean, first[p]),
+                              np.where(spread[p], np.sqrt(var / n), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(stderr > 0, dev / stderr, np.where(dev == 0, 0.0, np.nan))
+        unresolved = unresolved or bool(np.isnan(z).any())
+        estimates.append((a, b, dev, stderr, z))
+    return estimates, int(counts.sum()), unresolved
 
 
-def _mc_status(worst_z: float, max_stderr: float, short: bool) -> CheckStatus:
+def _mc_status(worst_z: float, max_stderr: float, unresolved: bool) -> CheckStatus:
     """5-sigma fail gate, then inconclusive when any pair is unresolved."""
     if worst_z > 5.0:
         return CheckStatus.FAIL
-    if short or max_stderr > 1e-2:
+    if unresolved or max_stderr > 1e-2:
         return CheckStatus.INCONCLUSIVE
     return CheckStatus.PASS
 
@@ -431,7 +440,7 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
         worst = Witness(-np.inf)
         for _ in range(n_settings):
             a, b = _random_pair(gen, endpoint=False)
-            c, ok = _implied_c(model, nodes, a, b)
+            c, ok = model.implied_c(nodes, a, b)
             val = abs(float(np.sum(w[ok] * c[ok])))
             if val > worst.value:
                 worst = Witness(val, None, a, b)
@@ -442,18 +451,20 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
 
     # Monte Carlo path: per-setting mean of the implied correction
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    estimates, used, short = _mc_estimates(
-        model, gen, pairs, mc_samples, lambda batch, a, b: _implied_c(model, batch, a, b))
+    estimates, used, unresolved = _mc_estimates(
+        model, gen, pairs, mc_samples, model.implied_c,
+        lambda a, b, mean, stderr: (np.abs(mean), stderr))
     worst = None
     max_stderr = 0.0
     worst_z = -np.inf
-    for a, b, mean, stderr in estimates:
-        max_stderr = max(max_stderr, stderr)
-        if worst is None or abs(mean) > worst.value:
-            worst = Witness(abs(mean), None, a, b)
-        worst_z = max(worst_z, abs(mean) / stderr if stderr > 0 else np.inf)
+    for a, b, dev, stderr, z in estimates:
+        max_stderr = max(max_stderr, float(stderr))
+        if worst is None or dev > worst.value:
+            worst = Witness(dev, None, a, b)
+        if z > worst_z:  # False for NaN: an unresolved pair sets no z
+            worst_z = float(z)
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    return ConstraintReport("zero-average", _mc_status(worst_z, max_stderr, short),
+    return ConstraintReport("zero-average", _mc_status(worst_z, max_stderr, unresolved),
                             None if worst is None else worst.value, 1e-2, used, worst, details)
 
 
@@ -466,9 +477,9 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
     worst = Witness(-np.inf)
     for _ in range(n_axes):
         a = sample_uniform_sphere(gen)
-        nodes, _, from_quad = _lambda_nodes(model, gen, n_lambda)
+        nodes, _ = model.lambda_space.nodes(gen, n_lambda)
         for b in (a, -a):
-            c, ok = _implied_c(model, nodes, a, b)
+            c, ok = model.implied_c(nodes, a, b)
             c = np.abs(c[ok])
             used += len(c)
             if len(c) == 0:
@@ -513,7 +524,7 @@ def estimate_exponents(model: HiddenVariableModel, source,
     gen = as_generator(source)
     a = sample_uniform_sphere(gen)
     tangent = sample_uniform_sphere(gen)
-    nodes, w, _ = _lambda_nodes(model, gen, n_lambda)
+    nodes, w = model.lambda_space.nodes(gen, n_lambda)
     ts = np.geomspace(window[0], window[1], n_points)
 
     def fit(side: float) -> tuple[float, float, bool]:
@@ -614,7 +625,7 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
             a = sample_uniform_sphere(gen)
             tangent = sample_uniform_sphere(gen)
             b = with_dot(a, tangent, sign * (1.0 - eps))
-            nodes, w, _ = _lambda_nodes(model, gen, n_lambda)
+            nodes, w = model.lambda_space.nodes(gen, n_lambda)
             g = np.abs(_g_values(model, nodes, a, b, sp, sm))
             if len(g) == 0:
                 continue
@@ -671,7 +682,7 @@ def check_expansion(model: HiddenVariableModel, source,
         for _ in range(n_axes):
             a = sample_uniform_sphere(gen)
             tangent = sample_uniform_sphere(gen)
-            nodes, _, _ = _lambda_nodes(model, gen, n_lambda)
+            nodes, _ = model.lambda_space.nodes(gen, n_lambda)
             if len(nodes) == 0:
                 continue
             for sign in (+1.0, -1.0):
@@ -738,23 +749,26 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
     # mean table (1 - sigma*tau*kbar)/4 with per-entry stderr stderr(k)/4
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
     evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
-    estimates, used, short = _mc_estimates(model, gen, pairs, mc_samples, evaluate)
+
+    def compare(a, b, mean, stderr):
+        if model.has_kernel:
+            mean, stderr = (1.0 - _SIGMA_TAU * mean) / 4.0, np.full((2, 2), stderr / 4.0)
+        return np.abs(mean - qm_table(a, b)), stderr
+
+    estimates, used, unresolved = _mc_estimates(model, gen, pairs, mc_samples, evaluate,
+                                                compare)
     worst_z = -np.inf
     worst = None
     max_stderr = 0.0
-    for a, b, mean, stderr in estimates:
-        if model.has_kernel:
-            mean = (1.0 - _SIGMA_TAU * mean) / 4.0
-            stderr = np.full((2, 2), stderr / 4.0)
+    for a, b, dev, stderr, z in estimates:
         max_stderr = max(max_stderr, float(stderr.max()))
-        dev = np.abs(mean - qm_table(a, b))
-        z = dev / np.where(stderr > 0, stderr, np.inf)
+        z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
         i, j = np.unravel_index(int(np.argmax(z)), (2, 2))
         if z[i, j] > worst_z:
             worst_z = float(z[i, j])
             worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    return ConstraintReport("qm-reproduction", _mc_status(worst_z, max_stderr, short),
+    return ConstraintReport("qm-reproduction", _mc_status(worst_z, max_stderr, unresolved),
                             None if worst is None else worst_z, 5.0, used, worst, details)
 
 

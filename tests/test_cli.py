@@ -105,6 +105,40 @@ def test_validate_without_evidence_is_inconclusive_strict_json(capsys, argv, sta
     assert all(c["status"] != "pass" or c["samples_used"] > 0 for c in checks.values())
 
 
+def test_validate_zero_spread_pairs_are_inconclusive(capsys):
+    # at 2 draws a cerf pair often sees one k twice: stderr 0 is no evidence of a failure
+    code, out, _ = run_cli(capsys, "validate", "--model", "cerf", "--seed", "1",
+                           "--settings-n", "2", "--lambda-n", "31", "--mc-samples", "2")
+    assert code == EX_INCONCLUSIVE
+    checks = checks_by_id(strict_json(out))
+    for cid in ("zero-average", "qm-reproduction"):
+        assert checks[cid]["status"] == "inconclusive", cid
+
+
+RECIPE_POLY1 = {"family": "recipe", "scalar_measure": "uniform", "s": 1.0,
+                "parameters": {"f": "poly1", "scale": 0.5}}
+
+
+@pytest.mark.parametrize("message, spec", [
+    ("n_nodes must be", {"family": "family1", "scalar_measure": "uniform",
+                         "parameters": {"n_nodes": "abc"}}),
+    ("n_polar must be", {"family": "family2", "parameters": {"n_polar": [1]}}),
+    ("n_azimuth must be an integer", {"family": "family2", "parameters": {"n_azimuth": 2.5}}),
+    ("weights must be", {"family": "family1", "parameters": {"weights": "ab"}}),
+    ("s must be", {**RECIPE_POLY1, "s": "x"}),
+    ("scale must be", {**RECIPE_POLY1, "parameters": {"f": "poly1", "scale": "x"}}),
+    ("scale must be finite",
+     {**RECIPE_POLY1, "parameters": {"f": "poly1", "scale": float("nan")}}),
+    ("unknown recipe function [1]", {**RECIPE_POLY1, "parameters": {"f": [1]}}),
+])
+def test_malformed_spec_numbers_exit_64(tmp_path, capsys, message, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", "--model", str(path), *FAST_VALIDATE)
+    assert code == EX_USAGE and out == ""
+    assert message in err
+
+
 SIMULATE_F1 = ("simulate", "--model", "family1", "--settings", "random:2")
 CHSH_F1 = ("chsh", "--model", "family1")
 VALIDATE_F1 = ("validate", "--model", "family1")

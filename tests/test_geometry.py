@@ -9,7 +9,6 @@ from hvsinglet.geometry import (
     RandomStream,
     as_generator,
     dot,
-    rotate_towards,
     sample_uniform_sphere,
     sphere_quadrature,
     unit,
@@ -148,13 +147,3 @@ def test_with_dot_endpoint_exact():
     a = unit([0.3, -0.4, 0.87])
     b = with_dot(a, [0.0, 1.0, 0.0], 1.0 - 1e-9)
     assert abs(float(np.dot(a, b)) - (1.0 - 1e-9)) < 1e-15
-
-
-def test_rotate_towards_small_angle():
-    a = np.array([0.0, 0.0, 1.0])
-    b = rotate_towards(a, [1.0, 0.0, 0.0], 1e-3)
-    assert abs(float(np.dot(a, b)) - 1.0 / np.sqrt(1.0 + 1e-6)) < 1e-15
-    with pytest.raises(GeometryError):
-        rotate_towards(a, [0.0, 0.0, -3.0], 1e-3)
-    with pytest.raises(GeometryError):
-        rotate_towards(a, [1.0, 0.0, 0.0], 0.5)

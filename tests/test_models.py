@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hvsinglet.geometry import RandomStream, sample_uniform_sphere, unit, with_dot
+from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
     RECIPE_REGISTRY,
     SIGN_EPS,
@@ -24,11 +24,9 @@ from hvsinglet.models import (
     canonical_prob,
     canonical_table,
     cerf_model,
-    cerf_prob,
     family1_model,
     family2_model,
     frobenius_bound,
-    hv_correlator,
     load_model,
     model_from_spec,
     qm_singlet_prob,
@@ -118,10 +116,11 @@ def test_family1_quadrature_reproduces_qm():
 def test_family1_correlator_is_c_minus_dot():
     m = family1_model(0.4)
     lam = LambdaPoint((0.4,))
-    assert hv_correlator(m, lam, Z, X) == pytest.approx(0.4, abs=1e-15)
+    corr, ok = m.correlations_masked(lam, Z, X)
+    assert ok.tolist() == [True] and corr[0] == pytest.approx(0.4, abs=1e-15)
     b = with_dot(Z, X, 0.25)
     c = m.c_values(lam, Z, b)
-    assert hv_correlator(m, lam, Z, b) == pytest.approx(c - 0.25, abs=1e-15)
+    assert m.correlations_masked(lam, Z, b)[0][0] == pytest.approx(c - 0.25, abs=1e-15)
 
 
 def test_family1_gamma_validation():
@@ -226,7 +225,7 @@ def test_cerf_prob_entries_and_normalization():
     v = unit([-0.5, 0.2, 0.6])
     a = unit([0.1, -0.9, 0.3])
     b = unit([0.7, 0.2, -0.5])
-    t = cerf_prob(u, v, a, b)
+    t = cerf_model().tables(LambdaPoint((), (u, v)), a, b)
     assert sorted(t.ravel().tolist()) == [0.0, 0.0, 0.5, 0.5]
     assert abs(t.sum() - 1.0) < 1e-15
     assert_allclose(t.sum(axis=1), 0.5, atol=1e-15)
@@ -235,11 +234,12 @@ def test_cerf_prob_entries_and_normalization():
 
 def test_cerf_prob_measure_zero_raises():
     # u orthogonal to a makes sgn(u.a) undefined
+    m = cerf_model()
     with pytest.raises(MeasureZeroError):
-        cerf_prob(Z, unit([0.3, 0.4, 0.5]), X, unit([0.2, 0.5, 0.8]))
+        m.tables(LambdaPoint((), (Z, unit([0.3, 0.4, 0.5]))), X, unit([0.2, 0.5, 0.8]))
     # v = -u makes n+ vanish
     with pytest.raises(MeasureZeroError):
-        cerf_prob(Z, -Z, unit([0.3, 0.4, 0.5]), X)
+        m.tables(LambdaPoint((), (Z, -Z)), unit([0.3, 0.4, 0.5]), X)
 
 
 def test_cerf_perfect_anticorrelation_per_lambda():
@@ -372,6 +372,44 @@ def test_cerf_model_has_kernel_rule():
                     rtol=0, atol=0)
     corr, _ = m.correlations_masked(batch, a, b)
     assert np.array_equal(corr[ok], -k[ok])
+
+
+DISPATCH_MODELS = {
+    "family1": lambda: builtin_model("family1"),
+    "family2": lambda: family2_model(n_polar=8, n_azimuth=16),
+    "wrongtrial": lambda: builtin_model("wrongtrial"),
+    "cerf": lambda: builtin_model("cerf"),
+    "recipe-square-s2": lambda: build_recipe_model("square", 2.0),
+    "recipe-cross_uab-s1": lambda: build_recipe_model("cross_uab", 1.0, n_polar=8, n_azimuth=16),
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_MODELS)
+def test_rule_style_dispatch(name):
+    # the model alone maps its rule style to C, the correlator and lambda nodes
+    m = DISPATCH_MODELS[name]()
+    gen = RandomStream(35).generator()
+    nodes, w = m.lambda_space.nodes(RandomStream(36), 3000)
+    if m.lambda_space.quadrature is not None:
+        assert nodes is m.lambda_space.quadrature[0] and w is m.lambda_space.quadrature[1]
+    else:
+        drawn = m.lambda_space.sample(RandomStream(36), 3000)
+        assert np.array_equal(nodes.vectors, drawn.vectors)
+        assert np.array_equal(nodes.scalars, drawn.scalars)
+        assert np.array_equal(w, np.full(3000, 1.0 / 3000))
+    for _ in range(4):
+        a, b = sample_uniform_sphere(gen), sample_uniform_sphere(gen)
+        c, ok = m.implied_c(nodes, a, b)
+        if m.is_canonical:
+            assert ok.all() and np.array_equal(c, m.c_values(nodes, a, b))
+        else:
+            k, ok_k = m.kernel_masked(nodes, a, b)
+            assert np.array_equal(ok, ok_k) and np.array_equal(c, dot(a, b) - k)
+        corr, ok_corr = m.correlations_masked(nodes, a, b)
+        tables, ok_t = m.tables_masked(nodes, a, b)
+        assert np.array_equal(ok_corr, ok_t)
+        sigma_tau = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert_allclose(corr, np.einsum("nij,ij->n", tables, sigma_tau), rtol=0, atol=4.4e-16)
 
 
 def test_model_needs_exactly_one_rule():

@@ -25,15 +25,11 @@ from hvsinglet.simulator import (
     OPTIMAL_CHSH_SETTINGS,
     ExperimentConfig,
     chsh,
-    csv_text,
     estimate_correlation,
     find_chsh_witness,
     hv_chsh_values,
-    malus_gap_report,
-    malus_marginal,
     run_experiment,
     _sample_products,
-    sample_outcome,
     write_chsh_csv,
     write_correlations_csv,
 )
@@ -58,16 +54,6 @@ def test_experiment_config_validation():
         ExperimentConfig(mode="exact")
     with pytest.raises(ValueError):
         ExperimentConfig(threads=0)
-
-
-def test_sample_outcome_statistics():
-    table = np.array([[0.0, 0.5], [0.5, 0.0]])  # perfect anticorrelation
-    gen = RandomStream(1).generator()
-    draws = [sample_outcome(table, gen) for _ in range(200)]
-    assert all(s * t == -1 for s, t in draws)
-    assert {s for s, _ in draws} == {1, -1}
-    with pytest.raises(ValueError):
-        sample_outcome(np.array([[0.5, 0.5], [0.5, 0.5]]), gen)
 
 
 def test_analytic_correlation_matches_qm_for_quadrature_models():
@@ -159,26 +145,12 @@ def test_find_chsh_witness_sampled_model():
     assert len(lam.vectors) == 2
 
 
-def test_malus_marginal_values():
-    assert malus_marginal(1, Z, Z) == 1.0
-    assert malus_marginal(-1, Z, Z) == 0.0
-    assert malus_marginal(1, Z, X) == 0.5
-    with pytest.raises(ValueError):
-        malus_marginal(2, Z, Z)
-
-
-def test_malus_gap_trivial_marginals_cost_half():
-    rep = malus_gap_report(builtin_model("family2"), n_axes=10, n_lambda=200)
-    assert rep.applicable
-    assert rep.max_gap == pytest.approx(0.5, abs=0.01)
-    assert not malus_gap_report(builtin_model("family1")).applicable
-
-
 def test_correlations_csv_format():
     m = builtin_model("family1")
     ests = run_experiment(m, OPTIMAL_CHSH_SETTINGS, ExperimentConfig(mode="analytic", seed=4))
-    text = csv_text(write_correlations_csv, ests)
-    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    write_correlations_csv(buf, ests)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == CSV_HEADER
     assert len(rows) == 5
     first = dict(zip(CSV_HEADER, rows[1]))
@@ -207,7 +179,9 @@ def test_csv_deterministic_across_threads(tmp_path):
     texts = []
     for threads in (1, 3):
         r = chsh(m, ExperimentConfig(shots=70_000, seed=8, threads=threads))
-        texts.append(csv_text(write_chsh_csv, r))
+        buf = io.StringIO()
+        write_chsh_csv(buf, r)
+        texts.append(buf.getvalue())
     assert texts[0] == texts[1]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hvsinglet.geometry import RandomStream, sample_uniform_sphere, unit
+from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit
 from hvsinglet.models import (
     HiddenVariableModel,
     LambdaBatch,
@@ -194,6 +194,30 @@ def test_mc_kernel_path_matches_table_path():
     for key in ("max_stderr", "max_z"):
         assert by_k.details[key] == pytest.approx(by_table.details[key], rel=1e-9)
     assert by_k.extremal_value == pytest.approx(by_table.extremal_value, rel=1e-9)
+
+
+def _constant_kernel_model(kernel):
+    """A kernel model whose k ignores lambda, so every draw at a pair is equal."""
+    def rule(batch, a, b):
+        return np.full(len(batch), kernel(a, b)), np.ones(len(batch), dtype=bool)
+
+    return HiddenVariableModel("constant-k", builtin_model("cerf").lambda_space,
+                               kernel_rule=rule)
+
+
+def test_zero_spread_is_not_evidence():
+    # k = a.b, the singlet itself: stderr 0 and deviation 0 give z = 0
+    m = _constant_kernel_model(dot)
+    for rep in (check_zero_average(m, 3, stream(37), mc_samples=1000),
+                check_qm_reproduction(m, 3, stream(40), mc_samples=1000)):
+        assert rep.status is CheckStatus.PASS, rep.constraint_id
+        assert rep.details["max_z"] == 0.0 and rep.details["max_stderr"] == 0.0
+    # k = 1: C = a.b - 1 on every draw; no spread cannot tell a failure from noise
+    m = _constant_kernel_model(lambda a, b: 1.0)
+    for rep in (check_zero_average(m, 3, stream(38), mc_samples=1000),
+                check_qm_reproduction(m, 3, stream(39), mc_samples=1000)):
+        assert rep.status is CheckStatus.INCONCLUSIVE, rep.constraint_id
+        assert rep.details["max_stderr"] == 0.0 and rep.details["max_z"] == -np.inf
 
 
 def test_mc_checks_without_samples_are_inconclusive():
