@@ -304,7 +304,7 @@ def cmd_build_recipe(args) -> int:
         n_polar=args.grid_n, n_azimuth=2 * args.grid_n, seed=seed)
     out = args.out or f"recipe-{args.f}-s{args.s:g}.json"
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(model.spec, fh, indent=2, sort_keys=True)
+        json.dump(model.spec, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     scale = model.spec["parameters"]["scale"]
     print(f"wrote {out} (scale {scale:.6g})", file=sys.stderr)

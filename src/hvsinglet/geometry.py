@@ -10,6 +10,7 @@ order as long as stream ids are assigned statically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,15 +45,32 @@ def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise GeometryError(f"expected a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
+    n = _norm(v)
     if n < 1e-12:
         raise GeometryError("cannot normalize a (near-)zero vector")
     return v / n
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-D float array, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _clamp_unit(x: float) -> float:
+    """``np.clip(x, -1, 1)`` for one float: NaN stays NaN, -0.0 stays -0.0."""
+    return -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
+
+
 def require_unit(v, *, name: str = "vector") -> np.ndarray:
     """Return ``v`` as ndarray after checking |v| = 1 within UNIT_ATOL."""
     v = np.asarray(v, dtype=float)
+    if v.shape == (3,):
+        # np.linalg.norm(v, axis=-1) sums the squares left to right; so does this
+        x, y, z = v.tolist()
+        gap = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
+        if not gap <= UNIT_ATOL:
+            raise GeometryError(f"{name} is not unit length (|norm-1| = {gap:.3e})")
+        return v
     if v.shape[-1] != 3:
         raise GeometryError(f"{name}: expected 3 components, got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1)
@@ -70,7 +88,7 @@ def dot(a, b) -> float:
     """
     a = require_unit(a, name="a")
     b = require_unit(b, name="b")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
+    return _clamp_unit(float(a.dot(b)))
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -114,11 +132,11 @@ def with_dot(a, direction, target: float) -> np.ndarray:
         raise GeometryError(f"target dot {t} outside [-1, 1]")
     d = np.asarray(direction, dtype=float)
     perp = d - np.dot(d, a) * a
-    norm = float(np.linalg.norm(perp))
+    norm = _norm(perp)
     if norm < 1e-9:
         raise GeometryError("direction is (anti)parallel to a, no tilt plane")
-    b = t * a + np.sqrt(max(0.0, 1.0 - t * t)) * (perp / norm)
-    return b / np.linalg.norm(b)
+    b = t * a + math.sqrt(max(0.0, 1.0 - t * t)) * (perp / norm)
+    return b / _norm(b)
 
 
 @dataclass(frozen=True)

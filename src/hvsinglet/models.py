@@ -43,6 +43,7 @@ from .geometry import (
     GeometryError,
     RandomStream,
     SphereGrid,
+    _clamp_unit,
     _fill_uniform_sphere,
     as_generator,
     dot,
@@ -243,7 +244,7 @@ def setting_dot(a, b) -> float:
     1e-14 of an endpoint are treated as the endpoint itself. Every probe
     offset used by the checks is 1e-9 or larger, far outside the snap.
     """
-    x = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    x = _clamp_unit(float(np.dot(a, b)))
     if abs(x) > 1.0 - 1e-14:
         return 1.0 if x > 0 else -1.0
     return x
@@ -512,7 +513,7 @@ def _cerf_kernel_rule(batch: LambdaBatch, a: np.ndarray, b: np.ndarray):
 
 def _scalar_two_point_space(gamma: float, weights=(0.5, 0.5)) -> LambdaSpace:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (2,) or np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if w.shape != (2,) or not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
         raise ModelSpecError("two_point weights must be two positive numbers summing to 1")
     gamma = float(gamma)
 
@@ -703,12 +704,29 @@ _RECIPE_SAFETY = 0.99
 
 @dataclass(frozen=True)
 class RecipeFunction:
-    """A bounded base function f(lambda, a, b) for the constructive recipe."""
+    """A bounded base function f(lambda, a, b) for the constructive recipe.
+
+    A setting-dependent f is bilinear in the settings, f = a^T F(lambda) b,
+    and ``mean_matrix(nodes, weights)`` gives M = sum w F, so the
+    lambda-mean of f at any pair is a^T M b. Without ``mean_matrix``, f
+    ignores (a, b).
+    """
 
     name: str
     fn: Callable[[LambdaBatch, np.ndarray, np.ndarray], np.ndarray]
     needs_vector: bool = False
-    setting_dependent: bool = False
+    mean_matrix: Callable[[LambdaBatch, np.ndarray], np.ndarray] | None = None
+
+    @property
+    def setting_dependent(self) -> bool:
+        return self.mean_matrix is not None
+
+
+def _cross_uab_mean_matrix(lam: LambdaBatch, weights: np.ndarray) -> np.ndarray:
+    """sum w s u u^T for f = s (u.a)(u.b), entry by entry with np.sum (no BLAS)."""
+    ws = weights * lam.scalars[:, 0]
+    u = lam.vectors[:, 0, :].T
+    return np.array([[np.sum(ws * ui * uj) for uj in u] for ui in u])
 
 
 RECIPE_REGISTRY: dict[str, RecipeFunction] = {
@@ -719,26 +737,39 @@ RECIPE_REGISTRY: dict[str, RecipeFunction] = {
         "cross_uab",
         lambda lam, a, b: lam.scalars[:, 0] * (lam.vectors[:, 0, :] @ a) * (lam.vectors[:, 0, :] @ b),
         needs_vector=True,
-        setting_dependent=True,
+        mean_matrix=_cross_uab_mean_matrix,
     ),
 }
 
+# the settings pair at which a setting-independent f is evaluated
+_PROBE_PAIR = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+
+
+def _quad_mean(f: RecipeFunction, nodes: LambdaBatch, weights: np.ndarray, a, b) -> float:
+    """Quadrature mean of f at one settings pair."""
+    return float(np.sum(weights * f.fn(nodes, a, b)))
+
+
+def _recipe_mean(f: RecipeFunction, nodes: LambdaBatch,
+                 weights: np.ndarray) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The lambda-mean of f as a function of the settings, computed once.
+
+    A setting-independent f has one mean, the sum ``_quad_mean`` takes at
+    every pair; a bilinear f = a^T F b has the mean a^T M b with
+    M = sum w F, which differs from the per-pair sum by rounding only.
+    """
+    if f.mean_matrix is None:
+        mean = _quad_mean(f, nodes, weights, *_PROBE_PAIR)
+        return lambda a, b: mean
+    m = f.mean_matrix(nodes, weights)
+    return lambda a, b: float(a @ m @ b)
+
 
 def _recipe_c_function(space: LambdaSpace, f: RecipeFunction, s: float, scale: float) -> CFunction:
+    """C = (1 - (a.b)^2)^s * scale * (f - <f>), with <f> fixed when the model is built."""
     if space.quadrature is None:
         raise ModelSpecError("recipe models need a quadrature-backed lambda measure")
-    qnodes, qweights = space.quadrature
-    cache: dict[bytes, float] = {}
-
-    def mean_f(a: np.ndarray, b: np.ndarray) -> float:
-        key = a.tobytes() + b.tobytes() if f.setting_dependent else b""
-        # other threads may clear the cache at any time, so never re-read it
-        val = cache.get(key)
-        if val is None:
-            if len(cache) > 64:
-                cache.clear()
-            val = cache[key] = float(np.sum(qweights * f.fn(qnodes, a, b)))
-        return val
+    mean_f = _recipe_mean(f, *space.quadrature)
 
     def fn(batch: LambdaBatch, a, b):
         x = setting_dot(a, b)
@@ -755,17 +786,20 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     """Turn a bounded base function into an admissible canonical model.
 
     Recipe: center f per setting, g = f - mean_lambda f, then attach the
-    envelope (1 - (a.b)^2)^s. If sup|g| exceeds the positivity budget
+    envelope (1 - (a.b)^2)^s. The lambda-mean is taken from the quadrature
+    once per model, when it is built or loaded (``_recipe_mean``), not per
+    settings pair. If sup|g| exceeds the positivity budget
     frobenius_bound(s), rescale g by 0.99 * bound / sup. The final
     multiplier is recorded in the model spec so reloading is deterministic.
     """
     if f_name not in RECIPE_REGISTRY:
         known = ", ".join(sorted(RECIPE_REGISTRY))
         raise ModelSpecError(f"unknown recipe function '{f_name}' (known: {known})")
-    s = float(s)
+    s = _spec_number(s, "s", float)
     if s < 1.0:
         raise ModelSpecError(f"recipe exponent s must be >= 1 (endpoint zeros), got {s}")
-    if not 0.0 < float(gamma) <= 1.0:
+    gamma = _spec_number(gamma, "gamma", float)
+    if not 0.0 < gamma <= 1.0:
         raise ModelSpecError(f"recipe needs 0 < gamma <= 1 so |f| <= 1, got {gamma}")
     f = RECIPE_REGISTRY[f_name]
     space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
@@ -801,13 +835,12 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
             setting_pairs.append((d, d))
             setting_pairs.append((d, -d))
     else:
-        setting_pairs = [(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))]
+        setting_pairs = [_PROBE_PAIR]
 
+    # the per-pair quadrature sum, not _recipe_mean: the stored scale keeps its bits
     sup = 0.0
     for a, b in setting_pairs:
-        fvals = f.fn(probe, a, b)
-        fmean = float(np.sum(qweights * f.fn(qnodes, a, b)))
-        g = fvals - fmean
+        g = f.fn(probe, a, b) - _quad_mean(f, qnodes, qweights, a, b)
         sup = max(sup, float(np.max(np.abs(g))))
 
     bound = frobenius_bound(s)

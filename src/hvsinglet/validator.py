@@ -38,6 +38,7 @@ take the correction from ``model.implied_c`` and their lambda rows from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
@@ -93,6 +94,8 @@ _SIGMA = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _TAU = np.array([[1.0, -1.0], [1.0, -1.0]])
 
 _MC_BLOCK = 65536
+# an MC check whose standard error exceeds this cannot resolve its tolerance
+_MC_STDERR_TOL = 1e-2
 
 
 class CheckStatus(str, Enum):
@@ -164,6 +167,17 @@ def _jsonable(obj):
     if isinstance(obj, np.integer):
         return obj.item()
     return obj
+
+
+def _valid_rows(values: np.ndarray, ok: np.ndarray):
+    """``values[ok]`` and a map from its rows back to the batch rows.
+
+    When every row is valid the values come back as they are, uncopied.
+    """
+    if ok.all():
+        return values, lambda j: j
+    rows = np.flatnonzero(ok)
+    return values[rows], lambda j: int(rows[j])
 
 
 def _no_evidence(constraint_id: str, tol: float, details: dict | None = None) -> ConstraintReport:
@@ -272,27 +286,26 @@ def check_table_scan(model: HiddenVariableModel, n_settings: int, n_lambda: int,
         a, b = _random_pair(gen, endpoint=(i % 2 == 1))
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
-        if not np.any(ok):
+        tables, row_of = _valid_rows(tables, ok)
+        if len(tables) == 0:
             continue
-        tables = tables[ok]
-        kept = batch.take(ok)
         used += len(tables)
 
         norm_dev = np.abs(tables.sum(axis=(1, 2)) - 1.0)
         j = int(np.argmax(norm_dev))
         if norm_dev[j] > worst_norm.value:
-            worst_norm = Witness(float(norm_dev[j]), kept.point(j), a, b)
+            worst_norm = Witness(float(norm_dev[j]), batch.point(row_of(j)), a, b)
 
         flat = tables.reshape(-1, 4)
         j = int(np.argmin(flat))
         row, entry = divmod(j, 4)
         if flat.flat[j] < worst_min.value:
-            worst_min = Witness(float(flat.flat[j]), kept.point(row), a, b,
+            worst_min = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
                                 OUTCOMES[entry // 2], OUTCOMES[entry % 2])
         j = int(np.argmax(flat))
         row, entry = divmod(j, 4)
         if flat.flat[j] > worst_max.value:
-            worst_max = Witness(float(flat.flat[j]), kept.point(row), a, b,
+            worst_max = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
                                 OUTCOMES[entry // 2], OUTCOMES[entry % 2])
 
     if used == 0:
@@ -324,17 +337,16 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
         a, b = _random_pair(gen, endpoint=False)
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
-        if not np.any(ok):
+        tables, row_of = _valid_rows(tables, ok)
+        if len(tables) == 0:
             continue
-        tables = tables[ok]
-        kept = batch.take(ok)
         used += len(tables)
         for axis, outcomes in ((2, "sigma"), (1, "tau")):
             gap = np.abs(tables.sum(axis=axis) - 0.5)
             j = int(np.argmax(gap))
             row, side = divmod(j, 2)
             if gap.flat[j] > worst.value:
-                w = Witness(float(gap.flat[j]), kept.point(row), a, b)
+                w = Witness(float(gap.flat[j]), batch.point(row_of(row)), a, b)
                 if outcomes == "sigma":
                     w.sigma = OUTCOMES[side]
                 else:
@@ -370,7 +382,7 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
     deviation); where stderr is 0, dev 0 gives z = 0 and any other dev
     leaves z NaN.
 
-    Returns [(a, b, dev, stderr, z)] over the pairs with at least two values,
+    Returns [(a, b, n, dev, stderr, z)] over the pairs with n >= 2 values,
     the number of values used, and ``unresolved``: True when there are no
     pairs, some pair has fewer than two values (one value has no spread to
     estimate a stderr from) or some z is NaN.
@@ -414,7 +426,7 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, dev / stderr, np.where(dev == 0, 0.0, np.nan))
         unresolved = unresolved or bool(np.isnan(z).any())
-        estimates.append((a, b, dev, stderr, z))
+        estimates.append((a, b, int(n), dev, stderr, z))
     return estimates, int(counts.sum()), unresolved
 
 
@@ -422,9 +434,24 @@ def _mc_status(worst_z: float, max_stderr: float, unresolved: bool) -> CheckStat
     """5-sigma fail gate, then inconclusive when any pair is unresolved."""
     if worst_z > 5.0:
         return CheckStatus.FAIL
-    if unresolved or max_stderr > 1e-2:
+    if unresolved or max_stderr > _MC_STDERR_TOL:
         return CheckStatus.INCONCLUSIVE
     return CheckStatus.PASS
+
+
+def _mc_details(estimates, max_stderr: float, worst_z: float, status: CheckStatus) -> dict:
+    """Details of an MC check.
+
+    When a standard error above 1e-2 leaves the check inconclusive,
+    ``samples_needed`` is the per-pair sample count that would bring every
+    pair's standard error down to 1e-2, from stderr proportional to 1/sqrt(n).
+    """
+    details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
+    if status is CheckStatus.INCONCLUSIVE and max_stderr > _MC_STDERR_TOL:
+        details["samples_needed"] = max(
+            math.ceil(n * (float(np.max(stderr)) / _MC_STDERR_TOL) ** 2)
+            for _, _, n, _, stderr, _ in estimates)
+    return details
 
 
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
@@ -457,15 +484,16 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
     worst = None
     max_stderr = 0.0
     worst_z = -np.inf
-    for a, b, dev, stderr, z in estimates:
+    for a, b, _, dev, stderr, z in estimates:
         max_stderr = max(max_stderr, float(stderr))
         if worst is None or dev > worst.value:
             worst = Witness(dev, None, a, b)
         if z > worst_z:  # False for NaN: an unresolved pair sets no z
             worst_z = float(z)
-    details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    return ConstraintReport("zero-average", _mc_status(worst_z, max_stderr, unresolved),
-                            None if worst is None else worst.value, 1e-2, used, worst, details)
+    status = _mc_status(worst_z, max_stderr, unresolved)
+    return ConstraintReport("zero-average", status, None if worst is None else worst.value,
+                            1e-2, used, worst,
+                            _mc_details(estimates, max_stderr, worst_z, status))
 
 
 def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int,
@@ -480,13 +508,14 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
         nodes, _ = model.lambda_space.nodes(gen, n_lambda)
         for b in (a, -a):
             c, ok = model.implied_c(nodes, a, b)
-            c = np.abs(c[ok])
+            c, row_of = _valid_rows(c, ok)
+            c = np.abs(c)
             used += len(c)
             if len(c) == 0:
                 continue
             j = int(np.argmax(c))
             if c[j] > worst.value:
-                worst = Witness(float(c[j]), nodes.take(ok).point(j), a, b)
+                worst = Witness(float(c[j]), nodes.point(row_of(j)), a, b)
     if used == 0:
         return _no_evidence("coincident-zero", tol)
     status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
@@ -760,16 +789,16 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
     worst_z = -np.inf
     worst = None
     max_stderr = 0.0
-    for a, b, dev, stderr, z in estimates:
+    for a, b, _, dev, stderr, z in estimates:
         max_stderr = max(max_stderr, float(stderr.max()))
         z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
         i, j = np.unravel_index(int(np.argmax(z)), (2, 2))
         if z[i, j] > worst_z:
             worst_z = float(z[i, j])
             worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
-    details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
-    return ConstraintReport("qm-reproduction", _mc_status(worst_z, max_stderr, unresolved),
-                            None if worst is None else worst_z, 5.0, used, worst, details)
+    status = _mc_status(worst_z, max_stderr, unresolved)
+    return ConstraintReport("qm-reproduction", status, None if worst is None else worst_z, 5.0,
+                            used, worst, _mc_details(estimates, max_stderr, worst_z, status))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,16 @@ def test_build_recipe_bad_exponent(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_build_recipe_non_finite_numbers_exit_64(tmp_path, capsys, value):
+    # a spec with NaN or Infinity is not strict JSON; nothing may be written
+    out = tmp_path / "spec.json"
+    assert main(["build-recipe", "--out", str(out), "--", "square", value]) == EX_USAGE
+    assert main(["build-recipe", "square", "2", f"--gamma={value}", "--out", str(out)]) == EX_USAGE
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hvsinglet.cli", "--version"],

@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hvsinglet.geometry import (
+    UNIT_ATOL,
     GeometryError,
     RandomStream,
     as_generator,
     dot,
+    require_unit,
     sample_uniform_sphere,
     sphere_quadrature,
     unit,
     with_dot,
 )
+from hvsinglet.models import setting_dot
 
 vec3 = st.tuples(
     st.floats(-1.0, 1.0, allow_nan=False),
@@ -147,3 +150,106 @@ def test_with_dot_endpoint_exact():
     a = unit([0.3, -0.4, 0.87])
     b = with_dot(a, [0.0, 1.0, 0.0], 1.0 - 1e-9)
     assert abs(float(np.dot(a, b)) - (1.0 - 1e-9)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The 3-vector helpers against the numpy formulas they replace (the oracles)
+
+
+def _old_require_unit(v, *, name="vector"):
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != 3:
+        raise GeometryError(f"{name}: expected 3 components, got shape {v.shape}")
+    n = np.linalg.norm(v, axis=-1)
+    if not np.all(np.abs(n - 1.0) <= UNIT_ATOL):
+        worst = float(np.max(np.abs(n - 1.0)))
+        raise GeometryError(f"{name} is not unit length (|norm-1| = {worst:.3e})")
+    return v
+
+
+def _old_unit(v):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise GeometryError(f"expected a 3-vector, got shape {v.shape}")
+    n = float(np.linalg.norm(v))
+    if n < 1e-12:
+        raise GeometryError("cannot normalize a (near-)zero vector")
+    return v / n
+
+
+def _old_dot(a, b):
+    a = _old_require_unit(a, name="a")
+    b = _old_require_unit(b, name="b")
+    return float(np.clip(np.dot(a, b), -1.0, 1.0))
+
+
+def _old_setting_dot(a, b):
+    x = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    if abs(x) > 1.0 - 1e-14:
+        return 1.0 if x > 0 else -1.0
+    return x
+
+
+def _old_with_dot(a, direction, target):
+    a = _old_require_unit(a, name="a")
+    t = float(target)
+    if not (-1.0 <= t <= 1.0):
+        raise GeometryError(f"target dot {t} outside [-1, 1]")
+    d = np.asarray(direction, dtype=float)
+    perp = d - np.dot(d, a) * a
+    norm = float(np.linalg.norm(perp))
+    if norm < 1e-9:
+        raise GeometryError("direction is (anti)parallel to a, no tilt plane")
+    b = t * a + np.sqrt(max(0.0, 1.0 - t * t)) * (perp / norm)
+    return b / np.linalg.norm(b)
+
+
+def _outcome(fn, *args):
+    """Result bits (sign of zero and NaN included), or the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(out).__name__, np.asarray(out, dtype=float).tobytes()
+
+
+def _helper_inputs():
+    gen = RandomStream(61).generator()
+    units = sample_uniform_sphere(gen, 400)
+    # lengths straddling the UNIT_ATOL gate, a few ulp from each side of it
+    scale = 1.0 + np.concatenate([gen.uniform(-2e-9, 2e-9, 200),
+                                  UNIT_ATOL * (1.0 + gen.uniform(-1e-6, 1e-6, 100)),
+                                  -UNIT_ATOL * (1.0 + gen.uniform(-1e-6, 1e-6, 100))])
+    vectors = list(units) + list(units * scale[:, None])
+    odd = [np.array([np.nan, 0.0, 1.0]), np.array([0.0, np.inf, 0.0]), np.zeros(3),
+           np.array([1e-13, 0.0, 0.0]), np.array([1e200, 0.0, 0.0]), np.array([0.0, -0.0, -1.0]),
+           [0.0, 0.0, 1.0]]
+    return gen, units, vectors + odd
+
+
+def test_vector_helpers_match_numpy_formulas():
+    gen, units, vectors = _helper_inputs()
+    for v in vectors:
+        assert _outcome(require_unit, v) == _outcome(_old_require_unit, v)
+        assert _outcome(unit, v) == _outcome(_old_unit, v)
+    for shape in [(2,), (4,), (5, 3), (2, 4), (0, 3)]:
+        v = unit([1.0, 2.0, 2.0]) * np.ones(shape[:-1] + (1,)) if shape[-1] == 3 else np.ones(shape)
+        assert _outcome(require_unit, v) == _outcome(_old_require_unit, v)
+        assert _outcome(unit, v) == _outcome(_old_unit, v)
+    pairs = [(vectors[i], vectors[-1 - i]) for i in range(len(vectors))]
+    for a in units[:100]:
+        t = sample_uniform_sphere(gen)
+        for x in (1.0, -1.0, 1.0 - 1e-15, -1.0 + 1e-15, 1.0 - 1e-9, 0.0):
+            pairs.append((a, _old_with_dot(a, t, x)))
+        pairs += [(a, a), (a, -a), (a, np.array([np.nan, 0.0, 0.0]))]
+    for a, b in pairs:
+        assert _outcome(dot, a, b) == _outcome(_old_dot, a, b)
+        assert _outcome(setting_dot, a, b) == _outcome(_old_setting_dot, a, b)
+    targets = [1.0, -1.0, 0.0, 1.0 - 1e-9, -1.0 + 1e-15, 1.5, np.nan, *gen.uniform(-1, 1, 5)]
+    directions = [sample_uniform_sphere(gen), [0.0, 0.0, 2.0], [np.nan, 1.0, 0.0], np.zeros(3)]
+    for a in list(units[:40]) + [np.array([0.0, 0.0, 1.0]), np.array([2.0, 0.0, 0.0])]:
+        for d in directions + [a, -a]:
+            for x in targets:
+                assert _outcome(with_dot, a, d, x) == _outcome(_old_with_dot, a, d, x)
+

@@ -32,8 +32,10 @@ from hvsinglet.models import (
     qm_singlet_prob,
     qm_table,
     sample_valid_tables,
+    setting_dot,
     wrongtrial_model,
     _cerf_kernel,
+    _recipe_mean,
     _sample_valid,
     _scalar_space,
     _tables_from_kernel,
@@ -570,6 +572,44 @@ def test_recipe_mean_cache_is_thread_safe():
         assert len(run) == 4 * len(settings)
         for i, vals in run:
             assert np.array_equal(vals, serial[i])
+
+
+def test_recipe_mean_is_the_quadrature_sum():
+    # the mean fixed at build time against the per-pair sum it replaces, on a
+    # symmetric and an asymmetric measure (where <lambda> and <f> are not 0)
+    gen = RandomStream(71).generator()
+    axes = sample_uniform_sphere(gen, 12)
+    pairs = list(zip(axes[:6], axes[6:])) + [(a, a) for a in axes[:3]] + [(a, -a) for a in axes[3:6]]
+    for name, f in RECIPE_REGISTRY.items():
+        for kw in ({"measure": "uniform", "gamma": 0.8},
+                   {"measure": "two_point", "weights": (0.3, 0.7)}):
+            m = build_recipe_model(name, 1.5, n_polar=8, n_azimuth=16, **kw)
+            nodes, w = m.lambda_space.quadrature
+            mean = _recipe_mean(f, nodes, w)
+            scale = m.spec["parameters"]["scale"]
+            for a, b in pairs:
+                fvals = f.fn(nodes, a, b)
+                direct = float(np.sum(w * fvals))
+                x = setting_dot(a, b)
+                per_pair_c = (1.0 - x * x) ** 1.5 * (scale * (fvals - direct))
+                if f.setting_dependent:
+                    assert abs(mean(a, b) - direct) <= 1e-15, (name, kw)
+                    assert_allclose(m.c_values(nodes, a, b), per_pair_c, rtol=0, atol=1e-15)
+                else:  # one float, the same sum: bit for bit
+                    assert mean(a, b) == direct, (name, kw)
+                    assert np.array_equal(m.c_values(nodes, a, b), per_pair_c)
+
+
+def test_recipe_and_weights_reject_non_finite_numbers():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelSpecError, match="s must|exponent"):
+            build_recipe_model("square", bad)
+        with pytest.raises(ModelSpecError, match="gamma"):
+            build_recipe_model("square", 2.0, gamma=bad)
+        with pytest.raises(ModelSpecError, match="weights"):
+            build_recipe_model("poly1", 1.0, measure="two_point", weights=(bad, 0.5))
+        with pytest.raises(ModelSpecError, match="weights"):
+            model_from_spec({"family": "family1", "parameters": {"weights": [0.5, bad]}})
 
 
 def test_recipe_build_is_deterministic():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit
 from hvsinglet.models import (
     HiddenVariableModel,
     LambdaBatch,
+    OUTCOMES,
     LambdaSpace,
     builtin_model,
     build_recipe_model,
@@ -17,6 +19,7 @@ from hvsinglet.models import (
     qm_table,
     _tables_from_kernel,
     _scalar_two_point_space,
+    _scalar_uniform_space,
 )
 from hvsinglet.validator import (
     CheckStatus,
@@ -218,6 +221,62 @@ def test_zero_spread_is_not_evidence():
                 check_qm_reproduction(m, 3, stream(39), mc_samples=1000)):
         assert rep.status is CheckStatus.INCONCLUSIVE, rep.constraint_id
         assert rep.details["max_stderr"] == 0.0 and rep.details["max_z"] == -np.inf
+
+
+def test_mc_inconclusive_reports_samples_needed():
+    # stderr ~ 1/sqrt(n): n * (max_stderr / 1e-2)^2 samples per pair would resolve it
+    m = builtin_model("cerf")
+    for check in (check_zero_average, check_qm_reproduction):
+        rep = check(m, 2, stream(41), mc_samples=400)
+        assert rep.status is CheckStatus.INCONCLUSIVE and rep.details["max_stderr"] > 1e-2
+        assert rep.details["samples_needed"] == math.ceil(
+            400 * (rep.details["max_stderr"] / 1e-2) ** 2)
+        assert check(m, 2, stream(41), mc_samples=400).details == rep.details
+    assert "samples_needed" not in check_zero_average(m, 2, stream(7),
+                                                      mc_samples=200_000).details
+    # inconclusive from zero spread alone: no sample count would help
+    rep = check_zero_average(_constant_kernel_model(lambda a, b: 1.0), 3, stream(38),
+                             mc_samples=1000)
+    assert rep.status is CheckStatus.INCONCLUSIVE and "samples_needed" not in rep.details
+
+
+def test_table_checks_map_witnesses_back_to_valid_rows():
+    # rules undefined for lambda < -0.3: every witness must replay to its value
+    space = _scalar_uniform_space(1.0, 16)
+
+    def table_rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        t = np.tile(qm_table(a, b), (len(batch), 1, 1))
+        t[:, 0, 0] += 0.3 * lam
+        t[:, 0, 1] -= 0.2 * lam
+        return t, lam > -0.3
+
+    def kernel_rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        return dot(a, b) - 0.1 * lam * (1.0 + lam), lam > -0.3
+
+    tables = HiddenVariableModel("masked-tables", space, table_rule=table_rule)
+    norm, pos, half = check_table_scan(tables, 10, 64, stream(42))
+    marginal = check_marginal_triviality(tables, 10, 64, stream(43))
+    replay = {}
+    for rep in (norm, pos, half, marginal):
+        w = rep.witness
+        assert w.lam.scalars[0] > -0.3, rep.constraint_id
+        replay[rep.constraint_id] = tables.tables(w.lam, w.a, w.b), w
+    t, w = replay["normalization"]
+    assert abs(t.sum() - 1.0) == norm.extremal_value
+    for rep in (pos, half):
+        t, w = replay[rep.constraint_id]
+        assert t[OUTCOMES.index(w.sigma), OUTCOMES.index(w.tau)] == rep.extremal_value
+    t, w = replay["marginal-triviality"]
+    side = (t.sum(axis=1)[OUTCOMES.index(w.sigma)] if w.sigma is not None
+            else t.sum(axis=0)[OUTCOMES.index(w.tau)])
+    assert abs(side - 0.5) == marginal.extremal_value
+    kernel = HiddenVariableModel("masked-kernel", space, kernel_rule=kernel_rule)
+    rep = check_coincident_zero(kernel, 5, 0, stream(44))
+    assert rep.status is CheckStatus.FAIL and rep.witness.lam.scalars[0] > -0.3
+    c, _ = kernel.implied_c(rep.witness.lam, rep.witness.a, rep.witness.b)
+    assert abs(float(c[0])) == rep.extremal_value
 
 
 def test_mc_checks_without_samples_are_inconclusive():
