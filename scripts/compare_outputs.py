@@ -12,7 +12,8 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
 * ``validate`` on family1, family2, wrongtrial, cerf (``--mc-samples
   250000``) and the two recipe specs;
 * ``chsh`` and ``simulate --settings random:3`` in sampling and analytic
-  mode on the same six models, at 70000 shots (a partial 65536-shot block).
+  mode on the same six models, at 70000 shots (a partial 65536-shot block);
+* ``scan`` on the same six models.
 
 Each output is compared byte for byte, exit code included. The script
 prints one line per output that differs, with the JSON keys whose values
@@ -74,6 +75,7 @@ def collect(src: Path) -> dict[str, str]:
                     tag = f"{name} seed={seed} t={threads}"
                     extra = ["--mc-samples", CERF_MC_SAMPLES] if model == "cerf" else []
                     outputs[f"validate {tag}"] = run(["validate", *common, *extra])
+                    outputs[f"scan {tag}"] = run(["scan", *common])
                     for mode in ("sampling", "analytic"):
                         sim = ["--shots", SHOTS, "--mode", mode]
                         outputs[f"chsh {mode} {tag}"] = run(["chsh", *common, *sim])

@@ -31,6 +31,7 @@ from .geometry import GeometryError, RandomStream, sample_uniform_sphere
 from .models import (
     ModelSpecError,
     RECIPE_REGISTRY,
+    _masked_rows,
     build_recipe_model,
     load_model,
     model_from_spec,
@@ -74,7 +75,8 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     p.add_argument("--grid-n", type=int, default=None, metavar="N",
                    help="override sphere quadrature to N polar x 2N azimuthal nodes")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results do not depend on this")
+                   help="worker threads, at most one per task and per CPU this process "
+                        "may use; results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 
@@ -285,10 +287,12 @@ def cmd_scan(args) -> int:
         b = x * a + np.sqrt(max(0.0, 1.0 - x * x)) * tangent
         b /= np.linalg.norm(b)
         tables, ok = model.tables_masked(batch, a, b)
+        (tables,) = _masked_rows(ok, tables)
         c, ok_c = model.implied_c(batch, a, b)
-        mean_abs_c = float(np.sum(w[ok_c] * np.abs(c[ok_c])) / max(np.sum(w[ok_c]), 1e-300))
+        w_c, c = _masked_rows(ok_c, w, c)
+        mean_abs_c = float(np.sum(w_c * np.abs(c)) / max(np.sum(w_c), 1e-300))
         rows.append([f"{x:.17g}", f"{mean_abs_c:.17g}",
-                     f"{float(tables[ok].min()):.17g}", f"{float(tables[ok].max()):.17g}"])
+                     f"{float(tables.min()):.17g}", f"{float(tables.max()):.17g}"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a_dot_b", "mean_abs_c", "min_entry", "max_entry"])

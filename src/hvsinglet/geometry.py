@@ -5,12 +5,15 @@ experiments) goes through this module for directions and randomness, so the
 determinism contract lives here: a ``RandomStream`` is a pure value
 ``(seed, stream)`` and every generator derived from it is counter-based
 (Philox), which makes results independent of thread count and evaluation
-order as long as stream ids are assigned statically.
+order as long as stream ids are assigned statically. ``_map_ordered`` is the
+one thread pool that work runs on: it returns results in submission order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,14 +97,23 @@ def dot(a, b) -> float:
 def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform points on S^2 via inverse CDF: z ~ U[-1,1], azimuth ~ U[0,2pi).
 
-    Returns shape (3,) when ``n`` is None, else (n, 3).
+    Returns shape (3,) when ``n`` is None, else (n, 3). The single point is
+    a one-row block computed on Python floats: the same two draws, and
+    ``uniform(low, high)`` is ``low + (high - low) * random()``, whose scale
+    by 2 is exact, so only the sum rounds; math's cos and sin agree with
+    numpy's float64 ones bit for bit (a test compares the two paths).
     """
-    m = 1 if n is None else int(n)
+    if n is None:
+        z = -1.0 + 2.0 * rng.random()
+        phi = (2.0 * math.pi) * rng.random()
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        return np.array([r * math.cos(phi), r * math.sin(phi), z])
+    m = int(n)
     if m < 0:
         raise GeometryError("n must be nonnegative")
     out = np.empty((m, 3))
     _fill_uniform_sphere(rng, out)
-    return out[0] if n is None else out
+    return out
 
 
 def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -131,11 +143,16 @@ def with_dot(a, direction, target: float) -> np.ndarray:
     if not (-1.0 <= t <= 1.0):
         raise GeometryError(f"target dot {t} outside [-1, 1]")
     d = np.asarray(direction, dtype=float)
-    perp = d - np.dot(d, a) * a
-    norm = _norm(perp)
+    # the three dots stay numpy dots, for their bits; the elementwise steps
+    # of the array formula run on floats, in the same order
+    k = float(d.dot(a))
+    (ax, ay, az), (dx, dy, dz) = a.tolist(), d.tolist()
+    px, py, pz = dx - k * ax, dy - k * ay, dz - k * az
+    norm = _norm(np.array([px, py, pz]))
     if norm < 1e-9:
         raise GeometryError("direction is (anti)parallel to a, no tilt plane")
-    b = t * a + math.sqrt(max(0.0, 1.0 - t * t)) * (perp / norm)
+    r = math.sqrt(max(0.0, 1.0 - t * t))
+    b = np.array([t * ax + r * (px / norm), t * ay + r * (py / norm), t * az + r * (pz / norm)])
     return b / _norm(b)
 
 
@@ -214,3 +231,26 @@ def as_generator(source) -> np.random.Generator:
     if isinstance(source, np.random.Generator):
         return source
     raise TypeError(f"expected RandomStream or numpy Generator, got {type(source)!r}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_ordered(fn, args, threads: int) -> list:
+    """``[fn(x) for x in args]``, on up to ``threads`` worker threads.
+
+    The pool never outgrows the tasks or the CPUs this process may use: the
+    executor starts a thread per submit while no worker is idle, and each
+    worker holds its task's memory. Results come back in order, so the
+    thread count cannot change them.
+    """
+    args = list(args)
+    workers = min(threads, len(args), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, args))
+    return [fn(x) for x in args]

@@ -218,6 +218,17 @@ class LambdaSpace:
         return batch, np.full(len(batch), 1.0 / max(len(batch), 1))
 
 
+def _masked_rows(ok: np.ndarray, *arrays) -> tuple:
+    """``x[ok]`` for each array, or the arrays themselves when every row is valid.
+
+    The second case copies nothing; its values and their order are those of
+    the first, so sums over them keep their bits.
+    """
+    if ok.all():
+        return arrays
+    return tuple(x[ok] for x in arrays)
+
+
 # ---------------------------------------------------------------------------
 # Probability rules
 

@@ -15,13 +15,13 @@ are those of the table path.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _SPLIT_MAX, RandomStream, require_unit, unit
-from .models import HiddenVariableModel, LambdaPoint, _sample_valid, sample_valid_tables
+from .geometry import _SPLIT_MAX, RandomStream, _map_ordered, require_unit, unit
+from .models import (HiddenVariableModel, LambdaPoint, _masked_rows, _sample_valid,
+                     sample_valid_tables)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -130,13 +130,6 @@ def _blocks(shots: int) -> list[int]:
     return sizes
 
 
-def _map_ordered(fn, args, threads: int):
-    if threads > 1 and len(args) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(x) for x in args]
-
-
 def estimate_correlation(model: HiddenVariableModel, a, b,
                          config: ExperimentConfig | None = None,
                          pair_index: int = 0) -> CorrelationEstimate:
@@ -159,7 +152,8 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     if cfg.mode == "analytic" and model.lambda_space.quadrature is not None:
         nodes, w = model.lambda_space.quadrature
         corr, ok = model.correlations_masked(nodes, a, b)
-        e = float(np.sum(w[ok] * corr[ok]))
+        w_ok, corr_ok = _masked_rows(ok, w, corr)
+        e = float(np.sum(w_ok * corr_ok))
         return CorrelationEstimate(a, b, e, 0.0, e_qm, len(nodes), "analytic",
                                    cfg.seed)
 

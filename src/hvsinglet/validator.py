@@ -40,18 +40,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
-from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, with_dot
+from .geometry import (RandomStream, _map_ordered, as_generator, dot, sample_uniform_sphere,
+                       with_dot)
 from .models import (
     _SIGMA_TAU,
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
+    _masked_rows,
     qm_table,
 )
 
@@ -180,6 +181,15 @@ def _valid_rows(values: np.ndarray, ok: np.ndarray):
     return values[rows], lambda j: int(rows[j])
 
 
+def _entry_sums(flat: np.ndarray) -> np.ndarray:
+    """Row sums of (n, 4) table entries, bit for bit ``tables.sum(axis=(1, 2))``.
+
+    Both add the four entries left to right; the columns skip the reduction's
+    slow small-axis loop.
+    """
+    return flat[:, 0] + flat[:, 1] + flat[:, 2] + flat[:, 3]
+
+
 def _no_evidence(constraint_id: str, tol: float, details: dict | None = None) -> ConstraintReport:
     """A check that evaluated no rows can neither pass nor fail."""
     return ConstraintReport(constraint_id, CheckStatus.INCONCLUSIVE, None, tol, 0,
@@ -265,7 +275,8 @@ def _random_pair(gen, endpoint: bool) -> tuple[np.ndarray, np.ndarray]:
         u = gen.uniform(-8.0, -2.0)
         x = (1.0 - 10.0**u) * (1.0 if gen.random() < 0.5 else -1.0)
         return a, with_dot(a, t, x)
-    return a, with_dot(a, t, gen.uniform(-1.0, 1.0))
+    # gen.uniform(-1.0, 1.0) bit for bit: the scale by 2 is exact, so only the sum rounds
+    return a, with_dot(a, t, -1.0 + 2.0 * gen.random())
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +302,18 @@ def check_table_scan(model: HiddenVariableModel, n_settings: int, n_lambda: int,
             continue
         used += len(tables)
 
-        norm_dev = np.abs(tables.sum(axis=(1, 2)) - 1.0)
-        j = int(np.argmax(norm_dev))
+        flat = tables.reshape(-1, 4)
+        norm_dev = np.abs(_entry_sums(flat) - 1.0)
+        j = int(norm_dev.argmax())
         if norm_dev[j] > worst_norm.value:
             worst_norm = Witness(float(norm_dev[j]), batch.point(row_of(j)), a, b)
 
-        flat = tables.reshape(-1, 4)
-        j = int(np.argmin(flat))
+        j = int(flat.argmin())
         row, entry = divmod(j, 4)
         if flat.flat[j] < worst_min.value:
             worst_min = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
                                 OUTCOMES[entry // 2], OUTCOMES[entry % 2])
-        j = int(np.argmax(flat))
+        j = int(flat.argmax())
         row, entry = divmod(j, 4)
         if flat.flat[j] > worst_max.value:
             worst_max = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
@@ -341,9 +352,11 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
         if len(tables) == 0:
             continue
         used += len(tables)
-        for axis, outcomes in ((2, "sigma"), (1, "tau")):
-            gap = np.abs(tables.sum(axis=axis) - 0.5)
-            j = int(np.argmax(gap))
+        # the two-term sums of tables.sum(axis=2) and tables.sum(axis=1)
+        for marginals, outcomes in ((tables[:, :, 0] + tables[:, :, 1], "sigma"),
+                                    (tables[:, 0] + tables[:, 1], "tau")):
+            gap = np.abs(marginals - 0.5)
+            j = int(gap.argmax())
             row, side = divmod(j, 2)
             if gap.flat[j] > worst.value:
                 w = Witness(float(gap.flat[j]), batch.point(row_of(row)), a, b)
@@ -468,7 +481,8 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
         for _ in range(n_settings):
             a, b = _random_pair(gen, endpoint=False)
             c, ok = model.implied_c(nodes, a, b)
-            val = abs(float(np.sum(w[ok] * c[ok])))
+            w_ok, c_ok = _masked_rows(ok, w, c)
+            val = abs(float((w_ok * c_ok).sum()))
             if val > worst.value:
                 worst = Witness(val, None, a, b)
         status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
@@ -513,7 +527,7 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
             used += len(c)
             if len(c) == 0:
                 continue
-            j = int(np.argmax(c))
+            j = int(c.argmax())
             if c[j] > worst.value:
                 worst = Witness(float(c[j]), nodes.point(row_of(j)), a, b)
     if used == 0:
@@ -560,7 +574,7 @@ def estimate_exponents(model: HiddenVariableModel, source,
         means = np.empty(len(ts))
         for k, t in enumerate(ts):
             b = with_dot(a, tangent, side * (1.0 - t))
-            means[k] = float(np.sum(w * np.abs(model.c_values(nodes, a, b))))
+            means[k] = float((w * np.abs(model.c_values(nodes, a, b))).sum())
         if np.max(means) < 1e-14:
             return np.nan, 0.0, True
         logt, logm = np.log(ts), np.log(means)
@@ -659,8 +673,8 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
             if len(g) == 0:
                 continue
             used += len(g)
-            nonzero_weight = max(nonzero_weight, float(np.sum(w[g > 1e-9])))
-            j = int(np.argmax(g))
+            nonzero_weight = max(nonzero_weight, float(w[g > 1e-9].sum()))
+            j = int(g.argmax())
             if g[j] > max_g:
                 max_g = float(g[j])
                 wit = Witness(max_g, nodes.point(j), a, b)
@@ -717,20 +731,22 @@ def check_expansion(model: HiddenVariableModel, source,
             for sign in (+1.0, -1.0):
                 x = sign * (1.0 - eps)
                 b = with_dot(a, tangent, x)
-                tables, ok = model.tables_masked(nodes, a, b)
+                # a canonical model's entries are (1 -+ k)/4, the entries
+                # tables_masked would build, without the other three
+                k, ok = model.kernel_masked(nodes, a, b)
                 used += int(np.count_nonzero(ok))
                 g = _g_values(model, nodes, a, b, sp, sm)
                 if sign > 0:
-                    exact = tables[:, 0, 0]  # sigma = tau = +1
+                    exact = (1.0 - k) / 4.0  # sigma = tau = +1
                     formula = (eps / 4.0) * (1.0 + 2.0**sp * eps ** (sm - 1.0) * g)
                 else:
-                    exact = tables[:, 0, 1]  # sigma = +1, tau = -1
+                    exact = (1.0 + k) / 4.0  # sigma = +1, tau = -1
                     formula = (eps / 4.0) * (1.0 - 2.0**sm * eps ** (sp - 1.0) * g)
                 if negative is None and float(exact.min()) < -1e-12:
-                    j = int(np.argmin(exact))
+                    j = int(exact.argmin())
                     negative = Witness(float(exact[j]), nodes.point(j), a, b)
                 rel = np.abs(formula - exact) / np.maximum(exact, eps / 40.0)
-                j = int(np.argmax(rel))
+                j = int(rel.argmax())
                 if rel[j] / eps > worst_ratio:
                     worst_ratio = float(rel[j]) / eps
                     worst = Witness(float(rel[j]), nodes.point(j), a, b)
@@ -764,9 +780,9 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
         for _ in range(n_settings):
             a, b = _random_pair(gen, endpoint=False)
             tables, ok = model.tables_masked(nodes, a, b)
-            avg = np.einsum("n,nij->ij", w[ok], tables[ok])
+            avg = np.einsum("n,nij->ij", *_masked_rows(ok, w, tables))
             dev = np.abs(avg - qm_table(a, b))
-            i, j = np.unravel_index(int(np.argmax(dev)), (2, 2))
+            i, j = divmod(int(dev.argmax()), 2)
             if dev[i, j] > worst.value:
                 worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
         status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
@@ -792,7 +808,7 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
     for a, b, _, dev, stderr, z in estimates:
         max_stderr = max(max_stderr, float(stderr.max()))
         z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
-        i, j = np.unravel_index(int(np.argmax(z)), (2, 2))
+        i, j = divmod(int(z.argmax()), 2)
         if z[i, j] > worst_z:
             worst_z = float(z[i, j])
             worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
@@ -909,16 +925,8 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
 
     # the exponent fit is shared by two checks; materialize it first
     exponents()
-    jobs = [marginal, zero_avg, coincident, exponent_bound, endpoint_g, expansion, qm]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            scan_reports = pool.submit(scan)
-            results = list(pool.map(lambda f: f(), jobs))
-            norm_rep, pos_rep, half_rep = scan_reports.result()
-    else:
-        norm_rep, pos_rep, half_rep = scan()
-        results = [f() for f in jobs]
-
-    by_id = {r.constraint_id: r for r in [norm_rep, pos_rep, half_rep, *results]}
+    jobs = [scan, marginal, zero_avg, coincident, exponent_bound, endpoint_g, expansion, qm]
+    scan_reports, *results = _map_ordered(lambda f: f(), jobs, cfg.threads)
+    by_id = {r.constraint_id: r for r in [*scan_reports, *results]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]
     return SuiteResult(model_spec=dict(model.spec), seed=int(seed), reports=reports)

@@ -1,5 +1,9 @@
 import re
 
+import pytest
+
+from hvsinglet import geometry
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _LABEL = {"passed": "PASS", "failed": "FAIL", "error": "FAIL", "skipped": "SKIP"}
 
@@ -22,3 +26,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         slug, label = verdicts[num]
         terminalreporter.write_line(
             f"criterion {num} ({slug.replace('_', ' ')}): {label}")
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Pool sizes asked for, on a stand-in executor and a 4-CPU process."""
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    return _RecordingPool.sizes

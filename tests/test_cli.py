@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
+from hvsinglet.models import HiddenVariableModel, _scalar_uniform_space, qm_table
 from hvsinglet.simulator import _MAX_PAIRS, _MAX_SHOTS, CSV_HEADER
 from hvsinglet.validator import CONSTRAINT_ORDER
 
@@ -244,6 +245,16 @@ def test_chsh_default_preset(capsys):
     assert "S = " in err
 
 
+def test_many_threads_start_at_most_one_worker_per_cpu(capsys, recording_pool):
+    argv = ["chsh", "--model", "family1", "--shots", "200000", "--seed", "2"]
+    assert main(argv) == EX_OK
+    serial = capsys.readouterr().out
+    assert recording_pool == []
+    assert main([*argv, "--threads", "2000"]) == EX_OK
+    assert capsys.readouterr().out == serial
+    assert recording_pool == [4] * 4  # four blocks per pair, four usable CPUs
+
+
 def test_chsh_witness_flag(capsys):
     code, _, err = run_cli(capsys, "chsh", "--model", "family1", "--mode", "analytic",
                            "--witness")
@@ -268,6 +279,40 @@ def test_scan_shows_counterexample_dip(capsys):
     xs = np.array([float(r[0]) for r in rows[1:]])
     assert min_entries.min() < -1e-3  # negative probabilities near the endpoints
     assert min_entries[np.abs(xs) < 0.5].min() >= 0.0  # but fine at generic angles
+
+
+def test_scan_reads_only_valid_rows(capsys, monkeypatch):
+    # a rule undefined on some quadrature nodes at some angles, with junk
+    # entries there: every row is the masked formula over that angle's nodes
+    space = _scalar_uniform_space(1.0, 16)
+    batch, w = space.quadrature
+
+    def table_rule(lam, a, b):
+        g = lam.scalars[:, 0]
+        t = np.tile(qm_table(a, b), (len(lam), 1, 1))
+        t[:, 0, 0] += 0.1 * g
+        t[:, 1, 1] -= 0.1 * g
+        ok = g > b[0] - 1.5
+        t[~ok] = 9.0
+        return t, ok
+
+    m = HiddenVariableModel("holey-scan", space, table_rule=table_rule)
+    monkeypatch.setattr(cli, "_load_model", lambda args: m)
+    code, out, _ = run_cli(capsys, "scan", "--model", "holey", "--points", "9")
+    assert code == EX_OK
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    a, tangent = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    partial = []
+    for row, x in zip(rows, np.linspace(-1.0, 1.0, 9)):
+        b = x * a + np.sqrt(max(0.0, 1.0 - x * x)) * tangent
+        b /= np.linalg.norm(b)
+        tables, ok = m.tables_masked(batch, a, b)
+        c, ok_c = m.implied_c(batch, a, b)
+        mean_abs_c = float(np.sum(w[ok_c] * np.abs(c[ok_c])) / max(np.sum(w[ok_c]), 1e-300))
+        assert row == [f"{x:.17g}", f"{mean_abs_c:.17g}", f"{float(tables[ok].min()):.17g}",
+                       f"{float(tables[ok].max()):.17g}"]
+        partial.append(not ok.all())
+    assert any(partial) and not all(partial)
 
 
 def test_scan_family1_stays_admissible(capsys):

@@ -1,13 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hvsinglet import geometry
 from hvsinglet.geometry import (
     UNIT_ATOL,
     GeometryError,
     RandomStream,
+    _map_ordered,
     as_generator,
     dot,
     require_unit,
@@ -55,6 +59,19 @@ def test_sample_sphere_shapes_and_norms():
     many = sample_uniform_sphere(rng, 5000)
     assert many.shape == (5000, 3)
     assert_allclose(np.linalg.norm(many, axis=1), 1.0, atol=1e-12)
+
+
+def test_single_sphere_point_is_the_block_rule_on_one_row():
+    # the float path draws the same two numbers as the block fill, in the same
+    # order, and lands on the same bits; the next draws agree too
+    for seed in (0, 7, 61, 2**40 + 3):
+        g_one, g_block = RandomStream(seed).generator(), RandomStream(seed).generator()
+        one = np.array([sample_uniform_sphere(g_one) for _ in range(10_000)])
+        block = np.array([sample_uniform_sphere(g_block, 1)[0] for _ in range(10_000)])
+        assert one.tobytes() == block.tobytes(), seed
+        after = sample_uniform_sphere(g_block, 1)[0]
+        assert sample_uniform_sphere(g_one).tobytes() == after.tobytes()
+        assert g_one.random() == g_block.random()
 
 
 def test_sample_sphere_moments():
@@ -253,3 +270,28 @@ def test_vector_helpers_match_numpy_formulas():
             for x in targets:
                 assert _outcome(with_dot, a, d, x) == _outcome(_old_with_dot, a, d, x)
 
+
+# ---------------------------------------------------------------------------
+# The ordered thread pool
+
+
+def test_pool_size_is_bounded_by_tasks_and_cpus(recording_pool):
+    # 1e8 shots are 1526 blocks; --threads 2000 must not become 1526 threads
+    assert _map_ordered(lambda i: i * i, range(1526), 2000) == [i * i for i in range(1526)]
+    assert _map_ordered(str, range(3), 2000) == ["0", "1", "2"]
+    assert _map_ordered(str, range(9), 2) == [str(i) for i in range(9)]
+    assert recording_pool == [4, 3, 2]
+    assert _map_ordered(str, range(9), 1) == [str(i) for i in range(9)]
+    assert _map_ordered(str, range(1), 2000) == ["0"]
+    assert _map_ordered(str, [], 2000) == []
+    assert recording_pool == [4, 3, 2]  # one task or one thread runs inline
+
+
+def test_pool_runs_inline_on_one_cpu(recording_pool, monkeypatch):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
+    assert _map_ordered(str, range(50), 2000) == [str(i) for i in range(50)]
+    assert recording_pool == []
+
+
+def test_usable_cpus_counts_this_process():
+    assert 1 <= geometry._usable_cpus() <= (os.cpu_count() or 1)

@@ -11,6 +11,7 @@ from hvsinglet.models import (
     HiddenVariableModel,
     LambdaPoint,
     LambdaSpace,
+    _scalar_uniform_space,
     _tables_from_kernel,
     builtin_model,
     family1_model,
@@ -64,6 +65,26 @@ def test_analytic_correlation_matches_qm_for_quadrature_models():
         assert e.e_est == pytest.approx(e.e_qm, abs=1e-12)
 
 
+def test_analytic_correlation_sums_only_valid_nodes():
+    # junk kernel values where the rule is undefined must not reach the sum
+    space = _scalar_uniform_space(1.0, 16)
+    nodes, w = space.quadrature
+
+    def kernel_rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        ok = lam > b[0] - 1.2
+        return np.where(ok, float(np.dot(a, b)) - 0.1 * lam, 50.0), ok
+
+    m = HiddenVariableModel("holey-analytic", space, kernel_rule=kernel_rule)
+    partial = []
+    for b in (X, unit([0.3, 0.2, 0.7]), unit([-0.2, 0.5, 0.1])):
+        corr, ok = m.correlations_masked(nodes, Z, b)
+        e = estimate_correlation(m, Z, b, ExperimentConfig(mode="analytic"))
+        assert e.e_est == float(np.sum(w[ok] * corr[ok]))
+        partial.append(not ok.all())
+    assert any(partial) and not all(partial)
+
+
 def test_sampling_correlation_within_five_sigma():
     m = builtin_model("family1")
     b = unit([0.6, 0.0, 0.8])
@@ -83,6 +104,16 @@ def test_sampling_is_deterministic_and_thread_invariant():
     assert (e1.e_est, e1.stderr) == (e2.e_est, e2.stderr) == (e4.e_est, e4.stderr)
     e_other = estimate_correlation(m, Z, b, ExperimentConfig(shots=150_000, seed=12))
     assert e_other.e_est != e1.e_est
+
+
+def test_block_pool_is_bounded_by_blocks_and_cpus(recording_pool):
+    m = builtin_model("family1")
+    b = unit([0.25, -0.33, 0.91])
+    args = dict(shots=5 * 65536 + 7, seed=11)
+    serial = estimate_correlation(m, Z, b, ExperimentConfig(**args))
+    many = estimate_correlation(m, Z, b, ExperimentConfig(**args, threads=2000))
+    assert (many.e_est, many.stderr) == (serial.e_est, serial.stderr)
+    assert recording_pool == [4]  # six blocks, four usable CPUs
 
 
 def test_pairs_use_independent_streams():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit
+from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
     HiddenVariableModel,
     LambdaBatch,
@@ -28,6 +28,8 @@ from hvsinglet.validator import (
     SuiteResult,
     ValidatorConfig,
     Witness,
+    _entry_sums,
+    _random_pair,
     check_coincident_zero,
     check_endpoint_g_bound,
     check_expansion,
@@ -240,6 +242,15 @@ def test_mc_inconclusive_reports_samples_needed():
     assert rep.status is CheckStatus.INCONCLUSIVE and "samples_needed" not in rep.details
 
 
+def test_entry_sums_are_the_table_reduction():
+    gen = RandomStream(52).generator()
+    for _ in range(50):
+        t = gen.uniform(-1.0, 1.0, (500, 2, 2)) * 10.0 ** gen.uniform(-20.0, 1.0, (500, 2, 2))
+        t[::7, 0, 1] = -0.0
+        t[::11, 1, 1] = 0.0
+        assert _entry_sums(t.reshape(-1, 4)).tobytes() == t.sum(axis=(1, 2)).tobytes()
+
+
 def test_table_checks_map_witnesses_back_to_valid_rows():
     # rules undefined for lambda < -0.3: every witness must replay to its value
     space = _scalar_uniform_space(1.0, 16)
@@ -436,6 +447,56 @@ def test_qm_reproduction_quadrature_and_mc():
     assert rep.details["mode"] == "mc"
 
 
+def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
+    # a rule undefined on a different set of quadrature nodes at each pair, and
+    # on none at some: every pair's zero-average and qm-reproduction values
+    # are the sums over that pair's valid nodes, whatever the pairs before it
+    space = _scalar_uniform_space(1.0, 16)
+    nodes, w = space.quadrature
+
+    def kernel_rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        x = dot(a, b)
+        return x - 0.1 * lam * (1.0 + lam) * (1.0 - x * x), lam > a[2] - 0.5
+
+    m = HiddenVariableModel("holey-quadrature", space, kernel_rule=kernel_rule)
+    gen = stream(50).generator()
+    pairs, zero, qm, partial = [], [], [], []
+    for _ in range(12):
+        a, b = _random_pair(gen, endpoint=False)
+        c, ok = m.implied_c(nodes, a, b)
+        zero.append(abs(float(np.sum(w[ok] * c[ok]))))
+        t, ok = m.tables_masked(nodes, a, b)
+        qm.append(float(np.abs(np.einsum("n,nij->ij", w[ok], t[ok]) - qm_table(a, b)).max()))
+        pairs.append((a, b))
+        partial.append(not ok.all())
+    assert any(partial) and not all(partial)
+    for n in range(1, len(pairs) + 1):
+        for check, values in ((check_zero_average, zero), (check_qm_reproduction, qm)):
+            rep = check(m, n, stream(50))
+            worst = int(np.argmax(values[:n]))
+            assert rep.extremal_value == values[worst], (check.__name__, n)
+            assert np.array_equal(rep.witness.a, pairs[worst][0])
+            assert np.array_equal(rep.witness.b, pairs[worst][1])
+
+
+def test_random_pair_draws_as_the_array_rule():
+    # single points from one-row blocks and gen.uniform targets: the old draws
+    new, old = stream(51).generator(), stream(51).generator()
+    for i in range(2000):
+        endpoint = i % 2 == 1
+        a, t = sample_uniform_sphere(old, 1)[0], sample_uniform_sphere(old, 1)[0]
+        if endpoint:
+            u = old.uniform(-8.0, -2.0)
+            x = (1.0 - 10.0**u) * (1.0 if old.random() < 0.5 else -1.0)
+        else:
+            x = old.uniform(-1.0, 1.0)
+        got = _random_pair(new, endpoint)
+        assert got[0].tobytes() == a.tobytes(), i
+        assert got[1].tobytes() == with_dot(a, t, x).tobytes(), i
+    assert new.random() == old.random()
+
+
 def test_qm_reproduction_detects_wrong_statistics():
     m = family1_model(0.4, weights=(0.75, 0.25))
     rep = check_qm_reproduction(m, 5, stream(26))
@@ -483,6 +544,13 @@ def test_run_full_suite_deterministic_and_thread_invariant():
     r3 = run_full_suite(m, ValidatorConfig(**{**FAST.__dict__, "threads": 4}), seed=3).to_json()
     assert r1 == r2 == r3
     assert run_full_suite(m, FAST, seed=4).to_json() != r1
+
+
+def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
+    m = builtin_model("family1")
+    many = run_full_suite(m, ValidatorConfig(**{**FAST.__dict__, "threads": 2000}), seed=3)
+    assert many.to_json() == run_full_suite(m, FAST, seed=3).to_json()
+    assert recording_pool == [4]  # eight checks, four usable CPUs
 
 
 def test_run_full_suite_cerf_small_budget_inconclusive():
