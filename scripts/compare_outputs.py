@@ -17,8 +17,10 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
 
 Each output is compared byte for byte, exit code included. The script
 prints one line per output that differs, with the JSON keys whose values
-differ (old -> new) or the first CSV line that differs, and exits 0 when
-every output is identical and 1 otherwise.
+differ (old -> new) or the first CSV line that differs. For a ``validate``
+report that differs it adds one line: either that the exit code and every
+constraint status are unchanged, or which of them moved (old -> new). It
+exits 0 when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -125,6 +127,24 @@ def describe(old: str, new: str) -> list[str]:
     return lines
 
 
+def verdict_moves(old: str, new: str) -> str:
+    """Whether two ``validate`` outputs agree on exit code and every status."""
+    def verdicts(out: str) -> dict[str, str]:
+        head, _, body = out.partition("\n")
+        try:
+            checks = json.loads(body)["checks"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            checks = []
+        return {"exit code": head.removeprefix("exit "),
+                **{c["constraint-id"]: c["status"] for c in checks}}
+
+    before, after = verdicts(old), verdicts(new)
+    moved = [f"{k} {before.get(k)} -> {after.get(k)}"
+             for k in dict.fromkeys([*before, *after]) if before.get(k) != after.get(k)]
+    return ("verdicts moved: " + ", ".join(moved)) if moved else \
+        "exit code and every constraint status unchanged"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["--collect"]:
@@ -145,6 +165,8 @@ def main(argv=None) -> int:
             print(f"DIFFERS {name}")
             for line in describe(old[name], new[name]):
                 print(f"    {line}")
+            if name.startswith("validate "):
+                print(f"    {verdict_moves(old[name], new[name])}")
     total = len(set(old) | set(new))
     print(f"{total} outputs compared, {total - differ} identical, {differ} differ")
     return 1 if differ else 0

@@ -24,10 +24,13 @@ Checks that integrate over lambda use the model's quadrature when it has
 one and fall back to Monte Carlo with 5-sigma gates otherwise; an MC check
 whose standard error is too large to resolve its tolerance (above 1e-2)
 reports ``inconclusive`` rather than guessing. An MC check draws its settings
-pairs first and then each lambda block once, evaluating that block at every
-pair (common random numbers), so its pairs share their draws. Models with a
-per-lambda kernel k are averaged through k instead of whole tables. A check
-that evaluated no rows, or an MC pair with fewer than two samples, reports
+pairs first and then each 16384-row lambda block once, evaluating that block
+at every pair (common random numbers), so its pairs share their draws and the
+check holds one block and its temporaries at a time. ``run_full_suite``
+starts the two MC checks (qm-reproduction, then zero-average) ahead of the
+others, the longest jobs first. Models with a per-lambda kernel k are
+averaged through k instead of whole tables. A check that evaluated no rows,
+or an MC pair with fewer than two samples, reports
 ``inconclusive``: there is no evidence to pass on. Neither is zero spread:
 a pair whose draws are all equal has stderr 0, which counts as z = 0 when
 the deviation is 0 too and leaves the pair unresolved otherwise. The checks
@@ -54,6 +57,7 @@ from .models import (
     OUTCOMES,
     _masked_rows,
     qm_table,
+    setting_dot,
 )
 
 __all__ = [
@@ -94,7 +98,7 @@ CONSTRAINT_ORDER = (
 _SIGMA = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _TAU = np.array([[1.0, -1.0], [1.0, -1.0]])
 
-_MC_BLOCK = 65536
+_MC_BLOCK = 16384
 # an MC check whose standard error exceeds this cannot resolve its tolerance
 _MC_STDERR_TOL = 1e-2
 
@@ -379,9 +383,11 @@ def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evalu
                   compare):
     """Per-pair Monte Carlo comparisons of the mean of ``evaluate`` values.
 
-    Common random numbers: each lambda block is drawn once from ``gen`` and
-    evaluated at every settings pair, one pair at a time, so the pairs share
-    their draws and no (block x pairs) array is built. ``evaluate`` maps
+    Common random numbers: each lambda block of up to ``_MC_BLOCK`` (16384)
+    rows is drawn once from ``gen`` and evaluated at every settings pair, one
+    pair at a time, so the pairs share their draws and no (block x pairs)
+    array is built. The block size bounds the check's memory: one block and
+    one pair's temporaries, about 2 MB for cerf. ``evaluate`` maps
     (batch, a, b) to (values (n, ...), ok (n,)). Rows with ok False are
     dropped and made up from later blocks until every pair holds
     ``mc_samples`` values. A block that adds no row to any pair still short
@@ -618,10 +624,11 @@ def check_exponent_bound(model: HiddenVariableModel, source,
                             details=details)
 
 
-def _g_values(model, nodes, a, b, s_plus, s_minus):
+def _g_values(c, a, b, s_plus, s_minus):
+    """Reduced amplitude G = C / ((1+a.b)^s+ (1-a.b)^s-) from C's values."""
     x = dot(a, b)
     pref = (1.0 + x) ** s_plus * (1.0 - x) ** s_minus
-    return model.c_values(nodes, a, b) / pref
+    return c / pref
 
 
 def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1e-6,
@@ -669,7 +676,7 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
             tangent = sample_uniform_sphere(gen)
             b = with_dot(a, tangent, sign * (1.0 - eps))
             nodes, w = model.lambda_space.nodes(gen, n_lambda)
-            g = np.abs(_g_values(model, nodes, a, b, sp, sm))
+            g = np.abs(_g_values(model.c_values(nodes, a, b), a, b, sp, sm))
             if len(g) == 0:
                 continue
             used += len(g)
@@ -731,11 +738,13 @@ def check_expansion(model: HiddenVariableModel, source,
             for sign in (+1.0, -1.0):
                 x = sign * (1.0 - eps)
                 b = with_dot(a, tangent, x)
-                # a canonical model's entries are (1 -+ k)/4, the entries
-                # tables_masked would build, without the other three
-                k, ok = model.kernel_masked(nodes, a, b)
-                used += int(np.count_nonzero(ok))
-                g = _g_values(model, nodes, a, b, sp, sm)
+                # a canonical model's entries are (1 -+ k)/4 with k = a.b - C,
+                # the entries tables_masked would build, without the other
+                # three; C is evaluated once for k and G
+                c = model.c_values(nodes, a, b)
+                k = setting_dot(a, b) - c
+                used += len(nodes)
+                g = _g_values(c, a, b, sp, sm)
                 if sign > 0:
                     exact = (1.0 - k) / 4.0  # sigma = tau = +1
                     formula = (eps / 4.0) * (1.0 + 2.0**sp * eps ** (sm - 1.0) * g)
@@ -925,8 +934,11 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
 
     # the exponent fit is shared by two checks; materialize it first
     exponents()
-    jobs = [scan, marginal, zero_avg, coincident, exponent_bound, endpoint_g, expansion, qm]
-    scan_reports, *results = _map_ordered(lambda f: f(), jobs, cfg.threads)
-    by_id = {r.constraint_id: r for r in [*scan_reports, *results]}
+    # the two MC checks are the longest on a model without quadrature, so
+    # they start first and the short checks fill in behind them
+    jobs = [qm, zero_avg, scan, marginal, coincident, exponent_bound, endpoint_g, expansion]
+    qm_report, zero_report, scan_reports, *results = _map_ordered(lambda f: f(), jobs,
+                                                                  cfg.threads)
+    by_id = {r.constraint_id: r for r in [qm_report, zero_report, *scan_reports, *results]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]
     return SuiteResult(model_spec=dict(model.spec), seed=int(seed), reports=reports)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hvsinglet import geometry
 from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
+    CFunction,
     HiddenVariableModel,
     LambdaBatch,
     OUTCOMES,
@@ -185,6 +188,33 @@ def test_mc_budget_off_block_multiple_is_spent_exactly():
     assert rep.samples_used == 3 * budget
     rep = check_qm_reproduction(m, 2, stream(28), mc_samples=budget)
     assert rep.samples_used == 2 * budget
+
+
+def test_mc_budget_off_small_block_multiple_is_spent_exactly():
+    m = builtin_model("cerf")
+    budget = 3 * 16384 + 4465
+    rep = check_zero_average(m, 3, stream(42), mc_samples=budget)
+    assert rep.samples_used == 3 * budget
+    rep = check_qm_reproduction(m, 2, stream(43), mc_samples=budget)
+    assert rep.samples_used == 2 * budget
+
+
+@pytest.mark.parametrize("check, n_settings", [(check_qm_reproduction, 20),
+                                               (check_zero_average, 10)])
+def test_mc_check_memory_peak_is_bounded(check, n_settings):
+    # the validate defaults' pair counts at the benchmark's budget: one
+    # lambda block and its kernel temporaries must stay under 3 MB. A first
+    # call imports modules lazily (about 0.7 MB), so warm up outside the trace.
+    m = builtin_model("cerf")
+    check(m, 1, stream(44), mc_samples=100)
+    tracemalloc.start()
+    try:
+        rep = check(m, n_settings, stream(44), mc_samples=250_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.samples_used == n_settings * 250_000
+    assert peak <= 3_000_000, peak
 
 
 def test_mc_kernel_path_matches_table_path():
@@ -438,6 +468,22 @@ def test_expansion_not_applicable_without_exponents():
     assert rep.status is CheckStatus.NOT_APPLICABLE
 
 
+def test_expansion_evaluates_c_once_per_pair():
+    base = builtin_model("family1")
+    calls = []
+
+    def fn(batch, a, b):
+        calls.append(1)
+        return base.c_function(batch, a, b)
+
+    c = base.c_function
+    counted = HiddenVariableModel("counted", base.lambda_space,
+                                  c_function=CFunction(fn, c.s_plus, c.s_minus))
+    rep = check_expansion(counted, stream(21), n_axes=2, n_lambda=64)
+    assert len(calls) == 3 * 2 * 2  # eps x axes x endpoint sign
+    assert rep.to_dict() == check_expansion(base, stream(21), n_axes=2, n_lambda=64).to_dict()
+
+
 def test_qm_reproduction_quadrature_and_mc():
     rep = check_qm_reproduction(builtin_model("family2"), 5, stream(24))
     assert rep.status is CheckStatus.PASS
@@ -559,3 +605,38 @@ def test_run_full_suite_cerf_small_budget_inconclusive():
     res = run_full_suite(builtin_model("cerf"), cfg, seed=1)
     assert res.exit_code == 2
     assert res.report("zero-average").status is CheckStatus.INCONCLUSIVE
+
+
+def test_run_full_suite_submits_mc_checks_first(monkeypatch):
+    ran = []
+
+    class OrderRecordingPool:
+        """Stands in for ThreadPoolExecutor: runs the jobs inline in the order handed over."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            results = []
+            for job in jobs:
+                out = fn(job)
+                ran.append([r.constraint_id for r in (out if isinstance(out, tuple) else [out])])
+                results.append(out)
+            return results
+
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", OrderRecordingPool)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    cfg = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings": 2,
+                             "mc_settings": 2})
+    res = run_full_suite(builtin_model("cerf"), ValidatorConfig(**{**cfg.__dict__,
+                                                                   "threads": 2}), seed=1)
+    assert ran[:3] == [["qm-reproduction"], ["zero-average"],
+                       ["normalization", "positivity", "entry-half-bound"]]
+    assert sorted(cid for ids in ran for cid in ids) == sorted(CONSTRAINT_ORDER)
+    assert res.to_json() == run_full_suite(builtin_model("cerf"), cfg, seed=1).to_json()
