@@ -179,7 +179,10 @@ def _parse_settings(value: str, seed: int, *, expect: int | None = None) -> np.n
         raise UsageError(f"cannot read settings file {value!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{value}: not valid JSON ({exc})") from exc
-    pairs = np.asarray(raw, dtype=float)
+    try:
+        pairs = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError):  # non-numbers, ragged lists, a JSON object
+        raise UsageError(f"{value}: expected a list of [a, b] 3-vector pairs") from None
     if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
         raise UsageError(f"{value}: expected a list of [a, b] 3-vector pairs")
     norms = np.linalg.norm(pairs, axis=2)

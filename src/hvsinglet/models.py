@@ -40,6 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .geometry import (
+    _ROWS,
     GeometryError,
     RandomStream,
     SphereGrid,
@@ -996,6 +997,9 @@ def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
     row: tables (n,2,2) from ``tables_masked``, kernels (n,) from
     ``kernel_masked``. Draws are the same for every evaluator with the same
     mask, so a kernel estimate consumes the stream exactly as a table one.
+    Each round draws all its candidates at once and evaluates them
+    ``_ROWS`` rows at a time into one output; every rule is row by row, so
+    the values are those of one call on the whole round.
     """
     gen = as_generator(source)
     batches: list[LambdaBatch] = []
@@ -1005,7 +1009,7 @@ def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
         if need <= 0:
             break
         cand = model.lambda_space.sample(gen, need)
-        v, ok = evaluate(cand, a, b)
+        v, ok = _evaluate_chunked(evaluate, cand, a, b)
         if np.all(ok):
             batches.append(cand)
             values.append(v)
@@ -1021,3 +1025,19 @@ def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
     if len(batches) == 1:
         return batches[0], values[0]
     return LambdaBatch.concat(batches), np.concatenate(values, axis=0)
+
+
+def _evaluate_chunked(evaluate, batch: LambdaBatch, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate(batch, a, b)``, run on ``_ROWS``-row views into preallocated outputs."""
+    n = len(batch)
+    if n <= _ROWS:
+        return evaluate(batch, a, b)
+    values = ok = None
+    for s in range(0, n, _ROWS):
+        v, m = evaluate(batch.take(slice(s, s + _ROWS)), a, b)
+        if values is None:
+            values = np.empty((n,) + v.shape[1:], dtype=v.dtype)
+            ok = np.empty(n, dtype=bool)
+        values[s:s + _ROWS] = v
+        ok[s:s + _ROWS] = m
+    return values, ok

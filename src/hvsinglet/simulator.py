@@ -3,7 +3,14 @@
 Sampling is organized in fixed 65536-shot blocks, each driven by its own
 counter-based stream derived from (seed, pair index, block index). Blocks
 are merged in index order, so estimates are bitwise identical for any
-thread count; ``threads`` buys wall time only.
+thread count; ``threads`` buys wall time only. A block stays the unit of
+streams and of thread tasks, but its per-row math runs in chunks of
+``_ROWS`` (16384) rows, so each temporary is 128 KB: lambda and the kernel
+or tables are computed chunk by chunk into one block-sized output, and the
+outcome draws of each chunk follow in order. The chunks consume the
+block's stream exactly as one pass would, and a block's sum of +-1
+products is an exact integer however it is grouped, so no byte differs
+from an unchunked block.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _SPLIT_MAX, RandomStream, _map_ordered, require_unit, unit
+from .geometry import _ROWS, _SPLIT_MAX, RandomStream, _map_ordered, require_unit, unit
 from .models import (HiddenVariableModel, LambdaPoint, _masked_rows, _sample_valid,
                      sample_valid_tables)
 
@@ -159,20 +166,30 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
 
     sizes = _blocks(cfg.shots)
 
-    def block_values(gen: np.random.Generator, n: int) -> np.ndarray:
-        if cfg.mode == "analytic":
-            return _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
+    def block_columns(gen: np.random.Generator, n: int):
+        """The block's table columns, one ``_ROWS``-row chunk at a time."""
         if model.has_kernel:  # tables (1 - sigma*tau*k)/4 are never built
-            _, k = _sample_valid(model, model.kernel_masked, gen, n, a, b)
-            diag = (1.0 - k) / 4.0
-            off = (1.0 + k) / 4.0
-            return _sample_products((diag, off, off, diag), gen)
-        _, tables = sample_valid_tables(model, gen, n, a, b)
-        return _sample_products(tables.reshape(n, 4).T, gen)
+            k = _sample_valid(model, model.kernel_masked, gen, n, a, b)[1]
+            for s in range(0, n, _ROWS):
+                diag = (1.0 - k[s:s + _ROWS]) / 4.0
+                off = (1.0 + k[s:s + _ROWS]) / 4.0
+                yield diag, off, off, diag
+        else:
+            tables = sample_valid_tables(model, gen, n, a, b)[1]
+            for s in range(0, n, _ROWS):
+                yield tables[s:s + _ROWS].reshape(-1, 4).T
 
     def mc_block(i: int) -> tuple[float, float, int]:
-        vals = block_values(pair_stream.split(i).generator(), sizes[i])
-        return float(vals.sum()), float((vals * vals).sum()), len(vals)
+        gen, n = pair_stream.split(i).generator(), sizes[i]
+        if cfg.mode == "analytic":
+            vals = _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
+            return float(vals.sum()), float((vals * vals).sum()), n
+        # products are +-1, so each chunk's sum and their total are exact
+        # integers: the bits of one sum over the block, and a sum of squares n
+        total = 0.0
+        for cols in block_columns(gen, n):
+            total += float(_sample_products(cols, gen).sum())
+        return total, float(n), n
 
     parts = _map_ordered(mc_block, range(len(sizes)), cfg.threads)
     total = sum(p[0] for p in parts)

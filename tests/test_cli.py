@@ -235,6 +235,16 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "chsh"])
+@pytest.mark.parametrize("raw", [[[["x", 0, 1], [1, 0, 0]]], [[[0, 0, 1], [1, 0]]], {"a": 1}],
+                         ids=["non-number", "ragged", "object"])
+def test_malformed_settings_file_exits_64(tmp_path, capsys, command, raw):
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, command, "--model", "family1", "--settings", str(p))
+    assert code == EX_USAGE and out == "" and str(p) in err
+
+
 def test_chsh_default_preset(capsys):
     code, out, err = run_cli(capsys, "chsh", "--model", "family2", "--mode", "analytic",
                              "--grid-n", "24")

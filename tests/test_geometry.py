@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose
 from hvsinglet import geometry
 from hvsinglet.geometry import (
     UNIT_ATOL,
+    _ROWS,
     GeometryError,
     RandomStream,
+    _fill_uniform_sphere,
     _map_ordered,
     as_generator,
     dot,
@@ -269,6 +271,33 @@ def test_vector_helpers_match_numpy_formulas():
         for d in directions + [a, -a]:
             for x in targets:
                 assert _outcome(with_dot, a, d, x) == _outcome(_old_with_dot, a, d, x)
+
+
+# ---------------------------------------------------------------------------
+# The chunked sphere fill against the one-pass formula it replaced
+
+
+def _one_pass_fill(rng, out):
+    """The sphere fill as one pass over all rows: the oracle for the chunked fill."""
+    m = len(out)
+    z = rng.uniform(-1.0, 1.0, size=m)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    out[:, 2] = z
+    np.multiply(r, np.cos(phi), out=out[:, 0])
+    np.multiply(r, np.sin(phi), out=out[:, 1])
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 4465])
+def test_chunked_sphere_fill_is_the_one_pass_formula(n):
+    assert _ROWS == 16384
+    new, old = np.full((n, 2, 3), 7.0), np.full((n, 2, 3), 7.0)
+    g_new, g_old = RandomStream(n + 5).generator(), RandomStream(n + 5).generator()
+    _fill_uniform_sphere(g_new, new[:, 1])
+    _one_pass_fill(g_old, old[:, 1])
+    assert new.tobytes() == old.tobytes()
+    assert np.all(new[:, 0] == 7.0)  # the other slot is left alone
+    assert g_new.random(9).tobytes() == g_old.random(9).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,46 @@ def test_kernel_redraws_match_table_redraws():
     assert np.array_equal(_tables_from_kernel(k), t)
 
 
+def _one_call_sample_valid(model, evaluate, gen, n, a, b):
+    """The redraw loop with one ``evaluate`` per round: the oracle for the chunked one."""
+    batches, values, need = [], [], n
+    while need > 0:
+        cand = model.lambda_space.sample(gen, need)
+        v, ok = evaluate(cand, a, b)
+        batches.append(cand.take(ok))
+        values.append(v[ok])
+        need -= int(np.count_nonzero(ok))
+    return LambdaBatch.concat(batches), np.concatenate(values, axis=0)
+
+
+def _holey_cerf():
+    cerf = cerf_model()
+
+    def sampler(gen, n):  # ~10% of the u draws orthogonal to Z force redraw rounds
+        batch = cerf.lambda_space.sampler(gen, n)
+        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
+        return batch
+
+    return HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
+                               kernel_rule=cerf.kernel_rule)
+
+
+@pytest.mark.parametrize("evaluator", ["kernel_masked", "tables_masked", "correlations_masked"])
+@pytest.mark.parametrize("name", ["cerf", "family2", "wrongtrial", "recipe", "holey"])
+def test_chunked_sample_valid_is_one_evaluate_call(name, evaluator):
+    m = {"recipe": lambda: build_recipe_model("cross_uab", 1.0),
+         "holey": _holey_cerf}.get(name, lambda: builtin_model(name))()
+    n = 3 * 16384 + 4465
+    b = unit([0.3, 0.1, 0.95])
+    got, v = _sample_valid(m, getattr(m, evaluator), RandomStream(31).generator(), n, Z, b)
+    want, w = _one_call_sample_valid(m, getattr(m, evaluator), RandomStream(31).generator(),
+                                     n, Z, b)
+    assert len(got) == n and v.shape == w.shape and v.dtype == w.dtype
+    assert got.scalars.tobytes() == want.scalars.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert v.tobytes() == w.tobytes()
+
+
 def _normalized_cerf_kernel(U, V, a, b):
     """The sign kernel with explicitly normalized u +- v: the reference rule."""
     su_arg = U @ a

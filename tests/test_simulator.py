@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hvsinglet.models import (
     LambdaPoint,
     LambdaSpace,
     _scalar_uniform_space,
+    _sample_valid,
     _tables_from_kernel,
     builtin_model,
     family1_model,
@@ -343,6 +346,63 @@ def test_kernel_estimate_equals_table_estimate_with_redraws():
     kern = estimate_correlation(m, Z, unit([0.3, 0.1, 0.95]), cfg)
     tab = estimate_correlation(_as_table_rule(m), Z, unit([0.3, 0.1, 0.95]), cfg)
     assert (kern.e_est, kern.stderr) == (tab.e_est, tab.stderr)
+
+
+# ---------------------------------------------------------------------------
+# Chunked blocks against the full-block rule they replaced
+
+
+def _full_block_estimate(model, a, b, cfg, pair_index):
+    """(e_est, stderr, n_shots) with each block's draws and sums taken whole."""
+    pair_stream = RandomStream(cfg.seed).split(2, pair_index)
+    parts = []
+    for i, n in enumerate(simulator._blocks(cfg.shots)):
+        gen = pair_stream.split(i).generator()
+        if cfg.mode == "analytic":
+            vals = _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
+        elif model.has_kernel:
+            _, k = _sample_valid(model, model.kernel_masked, gen, n, a, b)
+            diag, off = (1.0 - k) / 4.0, (1.0 + k) / 4.0
+            vals = _sample_products((diag, off, off, diag), gen)
+        else:
+            _, tables = sample_valid_tables(model, gen, n, a, b)
+            vals = _sample_products(tables.reshape(n, 4).T, gen)
+        parts.append((float(vals.sum()), float((vals * vals).sum()), len(vals)))
+    total = sum(p[0] for p in parts)
+    total_sq = sum(p[1] for p in parts)
+    n = sum(p[2] for p in parts)
+    e = total / n
+    var = max(0.0, (total_sq - n * e * e) / (n - 1))
+    return e, float(np.sqrt(var / n)), n
+
+
+@pytest.mark.parametrize("name", ["cerf", "family2", "wrongtrial", "cerf-tables"])
+@pytest.mark.parametrize("mode", ["sampling", "analytic"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunked_estimate_is_the_full_block_rule(name, mode, threads):
+    m = (_as_table_rule(builtin_model("cerf")) if name == "cerf-tables"
+         else builtin_model(name))
+    if mode == "analytic":  # no quadrature: the lambda-level Monte Carlo fallback
+        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.shape,
+                                                            m.lambda_space.sampler))
+    b = unit([0.25, -0.33, 0.91])
+    cfg = ExperimentConfig(shots=65536 + 3 * 16384 + 4465, mode=mode, seed=16, threads=threads)
+    got = estimate_correlation(m, Z, b, cfg, pair_index=1)
+    assert (got.e_est, got.stderr, got.n_shots) == _full_block_estimate(m, Z, b, cfg, 1)
+
+
+def test_one_block_memory_is_bounded():
+    m = builtin_model("cerf")
+    b = unit([0.25, -0.33, 0.91])
+    cfg = ExperimentConfig(shots=65536, seed=17)
+    estimate_correlation(m, Z, b, cfg)  # warm-up: lazy imports and caches stay out
+    tracemalloc.start()
+    try:
+        estimate_correlation(m, Z, b, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_500_000, peak
 
 
 # ---------------------------------------------------------------------------
