@@ -46,7 +46,7 @@ from .simulator import (
     write_chsh_csv,
     write_correlations_csv,
 )
-from .validator import ValidatorConfig, run_full_suite
+from .validator import _MAX_MC_SAMPLES, ValidatorConfig, run_full_suite
 
 EX_OK = 0
 EX_VIOLATION = 1
@@ -226,6 +226,8 @@ def cmd_validate(args) -> int:
     for flag in ("lambda_n", "settings_n", "mc_samples"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
+    if args.mc_samples > _MAX_MC_SAMPLES:
+        raise UsageError(f"--mc-samples must be <= {_MAX_MC_SAMPLES} (the stream split limit)")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model = _load_model(args)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .geometry import (
     SphereGrid,
     _clamp_unit,
     _fill_uniform_sphere,
+    _map_ordered,
     as_generator,
     dot,
     require_unit,
@@ -979,65 +980,146 @@ def builtin_model(name: str, *, seed: int = 0) -> HiddenVariableModel:
 
 def sample_valid_tables(model: HiddenVariableModel, source, n: int,
                         a, b) -> tuple[LambdaBatch, np.ndarray]:
-    """Draw n lambda values with defined tables at (a, b), redrawing bad rows.
+    """(batch, tables) of n lambda values with defined tables at (a, b).
 
-    Returns (batch, tables). For continuous measures the undefined set has
-    measure zero, so the redraw loop is a no-op almost surely; it exists so
-    hand-built degenerate settings (exactly orthogonal sign arguments)
-    cannot poison an estimate.
+    Bad rows are redrawn: almost surely a no-op for continuous measures, but
+    it keeps hand-built degenerate settings from poisoning an estimate.
     """
     return _sample_valid(model, model.tables_masked, source, n, a, b)
 
 
 def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
                   a, b) -> tuple[LambdaBatch, np.ndarray]:
-    """The redraw loop behind ``sample_valid_tables`` for any masked evaluator.
+    """The one-pair draw of ``_valid_rounds``, gathered into (batch, values).
 
-    ``evaluate(batch, a, b)`` returns (values, ok) with values indexed by
-    row: tables (n,2,2) from ``tables_masked``, kernels (n,) from
-    ``kernel_masked``. Draws are the same for every evaluator with the same
-    mask, so a kernel estimate consumes the stream exactly as a table one.
-    Each round draws all its candidates at once and evaluates them
-    ``_ROWS`` rows at a time into one output; every rule is row by row, so
-    the values are those of one call on the whole round.
+    ``evaluate`` is a masked evaluator such as ``tables_masked`` or
+    ``kernel_masked``; evaluators with the same mask draw the same rows.
     """
-    gen = as_generator(source)
-    batches: list[LambdaBatch] = []
-    values: list[np.ndarray] = []
-    need = int(n)
+    parts = [(cand.take(rows), v) for _, cand, rows, v
+             in _valid_rounds(model, evaluate, as_generator(source), n, [(a, b)])]
+    if len(parts) == 1:
+        return parts[0]
+    return LambdaBatch.concat([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _valid_rounds(model: HiddenVariableModel, evaluate, gen: np.random.Generator, n: int,
+                  pairs):
+    """Draw n lambda rows usable at each settings pair: the one redraw rule.
+
+    A round draws what the neediest pair lacks and evaluates it at every pair
+    still short; each keeps its first valid rows, up to what it lacks, and
+    yields (pair index, candidates, kept rows, kept values) if any. A pair
+    short after ``_MAX_REDRAW_ROUNDS`` rounds raises MeasureZeroError.
+    """
+    need = [int(n)] * len(pairs)
     for _ in range(_MAX_REDRAW_ROUNDS):
-        if need <= 0:
-            break
-        cand = model.lambda_space.sample(gen, need)
-        v, ok = _evaluate_chunked(evaluate, cand, a, b)
-        if np.all(ok):
-            batches.append(cand)
-            values.append(v)
-            need = 0
-            break
-        batches.append(cand.take(ok))
-        values.append(v[ok])
-        need -= int(np.count_nonzero(ok))
-    if need > 0:
-        raise MeasureZeroError(
-            f"model '{model.name}': sampling stalled, rule undefined on almost all draws"
-        )
-    if len(batches) == 1:
-        return batches[0], values[0]
-    return LambdaBatch.concat(batches), np.concatenate(values, axis=0)
+        if max(need) <= 0:
+            return
+        cand = model.lambda_space.sample(gen, max(need))
+        for p, (a, b) in enumerate(pairs):
+            if need[p] > 0:
+                v, ok = _evaluate_chunked(evaluate, cand, a, b)
+                rows = slice(need[p]) if ok.all() else np.flatnonzero(ok)[:need[p]]
+                v = v[rows]
+                need[p] -= len(v)
+                if len(v):
+                    yield p, cand, rows, v
+    if max(need) > 0:
+        raise MeasureZeroError(f"model '{model.name}': sampling stalled, rule undefined on "
+                               "almost all draws")
 
 
 def _evaluate_chunked(evaluate, batch: LambdaBatch, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``evaluate(batch, a, b)``, run on ``_ROWS``-row views into preallocated outputs."""
     n = len(batch)
+    v, m = evaluate(batch.take(slice(_ROWS)) if n > _ROWS else batch, a, b)
     if n <= _ROWS:
-        return evaluate(batch, a, b)
-    values = ok = None
-    for s in range(0, n, _ROWS):
-        v, m = evaluate(batch.take(slice(s, s + _ROWS)), a, b)
-        if values is None:
-            values = np.empty((n,) + v.shape[1:], dtype=v.dtype)
-            ok = np.empty(n, dtype=bool)
-        values[s:s + _ROWS] = v
-        ok[s:s + _ROWS] = m
+        return v, m
+    values, ok = np.empty((n,) + v.shape[1:], dtype=v.dtype), np.empty(n, dtype=bool)
+    values[:_ROWS], ok[:_ROWS] = v, m
+    for s in range(_ROWS, n, _ROWS):
+        values[s:s + _ROWS], ok[s:s + _ROWS] = evaluate(batch.take(slice(s, s + _ROWS)), a, b)
     return values, ok
+
+
+def _block_sizes(n: int, size: int) -> list[int]:
+    """The blocks a budget of n draws splits into: full ones, then the rest."""
+    return [size] * (n // size) + ([n % size] if n % size else [])
+
+
+class _Moments(NamedTuple):
+    """Sum, sum of squares, count, first value and spread of one pair's draws."""
+
+    total: Any = 0.0  # scalars, or arrays with one entry per table cell
+    total_sq: Any = 0.0
+    n: int = 0
+    first: Any = None
+    spread: Any = False  # True where some draw differs from the first
+
+    @staticmethod
+    def of(vals: np.ndarray) -> "_Moments":
+        first = np.array(vals[0])  # a copy: a view would hold the whole block
+        return _Moments(vals.sum(axis=0), (vals * vals).sum(axis=0), len(vals), first,
+                        (vals != first).any(axis=0))
+
+    def merge(self, later: "_Moments") -> "_Moments":
+        if later.first is None:
+            return self
+        first = later.first if self.first is None else self.first
+        spread = self.spread | later.spread | (later.first != first)
+        return _Moments(self.total + later.total, self.total_sq + later.total_sq,
+                        self.n + later.n, first, spread)
+
+    def estimate(self):
+        """(count, mean, stderr), variance divisor n - 1; no spread: the draw and stderr 0."""
+        n = self.n
+        mean = self.total / n if n else np.nan
+        if n < 2:  # one draw carries no estimate of its own spread
+            return n, mean, np.nan
+        var = np.maximum(0.0, (self.total_sq - n * mean * mean) / (n - 1))
+        return n, np.where(self.spread, mean, self.first), np.where(
+            self.spread, np.sqrt(var / n), 0.0)
+
+
+def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int,
+              block: int, *, threads: int = 1, per_block=None):
+    """The one Monte Carlo engine: lambda-means of ``evaluate`` at every pair.
+
+    n draws per pair, in blocks of ``block`` rows; block i comes from
+    ``stream.split(i)`` (counter-based streams: Salmon et al., SC'11), is
+    drawn once for all pairs and made whole by ``_valid_rounds``. Values are
+    reduced round by round, so a block holds one pair's values at a time;
+    with one pair, ``per_block(gen, values)`` may reduce its whole block after
+    the draws. Blocks run on ``_map_ordered`` and merge in order, so
+    ``threads`` changes no byte. Returns ([(count, mean, stderr)] per pair,
+    stall); see ``_Moments.estimate``. A block still short after its redraw
+    rounds ends the estimate: ``stall`` is its MeasureZeroError (else None);
+    its rows count, later blocks do not.
+    """
+    sizes = _block_sizes(n, block) if pairs else []
+    stalled: list[int] = []  # append-only; read only to skip work the merge drops
+
+    def run(i: int):
+        if any(j < i for j in stalled):
+            return None
+        gen = stream.split(i).generator()
+        moments = [_Moments()] * len(pairs)
+        try:
+            if per_block is not None:
+                [(a, b)] = pairs
+                vals = _sample_valid(model, evaluate, gen, sizes[i], a, b)[1]
+                return [per_block(gen, vals)], None
+            for p, _, _, v in _valid_rounds(model, evaluate, gen, sizes[i], pairs):
+                moments[p] = moments[p].merge(_Moments.of(v))
+        except MeasureZeroError as exc:
+            stalled.append(i)
+            return moments, exc
+        return moments, None
+
+    totals = [_Moments()] * len(pairs)
+    stall = None
+    for moments, stall in _map_ordered(run, range(len(sizes)), threads):
+        totals = [t.merge(m) for t, m in zip(totals, moments)]
+        if stall is not None:
+            break
+    return [t.estimate() for t in totals], stall

@@ -1,16 +1,12 @@
 """Correlation experiments: finite-shot sampling, analytic averages, CHSH.
 
-Sampling is organized in fixed 65536-shot blocks, each driven by its own
-counter-based stream derived from (seed, pair index, block index). Blocks
-are merged in index order, so estimates are bitwise identical for any
-thread count; ``threads`` buys wall time only. A block stays the unit of
-streams and of thread tasks, but its per-row math runs in chunks of
-``_ROWS`` (16384) rows, so each temporary is 128 KB: lambda and the kernel
-or tables are computed chunk by chunk into one block-sized output, and the
-outcome draws of each chunk follow in order. The chunks consume the
-block's stream exactly as one pass would, and a block's sum of +-1
-products is an exact integer however it is grouped, so no byte differs
-from an unchunked block.
+A pair's Monte Carlo estimate is the one-pair case of the MC engine
+(``models._mc_means``): 65536-shot blocks, block i drawn from the stream
+(seed, pair index, i) and made whole from further draws of that stream, then
+merged in index order, so estimates are bitwise identical for any thread
+count. A block's per-row math runs in 16384-row chunks (128 KB temporaries)
+that consume its stream as one pass would; its +-1 products sum to an exact
+integer however they are grouped.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -26,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _ROWS, _SPLIT_MAX, RandomStream, _map_ordered, require_unit, unit
-from .models import (HiddenVariableModel, LambdaPoint, _masked_rows, _sample_valid,
-                     sample_valid_tables)
+from .geometry import _ROWS, _SPLIT_MAX, RandomStream, require_unit, unit
+from .models import (HiddenVariableModel, LambdaPoint, _block_sizes, _masked_rows, _mc_means,
+                     _Moments)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -131,10 +127,7 @@ def _sample_products(cols, gen: np.random.Generator) -> np.ndarray:
 
 
 def _blocks(shots: int) -> list[int]:
-    sizes = [_BLOCK] * (shots // _BLOCK)
-    if shots % _BLOCK:
-        sizes.append(shots % _BLOCK)
-    return sizes
+    return _block_sizes(shots, _BLOCK)
 
 
 def estimate_correlation(model: HiddenVariableModel, a, b,
@@ -154,7 +147,6 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     a = require_unit(a, name="a")
     b = require_unit(b, name="b")
     e_qm = -float(np.clip(np.dot(a, b), -1.0, 1.0))
-    pair_stream = RandomStream(cfg.seed).split(2, pair_index)
 
     if cfg.mode == "analytic" and model.lambda_space.quadrature is not None:
         nodes, w = model.lambda_space.quadrature
@@ -164,44 +156,33 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
         return CorrelationEstimate(a, b, e, 0.0, e_qm, len(nodes), "analytic",
                                    cfg.seed)
 
-    sizes = _blocks(cfg.shots)
+    # kernel models draw outcomes from k and never build the tables (1 - sigma*tau*k)/4
+    evaluate = (model.correlations_masked if cfg.mode == "analytic" else
+                model.kernel_masked if model.has_kernel else model.tables_masked)
 
-    def block_columns(gen: np.random.Generator, n: int):
-        """The block's table columns, one ``_ROWS``-row chunk at a time."""
-        if model.has_kernel:  # tables (1 - sigma*tau*k)/4 are never built
-            k = _sample_valid(model, model.kernel_masked, gen, n, a, b)[1]
-            for s in range(0, n, _ROWS):
-                diag = (1.0 - k[s:s + _ROWS]) / 4.0
-                off = (1.0 + k[s:s + _ROWS]) / 4.0
-                yield diag, off, off, diag
-        else:
-            tables = sample_valid_tables(model, gen, n, a, b)[1]
-            for s in range(0, n, _ROWS):
-                yield tables[s:s + _ROWS].reshape(-1, 4).T
-
-    def mc_block(i: int) -> tuple[float, float, int]:
-        gen, n = pair_stream.split(i).generator(), sizes[i]
-        if cfg.mode == "analytic":
-            vals = _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
-            return float(vals.sum()), float((vals * vals).sum()), n
-        # products are +-1, so each chunk's sum and their total are exact
-        # integers: the bits of one sum over the block, and a sum of squares n
+    def per_block(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
+        if cfg.mode == "analytic":  # one sum over the block
+            return _Moments.of(vals)
         total = 0.0
-        for cols in block_columns(gen, n):
+        for s in range(0, len(vals), _ROWS):
+            if model.has_kernel:
+                diag = (1.0 - vals[s:s + _ROWS]) / 4.0
+                off = (1.0 + vals[s:s + _ROWS]) / 4.0
+                cols = diag, off, off, diag
+            else:
+                cols = vals[s:s + _ROWS].reshape(-1, 4).T
             total += float(_sample_products(cols, gen).sum())
-        return total, float(n), n
+        # +-1 products: exact integer chunk sums (the bits of one sum over the
+        # block), a sum of squares n, and all products equal exactly when |total| = n
+        n = len(vals)
+        return _Moments(total, float(n), n, total / n, abs(total) != n)
 
-    parts = _map_ordered(mc_block, range(len(sizes)), cfg.threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    e = total / n
-    if n < 2:  # one draw carries no estimate of its own spread
-        stderr = float("nan")
-    else:
-        var = max(0.0, (total_sq - n * e * e) / (n - 1))
-        stderr = float(np.sqrt(var / n))
-    return CorrelationEstimate(a, b, e, stderr, e_qm, n, cfg.mode, cfg.seed)
+    [(n, e, stderr)], stall = _mc_means(
+        model, evaluate, RandomStream(cfg.seed).split(2, pair_index), [(a, b)], cfg.shots,
+        _BLOCK, threads=cfg.threads, per_block=per_block)
+    if stall is not None:
+        raise stall
+    return CorrelationEstimate(a, b, float(e), float(stderr), e_qm, n, cfg.mode, cfg.seed)
 
 
 def run_experiment(model: HiddenVariableModel, settings,

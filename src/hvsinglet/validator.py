@@ -21,21 +21,18 @@ the canonical form P = (1 - sigma*tau*(a.b - C))/4:
 * qm-reproduction: lambda-averaged tables match the singlet table.
 
 Checks that integrate over lambda use the model's quadrature when it has
-one and fall back to Monte Carlo with 5-sigma gates otherwise; an MC check
-whose standard error is too large to resolve its tolerance (above 1e-2)
-reports ``inconclusive`` rather than guessing. An MC check draws its settings
-pairs first and then each 16384-row lambda block once, evaluating that block
-at every pair (common random numbers), so its pairs share their draws and the
-check holds one block and its temporaries at a time. ``run_full_suite``
-starts the two MC checks (qm-reproduction, then zero-average) ahead of the
-others, the longest jobs first. Models with a per-lambda kernel k are
-averaged through k instead of whole tables. A check that evaluated no rows,
-or an MC pair with fewer than two samples, reports
-``inconclusive``: there is no evidence to pass on. Neither is zero spread:
-a pair whose draws are all equal has stderr 0, which counts as z = 0 when
-the deviation is 0 too and leaves the pair unresolved otherwise. The checks
-take the correction from ``model.implied_c`` and their lambda rows from
-``LambdaSpace.nodes``.
+one and fall back to Monte Carlo otherwise. An MC check draws its settings
+pairs first; the one MC engine (``models._mc_means``, shared with the
+simulator) then draws 16384-row lambda blocks keyed by (check stream, block
+index), evaluates each block at every pair (common random numbers) and
+makes up the rows a pair cannot use from further draws of the same block.
+A pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
+than two samples, zero spread with a nonzero deviation or a stalled block
+leaves the check ``inconclusive`` rather than guessing, as does a check
+that evaluated no rows. ``run_full_suite`` starts the two MC checks ahead
+of the others, the longest jobs first. Kernel models are averaged through
+k instead of whole tables. The checks take the correction from
+``model.implied_c`` and their lambda rows from ``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -48,14 +45,15 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import (RandomStream, _map_ordered, as_generator, dot, sample_uniform_sphere,
-                       with_dot)
+from .geometry import (_ROWS, _SPLIT_MAX, RandomStream, _map_ordered, as_generator, dot,
+                       sample_uniform_sphere, with_dot)
 from .models import (
     _SIGMA_TAU,
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
     _masked_rows,
+    _mc_means,
     qm_table,
     setting_dot,
 )
@@ -98,7 +96,8 @@ CONSTRAINT_ORDER = (
 _SIGMA = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _TAU = np.array([[1.0, -1.0], [1.0, -1.0]])
 
-_MC_BLOCK = 16384
+# an MC check's block index takes one 20-bit stream-split field
+_MAX_MC_SAMPLES = _SPLIT_MAX * _ROWS
 # an MC check whose standard error exceeds this cannot resolve its tolerance
 _MC_STDERR_TOL = 1e-2
 
@@ -379,98 +378,47 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 # Integral constraints
 
 
-def _mc_estimates(model: HiddenVariableModel, gen, pairs, mc_samples: int, evaluate,
-                  compare):
-    """Per-pair Monte Carlo comparisons of the mean of ``evaluate`` values.
+def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_samples: int,
+                  evaluate, compare):
+    """An MC check: the compare/z step over the engine's per-pair means.
 
-    Common random numbers: each lambda block of up to ``_MC_BLOCK`` (16384)
-    rows is drawn once from ``gen`` and evaluated at every settings pair, one
-    pair at a time, so the pairs share their draws and no (block x pairs)
-    array is built. The block size bounds the check's memory: one block and
-    one pair's temporaries, about 2 MB for cerf. ``evaluate`` maps
-    (batch, a, b) to (values (n, ...), ok (n,)). Rows with ok False are
-    dropped and made up from later blocks until every pair holds
-    ``mc_samples`` values. A block that adds no row to any pair still short
-    of that stops the loop, and those pairs keep fewer values.
-
-    ``compare(a, b, mean, stderr)`` turns a pair's mean and standard error
-    (from the (n - 1) variance) into (dev, stderr) of the compared
-    quantities, and z = dev / stderr. Zero spread is not evidence: a value
-    whose draws are all equal has that draw as its mean and stderr 0,
-    exactly (rounding in the sums would otherwise fake a tiny stderr and
-    deviation); where stderr is 0, dev 0 gives z = 0 and any other dev
-    leaves z NaN.
-
-    Returns [(a, b, n, dev, stderr, z)] over the pairs with n >= 2 values,
-    the number of values used, and ``unresolved``: True when there are no
-    pairs, some pair has fewer than two values (one value has no spread to
-    estimate a stderr from) or some z is NaN.
+    The pairs come first, from ``source.generator()``; ``_mc_means`` then
+    averages ``evaluate`` over 16384-row lambda blocks keyed by
+    ``source.split(i)``. ``compare(a, b, mean, stderr)`` gives (dev, stderr)
+    and z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
+    for dev 0 and NaN otherwise. A pair fails above 5 sigma; else a stderr
+    above 1e-2 (with ``samples_needed``, from stderr ~ 1/sqrt(n)) or an
+    unresolved pair (none at all, a stalled block, fewer than two values, a
+    NaN z) makes the check inconclusive. Returns (the (a, b, n, dev, stderr,
+    z) of pairs with n >= 2, values used, status, details).
     """
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    sums: list = [0.0] * len(pairs)
-    sums_sq: list = [0.0] * len(pairs)
-    first: list = [None] * len(pairs)
-    spread: list = [False] * len(pairs)  # some draw differs from the first
-    while len(pairs) and (counts < mc_samples).any():
-        need = mc_samples - counts
-        batch = model.lambda_space.sample(gen, min(_MC_BLOCK, int(need.max())))
-        progress = False
-        for p, (a, b) in enumerate(pairs):
-            if need[p] <= 0:
-                continue
-            vals, ok = evaluate(batch, a, b)
-            if not ok.all():
-                vals = vals[ok]
-            vals = vals[:need[p]]
-            if len(vals) and not np.all(spread[p]):
-                if first[p] is None:
-                    first[p] = vals[0]
-                spread[p] = spread[p] | (vals != first[p]).any(axis=0)
-            sums[p] = sums[p] + vals.sum(axis=0)
-            sums_sq[p] = sums_sq[p] + (vals * vals).sum(axis=0)
-            counts[p] += len(vals)
-            progress = progress or len(vals) > 0
-        if not progress:
-            break
+    if not isinstance(source, RandomStream):  # the blocks are keyed by source.split(i)
+        raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
+    gen = source.generator()
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
+    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, _ROWS, threads=1)
     estimates = []
-    unresolved = not (len(pairs) and (counts >= 2).all())
-    for p, (a, b) in enumerate(pairs):
-        n = counts[p]
+    unresolved = not pairs or stall is not None
+    max_stderr, worst_z = 0.0, -np.inf
+    for (a, b), (n, mean, stderr) in zip(pairs, stats):
         if n < 2:
+            unresolved = True
             continue
-        mean = sums[p] / n
-        var = np.maximum(0.0, (sums_sq[p] - n * mean * mean) / (n - 1))
-        dev, stderr = compare(a, b, np.where(spread[p], mean, first[p]),
-                              np.where(spread[p], np.sqrt(var / n), 0.0))
+        dev, stderr = compare(a, b, mean, stderr)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, dev / stderr, np.where(dev == 0, 0.0, np.nan))
         unresolved = unresolved or bool(np.isnan(z).any())
-        estimates.append((a, b, int(n), dev, stderr, z))
-    return estimates, int(counts.sum()), unresolved
-
-
-def _mc_status(worst_z: float, max_stderr: float, unresolved: bool) -> CheckStatus:
-    """5-sigma fail gate, then inconclusive when any pair is unresolved."""
-    if worst_z > 5.0:
-        return CheckStatus.FAIL
-    if unresolved or max_stderr > _MC_STDERR_TOL:
-        return CheckStatus.INCONCLUSIVE
-    return CheckStatus.PASS
-
-
-def _mc_details(estimates, max_stderr: float, worst_z: float, status: CheckStatus) -> dict:
-    """Details of an MC check.
-
-    When a standard error above 1e-2 leaves the check inconclusive,
-    ``samples_needed`` is the per-pair sample count that would bring every
-    pair's standard error down to 1e-2, from stderr proportional to 1/sqrt(n).
-    """
+        max_stderr = max(max_stderr, float(np.max(stderr)))
+        worst_z = max(worst_z, float(np.max(np.where(np.isnan(z), -np.inf, z))))
+        estimates.append((a, b, n, dev, stderr, z))
+    status = (CheckStatus.FAIL if worst_z > 5.0 else CheckStatus.INCONCLUSIVE
+              if unresolved or max_stderr > _MC_STDERR_TOL else CheckStatus.PASS)
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
     if status is CheckStatus.INCONCLUSIVE and max_stderr > _MC_STDERR_TOL:
         details["samples_needed"] = max(
             math.ceil(n * (float(np.max(stderr)) / _MC_STDERR_TOL) ** 2)
             for _, _, n, _, stderr, _ in estimates)
-    return details
+    return estimates, sum(n for n, _, _ in stats), status, details
 
 
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
@@ -497,23 +445,13 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
             details={"mode": "quadrature"})
 
     # Monte Carlo path: per-setting mean of the implied correction
-    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    estimates, used, unresolved = _mc_estimates(
-        model, gen, pairs, mc_samples, model.implied_c,
+    estimates, used, status, details = _mc_estimates(
+        model, source, n_settings, mc_samples, model.implied_c,
         lambda a, b, mean, stderr: (np.abs(mean), stderr))
-    worst = None
-    max_stderr = 0.0
-    worst_z = -np.inf
-    for a, b, _, dev, stderr, z in estimates:
-        max_stderr = max(max_stderr, float(stderr))
-        if worst is None or dev > worst.value:
-            worst = Witness(dev, None, a, b)
-        if z > worst_z:  # False for NaN: an unresolved pair sets no z
-            worst_z = float(z)
-    status = _mc_status(worst_z, max_stderr, unresolved)
+    top = max(estimates, key=lambda e: e[3], default=None)  # the first largest deviation
+    worst = None if top is None else Witness(top[3], None, top[0], top[1])
     return ConstraintReport("zero-average", status, None if worst is None else worst.value,
-                            1e-2, used, worst,
-                            _mc_details(estimates, max_stderr, worst_z, status))
+                            1e-2, used, worst, details)
 
 
 def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int,
@@ -801,7 +739,6 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
 
     # Monte Carlo path: kernel models average k, whose mean kbar gives the
     # mean table (1 - sigma*tau*kbar)/4 with per-entry stderr stderr(k)/4
-    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
     evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
 
     def compare(a, b, mean, stderr):
@@ -809,21 +746,17 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
             mean, stderr = (1.0 - _SIGMA_TAU * mean) / 4.0, np.full((2, 2), stderr / 4.0)
         return np.abs(mean - qm_table(a, b)), stderr
 
-    estimates, used, unresolved = _mc_estimates(model, gen, pairs, mc_samples, evaluate,
-                                                compare)
-    worst_z = -np.inf
-    worst = None
-    max_stderr = 0.0
-    for a, b, _, dev, stderr, z in estimates:
-        max_stderr = max(max_stderr, float(stderr.max()))
+    estimates, used, status, details = _mc_estimates(model, source, n_settings, mc_samples,
+                                                     evaluate, compare)
+    worst, worst_z = None, -np.inf
+    for a, b, _, dev, _, z in estimates:
         z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
         i, j = divmod(int(z.argmax()), 2)
         if z[i, j] > worst_z:
             worst_z = float(z[i, j])
             worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
-    status = _mc_status(worst_z, max_stderr, unresolved)
     return ConstraintReport("qm-reproduction", status, None if worst is None else worst_z, 5.0,
-                            used, worst, _mc_details(estimates, max_stderr, worst_z, status))
+                            used, worst, details)
 
 
 # ---------------------------------------------------------------------------

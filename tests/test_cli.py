@@ -15,7 +15,7 @@ from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
 from hvsinglet.models import HiddenVariableModel, _scalar_uniform_space, qm_table
 from hvsinglet.simulator import _MAX_PAIRS, _MAX_SHOTS, CSV_HEADER
-from hvsinglet.validator import CONSTRAINT_ORDER
+from hvsinglet.validator import _MAX_MC_SAMPLES, CONSTRAINT_ORDER
 
 FAST_VALIDATE = ["--lambda-n", "200", "--settings-n", "10"]
 
@@ -395,6 +395,17 @@ def test_shots_over_split_limit_exit_64(capsys):
                              "--shots", str(_MAX_SHOTS + 1))
     assert code == EX_USAGE and out == ""
     assert f"shots must be <= {_MAX_SHOTS}" in err
+
+
+def test_mc_samples_over_split_limit_exit_64(capsys):
+    # 1048575 blocks of 16384 rows, each keyed by one 20-bit stream-split field
+    assert _MAX_MC_SAMPLES == 17179852800
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", "--model", "cerf",
+                             "--mc-samples", str(_MAX_MC_SAMPLES + 1))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EX_USAGE and out == ""
+    assert f"--mc-samples must be <= {_MAX_MC_SAMPLES}" in err
 
 
 def test_chsh_one_shot_reports_nan_stderr(capsys):

@@ -11,8 +11,10 @@ from numpy.testing import assert_allclose
 from hvsinglet import geometry
 from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
+    _MAX_REDRAW_ROUNDS,
     CFunction,
     HiddenVariableModel,
+    MeasureZeroError,
     LambdaBatch,
     OUTCOMES,
     LambdaSpace,
@@ -46,6 +48,7 @@ from hvsinglet.validator import (
     overall_exit_code,
     run_full_suite,
 )
+from hvsinglet.simulator import ExperimentConfig, estimate_correlation
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -197,6 +200,94 @@ def test_mc_budget_off_small_block_multiple_is_spent_exactly():
     assert rep.samples_used == 3 * budget
     rep = check_qm_reproduction(m, 2, stream(43), mc_samples=budget)
     assert rep.samples_used == 2 * budget
+
+
+def test_mc_blocks_are_keyed_by_check_stream_and_block_index():
+    # the pairs come from source.generator(), then block i of lambda from source.split(i)
+    m = builtin_model("cerf")
+    src = stream(45)
+    rep = check_zero_average(m, 1, src, mc_samples=2 * 16384 + 4465)
+    a, b = _random_pair(src.generator(), endpoint=False)
+    total = total_sq = 0.0
+    n = 0
+    for i, size in enumerate((16384, 16384, 4465)):
+        c, ok = m.implied_c(m.lambda_space.sample(src.split(i).generator(), size), a, b)
+        assert ok.all()
+        total += c.sum()
+        total_sq += (c * c).sum()
+        n += size
+    mean = total / n
+    stderr = float(np.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n))
+    assert rep.samples_used == n
+    assert np.array_equal(rep.witness.a, a) and np.array_equal(rep.witness.b, b)
+    assert rep.witness.value == abs(mean)
+    assert rep.details["max_stderr"] == stderr
+
+
+@pytest.mark.parametrize("check", [check_zero_average, check_qm_reproduction])
+def test_mc_path_needs_a_random_stream(check):
+    with pytest.raises(TypeError, match="RandomStream"):
+        check(builtin_model("cerf"), 2, stream(46).generator(), mc_samples=100)
+    # the quadrature path takes a generator as well, with the stream's draws
+    m = builtin_model("family1")
+    by_gen = check(m, 3, stream(46).generator())
+    assert by_gen.to_dict() == check(m, 3, stream(46)).to_dict()
+
+
+def _holey_everywhere_cerf():
+    """cerf with v = -u on ~10% of the draws: undefined at every settings pair.
+
+    Dropping those rows leaves u off the cap u_x > 0.8, so the model no longer
+    reproduces the singlet; the test needs only the redraws.
+    """
+    cerf = builtin_model("cerf")
+
+    def sampler(gen, n):
+        batch = cerf.lambda_space.sampler(gen, n)
+        hole = batch.vectors[:, 0, 0] > 0.8
+        batch.vectors[hole, 1] = -batch.vectors[hole, 0]
+        return batch
+
+    return HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
+                               kernel_rule=cerf.kernel_rule)
+
+
+def test_mc_redraws_spend_the_budget_exactly_and_repeat():
+    m = _holey_everywhere_cerf()
+    batch = m.lambda_space.sample(stream(47).generator(), 1000)
+    assert not m.kernel_masked(batch, X, Z)[1].all()  # the holes force redraw rounds
+    budget = 16384 + 4465
+    for check, n_settings in ((check_zero_average, 3), (check_qm_reproduction, 2)):
+        rep = check(m, n_settings, stream(48), mc_samples=budget)
+        assert rep.samples_used == n_settings * budget, rep.constraint_id
+        assert check(m, n_settings, stream(48), mc_samples=budget).to_dict() == rep.to_dict()
+
+
+def test_stalled_block_ends_the_estimate():
+    # a rule undefined on every row: one block's redraw rounds, then no more draws
+    space = _scalar_uniform_space(1.0, 16)
+    calls = []
+
+    def sampler(gen, n):
+        calls.append(n)
+        return space.sampler(gen, n)
+
+    def rule(batch, a, b):
+        return np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
+
+    m = HiddenVariableModel("nowhere", LambdaSpace(space.shape, sampler), kernel_rule=rule)
+    for check in (check_zero_average, check_qm_reproduction):
+        calls.clear()
+        rep = check(m, 2, stream(49), mc_samples=3 * 16384)
+        assert rep.status is CheckStatus.INCONCLUSIVE, rep.constraint_id
+        assert rep.samples_used == 0 and rep.witness is None
+        assert calls == [16384] * _MAX_REDRAW_ROUNDS
+    for threads in (1, 2):
+        with pytest.raises(MeasureZeroError, match="stalled"):
+            estimate_correlation(m, Z, X, ExperimentConfig(shots=3 * 65536, seed=1,
+                                                           threads=threads))
+    with pytest.raises(MeasureZeroError, match="stalled"):
+        estimate_correlation(m, Z, X, ExperimentConfig(shots=1000, mode="analytic", seed=1))
 
 
 @pytest.mark.parametrize("check, n_settings", [(check_qm_reproduction, 20),
