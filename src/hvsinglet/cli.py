@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .geometry import GeometryError, RandomStream, sample_uniform_sphere
 from .models import (
+    _MAX_GAUSS_NODES,
     ModelSpecError,
     RECIPE_REGISTRY,
     _masked_rows,
@@ -54,6 +55,19 @@ EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 
 _BUILTIN_FAMILIES = ("family1", "family2", "wrongtrial", "cerf")
+
+# Caps on the size flags, checked before any work. A lambda row costs about
+# 160 B at the peak of validate (~170 MB at 2**20 rows); a settings pair or a
+# scan point costs a list entry and a pass over the lambda rows; --grid-n is
+# the sphere's polar Gauss count; the MC block index takes one 20-bit
+# stream-split field.
+_SIZE_CAPS = {
+    "lambda_n": 1 << 20,
+    "settings_n": 1 << 16,
+    "points": 1 << 16,
+    "grid_n": _MAX_GAUSS_NODES,
+    "mc_samples": _MAX_MC_SAMPLES,
+}
 
 
 class UsageError(Exception):
@@ -151,7 +165,16 @@ def _resolve_seed(arg_seed: int | None, spec_seed) -> int:
     return 0
 
 
+def _check_caps(args, *flags: str) -> None:
+    """Reject a size flag above its cap in ``_SIZE_CAPS`` (exit 64)."""
+    for flag in flags:
+        value, cap = getattr(args, flag), _SIZE_CAPS[flag]
+        if value is not None and value > cap:
+            raise UsageError(f"--{flag.replace('_', '-')} must be <= {cap}, got {value}")
+
+
 def _load_model(args):
+    _check_caps(args, "grid_n")
     name = args.model
     if not os.path.exists(name) and name in _BUILTIN_FAMILIES:
         return model_from_spec({"family": name}, grid_n=args.grid_n)
@@ -226,8 +249,7 @@ def cmd_validate(args) -> int:
     for flag in ("lambda_n", "settings_n", "mc_samples"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-    if args.mc_samples > _MAX_MC_SAMPLES:
-        raise UsageError(f"--mc-samples must be <= {_MAX_MC_SAMPLES} (the stream split limit)")
+    _check_caps(args, "lambda_n", "settings_n", "mc_samples")
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model = _load_model(args)
@@ -278,12 +300,13 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    model = _load_model(args)
-    seed = _resolve_seed(args.seed, model.spec.get("seed"))
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     if args.lambda_n < 1:
         raise UsageError("--lambda-n must be at least 1")
+    _check_caps(args, "points", "lambda_n")
+    model = _load_model(args)
+    seed = _resolve_seed(args.seed, model.spec.get("seed"))
     batch, w = model.lambda_space.nodes(RandomStream(seed).split(13), args.lambda_n)
     a = np.array([0.0, 0.0, 1.0])
     tangent = np.array([1.0, 0.0, 0.0])
@@ -307,6 +330,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_build_recipe(args) -> int:
+    _check_caps(args, "grid_n")
     seed = _resolve_seed(args.seed, None)
     model = build_recipe_model(
         args.f, args.s, gamma=args.gamma, measure=args.scalar_measure,

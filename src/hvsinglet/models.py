@@ -43,7 +43,6 @@ from .geometry import (
     _ROWS,
     GeometryError,
     RandomStream,
-    SphereGrid,
     _clamp_unit,
     _fill_uniform_sphere,
     _map_ordered,
@@ -101,6 +100,14 @@ _MAX_REDRAW_ROUNDS = 100
 
 _FAMILIES = ("family1", "family2", "wrongtrial", "cerf", "recipe")
 _MEASURES = ("two_point", "uniform")
+
+# Quadrature size caps, checked before anything is built. leggauss(n) (the
+# uniform measure's nodes, the sphere's polar rule) solves an n x n
+# eigenproblem: 8 MB and 0.2 s at 1024. A validate run holds ~110 B per
+# quadrature node at its peak, so ~230 MB at the node cap.
+_MAX_GAUSS_NODES = 1024
+_MAX_AZIMUTH = 2048
+_MAX_QUAD_NODES = 1 << 21
 
 
 class ModelSpecError(ValueError):
@@ -547,6 +554,8 @@ def _scalar_uniform_space(gamma: float, n_nodes: int = 16) -> LambdaSpace:
     gamma = float(gamma)
     if n_nodes < 2:
         raise ModelSpecError("uniform measure needs at least 2 quadrature nodes")
+    if n_nodes > _MAX_GAUSS_NODES:
+        raise ModelSpecError(f"n_nodes must be <= {_MAX_GAUSS_NODES}, got {n_nodes}")
 
     def sampler(gen: np.random.Generator, n: int) -> LambdaBatch:
         return LambdaBatch(gen.uniform(-gamma, gamma, size=n)[:, None], np.zeros((n, 0, 3)))
@@ -569,9 +578,22 @@ def _scalar_space(measure: str, gamma: float, *, weights=None, n_nodes: int = 16
     raise ModelSpecError(f"unknown scalar_measure '{measure}' (known: {', '.join(_MEASURES)})")
 
 
-def _with_unit_vector(base: LambdaSpace, grid: SphereGrid) -> LambdaSpace:
-    """Product measure: base scalars times one uniform unit vector."""
+def _with_unit_vector(base: LambdaSpace, n_polar: int, n_azimuth: int) -> LambdaSpace:
+    """Product measure: base scalars times one uniform unit vector.
 
+    The vector's quadrature is ``sphere_quadrature(n_polar, n_azimuth)``,
+    built only once the sizes are within their caps.
+    """
+    for key, value, cap in (("n_polar", n_polar, _MAX_GAUSS_NODES),
+                            ("n_azimuth", n_azimuth, _MAX_AZIMUTH)):
+        if value > cap:
+            raise ModelSpecError(f"{key} must be <= {cap}, got {value}")
+    if base.quadrature is not None:
+        n = len(base.quadrature[0]) * n_polar * n_azimuth
+        if n > _MAX_QUAD_NODES:
+            raise ModelSpecError(f"the quadrature would have {n} nodes (scalar nodes x n_polar "
+                                 f"x n_azimuth); it must have <= {_MAX_QUAD_NODES}")
+    grid = sphere_quadrature(n_polar, n_azimuth)
     nv = base.shape.vectors
 
     def sampler(gen: np.random.Generator, n: int) -> LambdaBatch:
@@ -638,7 +660,7 @@ def family2_model(gamma: float = 0.5, measure: str = "two_point", *, weights=Non
     if not 0.0 < gamma <= 0.5:
         raise ModelSpecError(f"family2 needs 0 < gamma <= 0.5 for positivity, got {gamma}")
     base = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
-    space = _with_unit_vector(base, sphere_quadrature(n_polar, n_azimuth))
+    space = _with_unit_vector(base, n_polar, n_azimuth)
 
     def fn(batch: LambdaBatch, a, b):
         return family2_c(batch.scalars[:, 0], batch.vectors[:, 0, :], a, b)
@@ -758,21 +780,16 @@ RECIPE_REGISTRY: dict[str, RecipeFunction] = {
 _PROBE_PAIR = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def _quad_mean(f: RecipeFunction, nodes: LambdaBatch, weights: np.ndarray, a, b) -> float:
-    """Quadrature mean of f at one settings pair."""
-    return float(np.sum(weights * f.fn(nodes, a, b)))
-
-
 def _recipe_mean(f: RecipeFunction, nodes: LambdaBatch,
                  weights: np.ndarray) -> Callable[[np.ndarray, np.ndarray], float]:
     """The lambda-mean of f as a function of the settings, computed once.
 
-    A setting-independent f has one mean, the sum ``_quad_mean`` takes at
-    every pair; a bilinear f = a^T F b has the mean a^T M b with
-    M = sum w F, which differs from the per-pair sum by rounding only.
+    A setting-independent f has one mean, the quadrature sum at any pair; a
+    bilinear f = a^T F b has the mean a^T M b with M = sum w F, which differs
+    from the per-pair sum by rounding only.
     """
     if f.mean_matrix is None:
-        mean = _quad_mean(f, nodes, weights, *_PROBE_PAIR)
+        mean = float(np.sum(weights * f.fn(nodes, *_PROBE_PAIR)))
         return lambda a, b: mean
     m = f.mean_matrix(nodes, weights)
     return lambda a, b: float(a @ m @ b)
@@ -817,7 +834,7 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     f = RECIPE_REGISTRY[f_name]
     space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
     if f.needs_vector:
-        space = _with_unit_vector(space, sphere_quadrature(n_polar, n_azimuth))
+        space = _with_unit_vector(space, n_polar, n_azimuth)
 
     # sup|g| probe: quadrature nodes, fresh samples, and corner rows where
     # the scalar sits at an endpoint while the hidden vector (if any) is
@@ -850,10 +867,12 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     else:
         setting_pairs = [_PROBE_PAIR]
 
-    # the per-pair quadrature sum, not _recipe_mean: the stored scale keeps its bits
+    # the per-pair quadrature sum, not _recipe_mean, so the stored scale keeps
+    # its bits; the probe's first rows are the quadrature nodes
     sup = 0.0
     for a, b in setting_pairs:
-        g = f.fn(probe, a, b) - _quad_mean(f, qnodes, qweights, a, b)
+        v = f.fn(probe, a, b)
+        g = v - float(np.sum(qweights * v[:len(qnodes)]))
         sup = max(sup, float(np.max(np.abs(g))))
 
     bound = frobenius_bound(s)
@@ -953,7 +972,7 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
         raise ModelSpecError(f"recipe scale must be positive, got {scale}")
     space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
     if f.needs_vector:
-        space = _with_unit_vector(space, sphere_quadrature(n_polar, n_azimuth))
+        space = _with_unit_vector(space, n_polar, n_azimuth)
     full = {**spec, "parameters": params, "gamma": gamma, "scalar_measure": measure}
     return HiddenVariableModel("recipe", space, c_function=_recipe_c_function(space, f, s, scale),
                                spec=full)
@@ -1057,10 +1076,15 @@ class _Moments(NamedTuple):
     spread: Any = False  # True where some draw differs from the first
 
     @staticmethod
-    def of(vals: np.ndarray) -> "_Moments":
+    def of(vals: np.ndarray, spread: bool = False) -> "_Moments":
+        """The moments of one round's values.
+
+        ``spread`` True (the pair's draws are known to differ already) skips
+        comparing each row with the first.
+        """
         first = np.array(vals[0])  # a copy: a view would hold the whole block
         return _Moments(vals.sum(axis=0), (vals * vals).sum(axis=0), len(vals), first,
-                        (vals != first).any(axis=0))
+                        True if spread else (vals != first).any(axis=0))
 
     def merge(self, later: "_Moments") -> "_Moments":
         if later.first is None:
@@ -1081,8 +1105,8 @@ class _Moments(NamedTuple):
             self.spread, np.sqrt(var / n), 0.0)
 
 
-def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int,
-              block: int, *, threads: int = 1, per_block=None):
+def _mc_means(model: HiddenVariableModel, evaluate, pairs, stream: RandomStream, n: int, *,
+              block: int, threads: int = 1, per_block=None):
     """The one Monte Carlo engine: lambda-means of ``evaluate`` at every pair.
 
     n draws per pair, in blocks of ``block`` rows; block i comes from
@@ -1098,6 +1122,10 @@ def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs,
     """
     sizes = _block_sizes(n, block) if pairs else []
     stalled: list[int] = []  # append-only; read only to skip work the merge drops
+    # per pair, the index of a block whose draws differed (else len(sizes)).
+    # A later block skips the compare: a merge that reaches it has merged that
+    # block's spread, so the result is the same whatever the threads interleave.
+    spread_in = [len(sizes)] * len(pairs)
 
     def run(i: int):
         if any(j < i for j in stalled):
@@ -1110,7 +1138,9 @@ def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs,
                 vals = _sample_valid(model, evaluate, gen, sizes[i], a, b)[1]
                 return [per_block(gen, vals)], None
             for p, _, _, v in _valid_rounds(model, evaluate, gen, sizes[i], pairs):
-                moments[p] = moments[p].merge(_Moments.of(v))
+                moments[p] = moments[p].merge(_Moments.of(v, spread_in[p] < i))
+                if i < spread_in[p] and np.all(moments[p].spread):
+                    spread_in[p] = i
         except MeasureZeroError as exc:
             stalled.append(i)
             return moments, exc
@@ -1123,3 +1153,23 @@ def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs,
         if stall is not None:
             break
     return [t.estimate() for t in totals], stall
+
+
+def _lambda_means(model: HiddenVariableModel, evaluate, pairs, source, n: int, **mc):
+    """The lambda-mean of ``evaluate`` at every settings pair: the one primitive.
+
+    With a quadrature it evaluates one pair at a time and sums w * v over the
+    nodes valid at that pair (count: the node count, stderr 0.0); without one
+    it is ``_mc_means`` with n draws per pair from ``source`` and the keywords
+    ``mc``. Returns ([(count, mean, stderr)] per pair, stall).
+    """
+    if model.lambda_space.quadrature is None:
+        return _mc_means(model, evaluate, pairs, source, n, **mc)
+    nodes, w = model.lambda_space.quadrature
+    stats = []
+    for a, b in pairs:
+        v, ok = evaluate(nodes, a, b)
+        w_ok, v_ok = _masked_rows(ok, w, v)
+        # w times each row, whatever its shape; for k or C this is np.sum(w * v)
+        stats.append((len(nodes), np.sum((v_ok.T * w_ok).T, axis=0), 0.0))
+    return stats, None

@@ -20,18 +20,19 @@ the canonical form P = (1 - sigma*tau*(a.b - C))/4:
   (eps/4)(1 +- 2^(s+-) eps^(s-+ - 1) G);
 * qm-reproduction: lambda-averaged tables match the singlet table.
 
-Checks that integrate over lambda use the model's quadrature when it has
-one and fall back to Monte Carlo otherwise. An MC check draws its settings
-pairs first; the one MC engine (``models._mc_means``, shared with the
-simulator) then draws 16384-row lambda blocks keyed by (check stream, block
-index), evaluates each block at every pair (common random numbers) and
-makes up the rows a pair cannot use from further draws of the same block.
-A pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
-than two samples, zero spread with a nonzero deviation or a stalled block
-leaves the check ``inconclusive`` rather than guessing, as does a check
-that evaluated no rows. ``run_full_suite`` starts the two MC checks ahead
-of the others, the longest jobs first. Kernel models are averaged through
-k instead of whole tables. The checks take the correction from
+The two integral checks draw their settings pairs first and take every
+lambda-mean from one primitive, ``models._lambda_means``, shared with the
+simulator: the model's quadrature sum when it has one, else the one MC
+engine (``models._mc_means``), which draws 16384-row lambda blocks keyed by
+(check stream, block index), evaluates each block at every pair (common
+random numbers) and makes up the rows a pair cannot use from further draws
+of the same block. In both modes kernel models average k, not whole
+tables, so no check builds tables over the quadrature. An MC pair fails at
+5 sigma; a standard error above 1e-2, a pair with fewer than two samples,
+zero spread with a nonzero deviation or a stalled block leaves the check
+``inconclusive`` rather than guessing, as does a check that evaluated no
+rows. ``run_full_suite`` starts the two MC checks ahead of the others, the
+longest jobs first. The checks take the correction from
 ``model.implied_c`` and their lambda rows from ``LambdaSpace.nodes``.
 """
 
@@ -52,8 +53,7 @@ from .models import (
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
-    _masked_rows,
-    _mc_means,
+    _lambda_means,
     qm_table,
     setting_dot,
 )
@@ -378,14 +378,40 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 # Integral constraints
 
 
+def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel, source,
+                      n_settings: int, evaluate, deviation) -> ConstraintReport:
+    """A quadrature integral check: ``deviation(a, b, mean)`` <= tol at every pair.
+
+    The deviation is one value or a 2x2 array over (sigma, tau); the first
+    largest is the witness, with its pair and outcomes.
+    """
+    if n_settings < 1:
+        return _no_evidence(constraint_id, tol, {"mode": "quadrature"})
+    gen = as_generator(source)
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
+    stats, _ = _lambda_means(model, evaluate, pairs, source, 0)
+    worst = Witness(-np.inf)
+    for (a, b), (_, mean, _) in zip(pairs, stats):
+        dev = np.ravel(deviation(a, b, mean))
+        j = int(dev.argmax())
+        if dev[j] > worst.value:
+            outcomes = (OUTCOMES[j // 2], OUTCOMES[j % 2]) if len(dev) > 1 else ()
+            worst = Witness(float(dev[j]), None, a, b, *outcomes)
+    status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
+    return ConstraintReport(constraint_id, status, worst.value, tol,
+                            sum(n for n, _, _ in stats), worst, details={"mode": "quadrature"})
+
+
 def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_samples: int,
                   evaluate, compare):
-    """An MC check: the compare/z step over the engine's per-pair means.
+    """An MC check: the compare/z step over the per-pair lambda-means.
 
-    The pairs come first, from ``source.generator()``; ``_mc_means`` then
-    averages ``evaluate`` over 16384-row lambda blocks keyed by
-    ``source.split(i)``. ``compare(a, b, mean, stderr)`` gives (dev, stderr)
-    and z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
+    The pairs come first, from ``source.generator()``; the one lambda-mean
+    primitive, ``_lambda_means`` (here the MC engine: the model has no
+    quadrature), then averages ``evaluate`` over 16384-row lambda blocks
+    keyed by ``source.split(i)``. Kernel models average k, as they do with a
+    quadrature. ``compare(a, b, mean, stderr)`` gives (dev, stderr) and
+    z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
     for dev 0 and NaN otherwise. A pair fails above 5 sigma; else a stderr
     above 1e-2 (with ``samples_needed``, from stderr ~ 1/sqrt(n)) or an
     unresolved pair (none at all, a stalled block, fewer than two values, a
@@ -396,7 +422,7 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
         raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
     gen = source.generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, _ROWS, threads=1)
+    stats, stall = _lambda_means(model, evaluate, pairs, source, mc_samples, block=_ROWS)
     estimates = []
     unresolved = not pairs or stall is not None
     max_stderr, worst_z = 0.0, -np.inf
@@ -424,25 +450,9 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
                        mc_samples: int = 1_000_000) -> ConstraintReport:
     """The lambda-average of C (or of the implied correction) must vanish."""
-    gen = as_generator(source)
-    quad = model.lambda_space.quadrature
-    if quad is not None:
-        nodes, w = quad
-        tol = 1e-10
-        if n_settings < 1:
-            return _no_evidence("zero-average", tol, {"mode": "quadrature"})
-        worst = Witness(-np.inf)
-        for _ in range(n_settings):
-            a, b = _random_pair(gen, endpoint=False)
-            c, ok = model.implied_c(nodes, a, b)
-            w_ok, c_ok = _masked_rows(ok, w, c)
-            val = abs(float((w_ok * c_ok).sum()))
-            if val > worst.value:
-                worst = Witness(val, None, a, b)
-        status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
-        return ConstraintReport(
-            "zero-average", status, worst.value, tol, n_settings * len(nodes), worst,
-            details={"mode": "quadrature"})
+    if model.lambda_space.quadrature is not None:
+        return _quadrature_check("zero-average", 1e-10, model, source, n_settings,
+                                 model.implied_c, lambda a, b, mean: abs(float(mean)))
 
     # Monte Carlo path: per-setting mean of the implied correction
     estimates, used, status, details = _mc_estimates(
@@ -562,11 +572,11 @@ def check_exponent_bound(model: HiddenVariableModel, source,
                             details=details)
 
 
-def _g_values(c, a, b, s_plus, s_minus):
+def _g_values(c, a, b, s_plus, s_minus, out=None):
     """Reduced amplitude G = C / ((1+a.b)^s+ (1-a.b)^s-) from C's values."""
     x = dot(a, b)
     pref = (1.0 + x) ** s_plus * (1.0 - x) ** s_minus
-    return c / pref
+    return np.divide(c, pref, out=out)
 
 
 def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1e-6,
@@ -678,21 +688,29 @@ def check_expansion(model: HiddenVariableModel, source,
                 b = with_dot(a, tangent, x)
                 # a canonical model's entries are (1 -+ k)/4 with k = a.b - C,
                 # the entries tables_masked would build, without the other
-                # three; C is evaluated once for k and G
+                # three. C is evaluated once; the entry, G, the formula and rel
+                # take C's buffer and one more, each with the operations of the
+                # whole-array expression it replaces, in the same order.
                 c = model.c_values(nodes, a, b)
-                k = setting_dot(a, b) - c
+                if not c.flags.owndata:  # a view may alias the nodes: never write into it
+                    c = c.copy()
+                exact = np.subtract(setting_dot(a, b), c)  # k, then the entry
                 used += len(nodes)
-                g = _g_values(c, a, b, sp, sm)
-                if sign > 0:
-                    exact = (1.0 - k) / 4.0  # sigma = tau = +1
-                    formula = (eps / 4.0) * (1.0 + 2.0**sp * eps ** (sm - 1.0) * g)
-                else:
-                    exact = (1.0 + k) / 4.0  # sigma = +1, tau = -1
-                    formula = (eps / 4.0) * (1.0 - 2.0**sm * eps ** (sp - 1.0) * g)
+                g = _g_values(c, a, b, sp, sm, out=c)
+                if sign > 0:  # sigma = tau = +1: (1 - k)/4, (eps/4) (1 + 2^s+ eps^(s- - 1) G)
+                    np.subtract(1.0, exact, out=exact)
+                    np.add(1.0, np.multiply(2.0**sp * eps ** (sm - 1.0), g, out=g), out=g)
+                else:  # sigma = +1, tau = -1: (1 + k)/4, (eps/4) (1 - 2^s- eps^(s+ - 1) G)
+                    np.add(1.0, exact, out=exact)
+                    np.subtract(1.0, np.multiply(2.0**sm * eps ** (sp - 1.0), g, out=g), out=g)
+                np.divide(exact, 4.0, out=exact)
+                formula = np.multiply(eps / 4.0, g, out=g)
                 if negative is None and float(exact.min()) < -1e-12:
                     j = int(exact.argmin())
                     negative = Witness(float(exact[j]), nodes.point(j), a, b)
-                rel = np.abs(formula - exact) / np.maximum(exact, eps / 40.0)
+                # rel = |formula - exact| / max(exact, eps/40)
+                rel = np.abs(np.subtract(formula, exact, out=formula), out=formula)
+                np.divide(rel, np.maximum(exact, eps / 40.0, out=exact), out=rel)
                 j = int(rel.argmax())
                 if rel[j] / eps > worst_ratio:
                     worst_ratio = float(rel[j]) / eps
@@ -715,36 +733,25 @@ def check_expansion(model: HiddenVariableModel, source,
 
 def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *,
                           mc_samples: int = 1_000_000) -> ConstraintReport:
-    """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4."""
-    gen = as_generator(source)
-    quad = model.lambda_space.quadrature
-    if quad is not None:
-        nodes, w = quad
-        tol = 1e-9
-        if n_settings < 1:
-            return _no_evidence("qm-reproduction", tol, {"mode": "quadrature"})
-        worst = Witness(-np.inf)
-        for _ in range(n_settings):
-            a, b = _random_pair(gen, endpoint=False)
-            tables, ok = model.tables_masked(nodes, a, b)
-            avg = np.einsum("n,nij->ij", *_masked_rows(ok, w, tables))
-            dev = np.abs(avg - qm_table(a, b))
-            i, j = divmod(int(dev.argmax()), 2)
-            if dev[i, j] > worst.value:
-                worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
-        status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
-        return ConstraintReport("qm-reproduction", status, worst.value, tol,
-                                n_settings * len(nodes), worst,
-                                details={"mode": "quadrature"})
+    """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4.
 
-    # Monte Carlo path: kernel models average k, whose mean kbar gives the
-    # mean table (1 - sigma*tau*kbar)/4 with per-entry stderr stderr(k)/4
+    Kernel models average k in both modes: its mean kbar gives the mean table
+    (1 - sigma*tau*kbar)/4, with per-entry stderr stderr(k)/4. Direct rules
+    average their tables.
+    """
     evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
+
+    def mean_table(mean):
+        return (1.0 - _SIGMA_TAU * mean) / 4.0 if model.has_kernel else mean
+
+    if model.lambda_space.quadrature is not None:
+        return _quadrature_check("qm-reproduction", 1e-9, model, source, n_settings, evaluate,
+                                 lambda a, b, mean: np.abs(mean_table(mean) - qm_table(a, b)))
 
     def compare(a, b, mean, stderr):
         if model.has_kernel:
-            mean, stderr = (1.0 - _SIGMA_TAU * mean) / 4.0, np.full((2, 2), stderr / 4.0)
-        return np.abs(mean - qm_table(a, b)), stderr
+            stderr = np.full((2, 2), stderr / 4.0)
+        return np.abs(mean_table(mean) - qm_table(a, b)), stderr
 
     estimates, used, status, details = _mc_estimates(model, source, n_settings, mc_samples,
                                                      evaluate, compare)

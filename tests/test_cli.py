@@ -408,6 +408,55 @@ def test_mc_samples_over_split_limit_exit_64(capsys):
     assert f"--mc-samples must be <= {_MAX_MC_SAMPLES}" in err
 
 
+def _spec_file(tmp_path, family, measure="two_point", **params):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": family, "scalar_measure": measure,
+                                "parameters": params}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "--model", "family1", "--lambda-n", 2**20 + 1), "--lambda-n must be <= 1048576"),
+    (("validate", "--model", "family1", "--settings-n", 2**16 + 1),
+     "--settings-n must be <= 65536"),
+    (("validate", "--model", "family2", "--grid-n", 1025), "--grid-n must be <= 1024"),
+    (("simulate", "--model", "family2", "--settings", "random:1", "--grid-n", 1025),
+     "--grid-n must be <= 1024"),
+    (("scan", "--model", "family1", "--points", 2**16 + 1), "--points must be <= 65536"),
+    (("scan", "--model", "cerf", "--lambda-n", 2**20 + 1), "--lambda-n must be <= 1048576"),
+    (("build-recipe", "cross_uab", "1", "--grid-n", 1025), "--grid-n must be <= 1024"),
+    (("validate", "--model", ("family1", "uniform", {"n_nodes": 1025})),
+     "n_nodes must be <= 1024"),
+    (("validate", "--model", ("family2", "two_point", {"n_polar": 1025})),
+     "n_polar must be <= 1024"),
+    (("validate", "--model", ("family2", "two_point", {"n_azimuth": 2049})),
+     "n_azimuth must be <= 2048"),
+    # each key within its cap, but 8 x 1024 x 2048 nodes
+    (("validate", "--model", ("family2", "uniform", {"n_polar": 1024, "n_azimuth": 2048})),
+     "it must have <= 2097152"),
+])
+def test_size_inputs_over_cap_exit_64_before_any_work(tmp_path, capsys, argv, message):
+    argv = [_spec_file(tmp_path, a[0], a[1], **a[2]) if isinstance(a, tuple) else str(a)
+            for a in argv]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EX_USAGE and out == "" and not (tmp_path / "out").exists()
+    assert message in err
+
+
+@pytest.mark.parametrize("family, measure, params, extra", [
+    ("family1", "uniform", {"n_nodes": 1024}, ()),
+    ("family2", "two_point", {"n_polar": 1024, "n_azimuth": 8}, ()),
+    ("family2", "two_point", {"n_polar": 4, "n_azimuth": 2048}, ()),
+    ("family1", "two_point", {}, ("--grid-n", "1024")),  # family1 has no sphere grid
+])
+def test_size_inputs_at_cap_are_accepted(tmp_path, capsys, family, measure, params, extra):
+    spec = _spec_file(tmp_path, family, measure, **params)
+    code, out, _ = run_cli(capsys, "scan", "--model", spec, "--points", "2", *extra)
+    assert code == EX_OK and out.count("\n") == 3
+
+
 def test_chsh_one_shot_reports_nan_stderr(capsys):
     code, out, err = run_cli(capsys, "chsh", "--model", "cerf", "--shots", "1")
     assert code == EX_OK

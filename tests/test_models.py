@@ -35,6 +35,8 @@ from hvsinglet.models import (
     setting_dot,
     wrongtrial_model,
     _cerf_kernel,
+    _mc_means,
+    _Moments,
     _recipe_mean,
     _sample_valid,
     _scalar_space,
@@ -652,6 +654,21 @@ def test_recipe_and_weights_reject_non_finite_numbers():
             model_from_spec({"family": "family1", "parameters": {"weights": [0.5, bad]}})
 
 
+def test_recipe_probe_rows_give_the_quadrature_values():
+    # the builder's sup probe takes each pair's quadrature mean from the probe's
+    # first rows, which must be f over the nodes bit for bit (the stored scale
+    # keeps its bits)
+    gen = RandomStream(72).generator()
+    pairs = list(zip(sample_uniform_sphere(gen, 8), sample_uniform_sphere(gen, 8)))
+    for name, f in RECIPE_REGISTRY.items():
+        for measure in ("uniform", "two_point"):
+            space = build_recipe_model(name, 1.0, measure=measure).lambda_space
+            nodes, w = space.quadrature
+            probe = LambdaBatch.concat([nodes, space.sample(gen, 4096)])
+            for a, b in pairs:
+                assert np.array_equal(f.fn(probe, a, b)[:len(nodes)], f.fn(nodes, a, b))
+
+
 def test_recipe_build_is_deterministic():
     a = build_recipe_model("cross_uab", 1.0, seed=5, n_polar=8, n_azimuth=16)
     b = build_recipe_model("cross_uab", 1.0, seed=5, n_polar=8, n_azimuth=16)
@@ -708,3 +725,77 @@ def test_model_from_spec_grid_override():
 def test_builtin_model_names():
     for name in ("family1", "family2", "wrongtrial", "cerf"):
         assert builtin_model(name).name == name
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo moments
+
+
+def _constant_k_model():
+    def rule(batch, a, b):  # k = a.b on every draw: no pair ever shows spread
+        return np.full(len(batch), setting_dot(a, b)), np.ones(len(batch), dtype=bool)
+
+    return HiddenVariableModel("constant-k", cerf_model().lambda_space, kernel_rule=rule)
+
+
+@pytest.mark.parametrize("which", ["kernel", "tables", "constant"])
+def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
+    model = _constant_k_model() if which == "constant" else cerf_model()
+    evaluate = model.tables_masked if which == "tables" else model.kernel_masked
+    pairs = [(Z, X), (X, unit([1.0, 1.0, 0.0])), (Z, unit([0.0, 0.6, 0.8]))]
+    of, seen = _Moments.of, []
+
+    def run(threads):
+        stats, stall = _mc_means(model, evaluate, pairs, RandomStream(61), 4 * 4096 + 100,
+                                 block=4096, threads=threads)
+        assert stall is None
+        return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
+
+    def recorded(vals, spread=False):
+        seen.append(bool(spread))
+        return of(vals, spread)
+
+    def every_row(vals, spread=False):  # the rule before the skip: always compare
+        return of(vals)
+
+    monkeypatch.setattr(_Moments, "of", staticmethod(recorded))
+    skipping = run(1)
+    # five blocks per pair: cerf's first block shows spread, so the other four skip
+    assert sum(seen) == (0 if which == "constant" else 4 * len(pairs))
+    threaded = run(2)
+    monkeypatch.setattr(_Moments, "of", staticmethod(every_row))
+    reference = run(1)
+    for new, two, old in zip(skipping, threaded, reference):
+        assert np.array_equal(new, old, equal_nan=True)
+        assert np.array_equal(two, old, equal_nan=True)
+
+
+def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
+    # k = +1 on a rare lambda set: most 64-row blocks show no spread and a
+    # few do, so which blocks skip the compare depends on how the threads
+    # interleave; the estimates must not
+    from hvsinglet import geometry
+
+    def rule(batch, a, b):
+        k = np.where(batch.vectors[:, 0, 2] > 0.99, 1.0, -1.0)
+        return k, np.ones(len(batch), dtype=bool)
+
+    model = HiddenVariableModel("rare-spread", cerf_model().lambda_space, kernel_rule=rule)
+    pairs = [(Z, X), (X, Z)]
+
+    def run(threads):
+        stats, stall = _mc_means(model, model.kernel_masked, pairs, RandomStream(62), 200 * 64,
+                                 block=64, threads=threads)
+        assert stall is None
+        return [np.array(s, dtype=float) for s in stats]
+
+    serial = run(1)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for got, want in zip(run(8), serial):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)

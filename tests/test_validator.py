@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hvsinglet import geometry
-from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
+from hvsinglet.geometry import (RandomStream, as_generator, dot, sample_uniform_sphere, unit,
+                                with_dot)
 from hvsinglet.models import (
     _MAX_REDRAW_ROUNDS,
     CFunction,
@@ -22,7 +23,9 @@ from hvsinglet.models import (
     build_recipe_model,
     family1_model,
     qm_table,
+    setting_dot,
     _tables_from_kernel,
+    _lambda_means,
     _scalar_two_point_space,
     _scalar_uniform_space,
 )
@@ -575,6 +578,128 @@ def test_expansion_evaluates_c_once_per_pair():
     assert rep.to_dict() == check_expansion(base, stream(21), n_axes=2, n_lambda=64).to_dict()
 
 
+def _quadrature_model(name):
+    recipes = {"square": ("square", 2.0), "cross_uab": ("cross_uab", 1.0)}
+    return build_recipe_model(*recipes[name]) if name in recipes else builtin_model(name)
+
+
+@pytest.mark.parametrize("check, args", [(check_qm_reproduction, (20,)), (check_expansion, ())])
+def test_quadrature_check_memory_peak_on_cross_uab(check, args):
+    # 32768 nodes: C's evaluation and its temporaries, no (n, 2, 2) tables, and
+    # the expansion's arithmetic in two buffers. Warm up outside the trace.
+    m = _quadrature_model("cross_uab")
+    check(m, *args, stream(53))
+    tracemalloc.start()
+    try:
+        rep = check(m, *args, stream(53))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.status is CheckStatus.PASS
+    assert peak <= 1_300_000, peak
+
+
+@pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
+def test_quadrature_means_keep_the_old_sums(name):
+    # the primitive's quadrature branch against the sums it replaced:
+    # zero-average's abs(sum(w * C)) and analytic simulate's sum(w * correlator)
+    m = _quadrature_model(name)
+    nodes, w = m.lambda_space.quadrature
+    gen = stream(54).generator()
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(6)]
+    stats, stall = _lambda_means(m, m.implied_c, pairs, None, 0)
+    assert stall is None
+    old_zero = []
+    for (a, b), (n, mean, stderr) in zip(pairs, stats):
+        c, ok = m.implied_c(nodes, a, b)
+        old_zero.append(abs(float((w[ok] * c[ok]).sum())))
+        assert (n, abs(float(mean)), stderr) == (len(nodes), old_zero[-1], 0.0)
+    rep = check_zero_average(m, len(pairs), stream(54))
+    worst = int(np.argmax(old_zero))
+    assert rep.extremal_value == old_zero[worst]
+    assert np.array_equal(rep.witness.a, pairs[worst][0])
+    for a, b in pairs[:3]:
+        corr, ok = m.correlations_masked(nodes, a, b)
+        est = estimate_correlation(m, a, b, ExperimentConfig(mode="analytic", seed=3))
+        assert (est.e_est, est.stderr, est.n_shots) == (float(np.sum(w[ok] * corr[ok])), 0.0,
+                                                        len(nodes))
+
+
+@pytest.mark.parametrize("name", ["family2", "square", "cross_uab"])
+def test_qm_k_sum_table_matches_the_table_einsum(name):
+    # qm-reproduction's mean table (1 - sigma*tau*kbar)/4 against the weighted
+    # sum of whole tables it replaced. The einsum table itself sits up to
+    # 7.2e-15 from the singlet table on cross_uab's 32768 nodes, the k sum
+    # within 6e-17, so the two agree to 1e-14, not to the sum's last bits.
+    m = _quadrature_model(name)
+    nodes, w = m.lambda_space.quadrature
+    gen = stream(55).generator()
+    for _ in range(20):
+        a, b = _random_pair(gen, endpoint=False)
+        [(_, kbar, _)], _ = _lambda_means(m, m.kernel_masked, [(a, b)], None, 0)
+        tables, ok = m.tables_masked(nodes, a, b)
+        assert ok.all()
+        by_k = _tables_from_kernel(kbar)
+        by_tables = np.einsum("n,nij->ij", w, tables)
+        assert np.abs(by_k - by_tables).max() <= 1e-14
+        assert np.abs(by_k - qm_table(a, b)).max() <= 1e-16
+
+
+def _expansion_reference(model, source, eps_list, n_axes):
+    """check_expansion's per-pair rule as the whole-array expressions it replaced.
+
+    Returns (the worst ratio and its row and pair, max rel per eps).
+    """
+    gen = as_generator(source)
+    sp, sm = model.declared_exponents
+    worst, per_eps = (-np.inf, None), {}
+    for eps in eps_list:
+        max_rel = 0.0
+        for _ in range(n_axes):
+            a, tangent = sample_uniform_sphere(gen), sample_uniform_sphere(gen)
+            nodes, _ = model.lambda_space.nodes(gen, 2000)
+            for sign in (+1.0, -1.0):
+                b = with_dot(a, tangent, sign * (1.0 - eps))
+                c = model.c_values(nodes, a, b)
+                k = setting_dot(a, b) - c
+                x = dot(a, b)
+                g = c / ((1.0 + x) ** sp * (1.0 - x) ** sm)
+                if sign > 0:
+                    exact = (1.0 - k) / 4.0
+                    formula = (eps / 4.0) * (1.0 + 2.0**sp * eps ** (sm - 1.0) * g)
+                else:
+                    exact = (1.0 + k) / 4.0
+                    formula = (eps / 4.0) * (1.0 - 2.0**sm * eps ** (sp - 1.0) * g)
+                rel = np.abs(formula - exact) / np.maximum(exact, eps / 40.0)
+                j = int(rel.argmax())
+                if rel[j] / eps > worst[0]:
+                    worst = (float(rel[j]) / eps, float(rel[j]), a, b)
+                max_rel = max(max_rel, float(rel[j]))
+        per_eps[f"{eps:g}"] = max_rel
+    return worst, per_eps
+
+
+@pytest.mark.parametrize("name", ["family1", "family2", "square", "cross_uab"])
+def test_expansion_in_place_keeps_the_expression_bits(name):
+    m = _quadrature_model(name)
+    rep = check_expansion(m, stream(56))
+    (ratio, rel, a, b), per_eps = _expansion_reference(m, stream(56), (1e-2, 1e-3, 1e-4), 4)
+    assert rep.extremal_value == ratio and rep.witness.value == rel
+    assert np.array_equal(rep.witness.a, a) and np.array_equal(rep.witness.b, b)
+    assert rep.details["max_rel_dev_per_eps"] == per_eps
+
+
+def test_expansion_never_writes_into_a_view_of_the_nodes():
+    # C returned as a view of the quadrature's scalars must stay untouched
+    space = _scalar_uniform_space(0.5, 16)
+    nodes, _ = space.quadrature
+    before = nodes.scalars.copy()
+    m = HiddenVariableModel("view-c", space,
+                            c_function=CFunction(lambda batch, a, b: batch.scalars[:, 0], 1.0, 1.0))
+    check_expansion(m, stream(57), n_axes=1)
+    assert np.array_equal(nodes.scalars, before)
+
+
 def test_qm_reproduction_quadrature_and_mc():
     rep = check_qm_reproduction(builtin_model("family2"), 5, stream(24))
     assert rep.status is CheckStatus.PASS
@@ -587,7 +712,8 @@ def test_qm_reproduction_quadrature_and_mc():
 def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
     # a rule undefined on a different set of quadrature nodes at each pair, and
     # on none at some: every pair's zero-average and qm-reproduction values
-    # are the sums over that pair's valid nodes, whatever the pairs before it
+    # are the sums over that pair's valid nodes, whatever the pairs before it;
+    # a kernel model's mean table is (1 - sigma*tau*kbar)/4 with kbar = sum w k
     space = _scalar_uniform_space(1.0, 16)
     nodes, w = space.quadrature
 
@@ -603,8 +729,9 @@ def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
         a, b = _random_pair(gen, endpoint=False)
         c, ok = m.implied_c(nodes, a, b)
         zero.append(abs(float(np.sum(w[ok] * c[ok]))))
-        t, ok = m.tables_masked(nodes, a, b)
-        qm.append(float(np.abs(np.einsum("n,nij->ij", w[ok], t[ok]) - qm_table(a, b)).max()))
+        k, ok = m.kernel_masked(nodes, a, b)
+        kbar = np.sum(w[ok] * k[ok])
+        qm.append(float(np.abs(_tables_from_kernel(kbar) - qm_table(a, b)).max()))
         pairs.append((a, b))
         partial.append(not ok.all())
     assert any(partial) and not all(partial)
