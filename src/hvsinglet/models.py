@@ -1105,8 +1105,8 @@ class _Moments(NamedTuple):
             self.spread, np.sqrt(var / n), 0.0)
 
 
-def _mc_means(model: HiddenVariableModel, evaluate, pairs, stream: RandomStream, n: int, *,
-              block: int, threads: int = 1, per_block=None):
+def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int,
+              block: int, *, threads: int = 1, per_block=None):
     """The one Monte Carlo engine: lambda-means of ``evaluate`` at every pair.
 
     n draws per pair, in blocks of ``block`` rows; block i comes from
@@ -1155,21 +1155,10 @@ def _mc_means(model: HiddenVariableModel, evaluate, pairs, stream: RandomStream,
     return [t.estimate() for t in totals], stall
 
 
-def _lambda_means(model: HiddenVariableModel, evaluate, pairs, source, n: int, **mc):
-    """The lambda-mean of ``evaluate`` at every settings pair: the one primitive.
-
-    With a quadrature it evaluates one pair at a time and sums w * v over the
-    nodes valid at that pair (count: the node count, stderr 0.0); without one
-    it is ``_mc_means`` with n draws per pair from ``source`` and the keywords
-    ``mc``. Returns ([(count, mean, stderr)] per pair, stall).
-    """
-    if model.lambda_space.quadrature is None:
-        return _mc_means(model, evaluate, pairs, source, n, **mc)
+def _quad_means(model: HiddenVariableModel, evaluate, pairs):
+    """Per pair, one at a time: (valid mass W, sum of w * v) over its valid quadrature nodes."""
     nodes, w = model.lambda_space.quadrature
-    stats = []
     for a, b in pairs:
         v, ok = evaluate(nodes, a, b)
         w_ok, v_ok = _masked_rows(ok, w, v)
-        # w times each row, whatever its shape; for k or C this is np.sum(w * v)
-        stats.append((len(nodes), np.sum((v_ok.T * w_ok).T, axis=0), 0.0))
-    return stats, None
+        yield np.sum(w_ok), np.sum((v_ok.T * w_ok).T, axis=0)  # np.sum(w * v) for k or C

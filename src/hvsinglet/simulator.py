@@ -6,9 +6,7 @@ A pair's Monte Carlo estimate is the one-pair case of the MC engine
 merged in index order, so estimates are bitwise identical for any thread
 count. A block's per-row math runs in 16384-row chunks (128 KB temporaries)
 that consume its stream as one pass would; its +-1 products sum to an exact
-integer however they are grouped. An analytic estimate comes from the
-validator's lambda-mean primitive (``models._lambda_means``): the
-quadrature sum of the correlator, or that engine without a quadrature.
+integer however they are grouped.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -25,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _ROWS, _SPLIT_MAX, RandomStream, require_unit, unit
-from .models import (HiddenVariableModel, LambdaPoint, _block_sizes, _lambda_means, _mc_means,
-                     _Moments)
+from .models import (HiddenVariableModel, LambdaPoint, _block_sizes, _mc_means, _Moments,
+                     _quad_means)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -150,6 +148,11 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     b = require_unit(b, name="b")
     e_qm = -float(np.clip(np.dot(a, b), -1.0, 1.0))
 
+    if cfg.mode == "analytic" and model.lambda_space.quadrature is not None:
+        [(_, e)] = _quad_means(model, model.correlations_masked, [(a, b)])
+        return CorrelationEstimate(a, b, float(e), 0.0, e_qm,
+                                   len(model.lambda_space.quadrature[1]), "analytic", cfg.seed)
+
     # kernel models draw outcomes from k and never build the tables (1 - sigma*tau*k)/4
     evaluate = (model.correlations_masked if cfg.mode == "analytic" else
                 model.kernel_masked if model.has_kernel else model.tables_masked)
@@ -171,11 +174,9 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
         n = len(vals)
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
-    # the analytic mean is the quadrature sum when the model has one
-    means = _lambda_means if cfg.mode == "analytic" else _mc_means
-    [(n, e, stderr)], stall = means(
-        model, evaluate, [(a, b)], RandomStream(cfg.seed).split(2, pair_index), cfg.shots,
-        block=_BLOCK, threads=cfg.threads, per_block=per_block)
+    [(n, e, stderr)], stall = _mc_means(
+        model, evaluate, RandomStream(cfg.seed).split(2, pair_index), [(a, b)], cfg.shots,
+        _BLOCK, threads=cfg.threads, per_block=per_block)
     if stall is not None:
         raise stall
     return CorrelationEstimate(a, b, float(e), float(stderr), e_qm, n, cfg.mode, cfg.seed)

@@ -20,19 +20,18 @@ the canonical form P = (1 - sigma*tau*(a.b - C))/4:
   (eps/4)(1 +- 2^(s+-) eps^(s-+ - 1) G);
 * qm-reproduction: lambda-averaged tables match the singlet table.
 
-The two integral checks draw their settings pairs first and take every
-lambda-mean from one primitive, ``models._lambda_means``, shared with the
-simulator: the model's quadrature sum when it has one, else the one MC
-engine (``models._mc_means``), which draws 16384-row lambda blocks keyed by
-(check stream, block index), evaluates each block at every pair (common
-random numbers) and makes up the rows a pair cannot use from further draws
-of the same block. In both modes kernel models average k, not whole
-tables, so no check builds tables over the quadrature. An MC pair fails at
-5 sigma; a standard error above 1e-2, a pair with fewer than two samples,
-zero spread with a nonzero deviation or a stalled block leaves the check
-``inconclusive`` rather than guessing, as does a check that evaluated no
-rows. ``run_full_suite`` starts the two MC checks ahead of the others, the
-longest jobs first. The checks take the correction from
+The two integral checks draw their settings pairs first, then sum over the
+model's quadrature one pair at a time (``models._quad_means``) or, without
+one, run the MC engine shared with the simulator (``models._mc_means``): it
+draws 16384-row lambda blocks keyed by (check stream, block index),
+evaluates each block at every pair (common random numbers) and makes up the
+rows a pair cannot use from further draws of the same block. In both modes
+kernel models average k, so no check builds tables over the quadrature. An
+MC pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
+than two samples, zero spread with a nonzero deviation or a stalled block
+leaves the check ``inconclusive`` rather than guessing, as does a check
+that evaluated no rows. ``run_full_suite`` starts the two MC checks ahead
+of the others, the longest jobs first. The checks take the correction from
 ``model.implied_c`` and their lambda rows from ``LambdaSpace.nodes``.
 """
 
@@ -53,7 +52,8 @@ from .models import (
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
-    _lambda_means,
+    _mc_means,
+    _quad_means,
     qm_table,
     setting_dot,
 )
@@ -380,38 +380,32 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 
 def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel, source,
                       n_settings: int, evaluate, deviation) -> ConstraintReport:
-    """A quadrature integral check: ``deviation(a, b, mean)`` <= tol at every pair.
-
-    The deviation is one value or a 2x2 array over (sigma, tau); the first
-    largest is the witness, with its pair and outcomes.
-    """
+    """``deviation(a, b, W, mean)`` of each pair's ``_quad_means`` must stay <= tol."""
     if n_settings < 1:
         return _no_evidence(constraint_id, tol, {"mode": "quadrature"})
     gen = as_generator(source)
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    stats, _ = _lambda_means(model, evaluate, pairs, source, 0)
     worst = Witness(-np.inf)
-    for (a, b), (_, mean, _) in zip(pairs, stats):
-        dev = np.ravel(deviation(a, b, mean))
+    for (a, b), (weight, mean) in zip(pairs, _quad_means(model, evaluate, pairs)):
+        dev = np.ravel(deviation(a, b, weight, mean))  # one value, or the (sigma, tau) entries
         j = int(dev.argmax())
         if dev[j] > worst.value:
             outcomes = (OUTCOMES[j // 2], OUTCOMES[j % 2]) if len(dev) > 1 else ()
             worst = Witness(float(dev[j]), None, a, b, *outcomes)
     status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
     return ConstraintReport(constraint_id, status, worst.value, tol,
-                            sum(n for n, _, _ in stats), worst, details={"mode": "quadrature"})
+                            n_settings * len(model.lambda_space.quadrature[1]), worst,
+                            {"mode": "quadrature"})
 
 
 def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_samples: int,
                   evaluate, compare):
-    """An MC check: the compare/z step over the per-pair lambda-means.
+    """An MC check: the compare/z step over the engine's per-pair means.
 
-    The pairs come first, from ``source.generator()``; the one lambda-mean
-    primitive, ``_lambda_means`` (here the MC engine: the model has no
-    quadrature), then averages ``evaluate`` over 16384-row lambda blocks
-    keyed by ``source.split(i)``. Kernel models average k, as they do with a
-    quadrature. ``compare(a, b, mean, stderr)`` gives (dev, stderr) and
-    z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
+    The pairs come first, from ``source.generator()``; ``_mc_means`` then
+    averages ``evaluate`` over 16384-row lambda blocks keyed by
+    ``source.split(i)``. ``compare(a, b, mean, stderr)`` gives (dev, stderr)
+    and z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
     for dev 0 and NaN otherwise. A pair fails above 5 sigma; else a stderr
     above 1e-2 (with ``samples_needed``, from stderr ~ 1/sqrt(n)) or an
     unresolved pair (none at all, a stalled block, fewer than two values, a
@@ -422,7 +416,7 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
         raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
     gen = source.generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    stats, stall = _lambda_means(model, evaluate, pairs, source, mc_samples, block=_ROWS)
+    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, _ROWS, threads=1)
     estimates = []
     unresolved = not pairs or stall is not None
     max_stderr, worst_z = 0.0, -np.inf
@@ -452,7 +446,7 @@ def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
     """The lambda-average of C (or of the implied correction) must vanish."""
     if model.lambda_space.quadrature is not None:
         return _quadrature_check("zero-average", 1e-10, model, source, n_settings,
-                                 model.implied_c, lambda a, b, mean: abs(float(mean)))
+                                 model.implied_c, lambda a, b, weight, mean: abs(float(mean)))
 
     # Monte Carlo path: per-setting mean of the implied correction
     estimates, used, status, details = _mc_estimates(
@@ -686,11 +680,9 @@ def check_expansion(model: HiddenVariableModel, source,
             for sign in (+1.0, -1.0):
                 x = sign * (1.0 - eps)
                 b = with_dot(a, tangent, x)
-                # a canonical model's entries are (1 -+ k)/4 with k = a.b - C,
-                # the entries tables_masked would build, without the other
-                # three. C is evaluated once; the entry, G, the formula and rel
-                # take C's buffer and one more, each with the operations of the
-                # whole-array expression it replaces, in the same order.
+                # a canonical model's entry (1 -+ k)/4, k = a.b - C, without the other
+                # three. C is evaluated once; the entry, G, the formula and rel take C's
+                # buffer and one more, each with its whole-array expression's operations.
                 c = model.c_values(nodes, a, b)
                 if not c.flags.owndata:  # a view may alias the nodes: never write into it
                     c = c.copy()
@@ -708,7 +700,6 @@ def check_expansion(model: HiddenVariableModel, source,
                 if negative is None and float(exact.min()) < -1e-12:
                     j = int(exact.argmin())
                     negative = Witness(float(exact[j]), nodes.point(j), a, b)
-                # rel = |formula - exact| / max(exact, eps/40)
                 rel = np.abs(np.subtract(formula, exact, out=formula), out=formula)
                 np.divide(rel, np.maximum(exact, eps / 40.0, out=exact), out=rel)
                 j = int(rel.argmax())
@@ -735,23 +726,22 @@ def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *
                           mc_samples: int = 1_000_000) -> ConstraintReport:
     """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4.
 
-    Kernel models average k in both modes: its mean kbar gives the mean table
-    (1 - sigma*tau*kbar)/4, with per-entry stderr stderr(k)/4. Direct rules
-    average their tables.
+    Kernel models average k in both modes: the mean table is
+    (W - sigma*tau*kbar)/4 over the valid mass W (1 for MC draws).
     """
     evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
 
-    def mean_table(mean):
-        return (1.0 - _SIGMA_TAU * mean) / 4.0 if model.has_kernel else mean
+    def deviation(a, b, weight, mean):
+        table = (weight - _SIGMA_TAU * mean) / 4.0 if model.has_kernel else mean
+        return np.abs(table - qm_table(a, b))
 
     if model.lambda_space.quadrature is not None:
         return _quadrature_check("qm-reproduction", 1e-9, model, source, n_settings, evaluate,
-                                 lambda a, b, mean: np.abs(mean_table(mean) - qm_table(a, b)))
+                                 deviation)
 
     def compare(a, b, mean, stderr):
-        if model.has_kernel:
-            stderr = np.full((2, 2), stderr / 4.0)
-        return np.abs(mean_table(mean) - qm_table(a, b)), stderr
+        return deviation(a, b, 1.0, mean), (np.full((2, 2), stderr / 4.0)  # stderr(k)/4
+                                            if model.has_kernel else stderr)
 
     estimates, used, status, details = _mc_estimates(model, source, n_settings, mc_samples,
                                                      evaluate, compare)

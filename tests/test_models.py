@@ -746,8 +746,8 @@ def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
     of, seen = _Moments.of, []
 
     def run(threads):
-        stats, stall = _mc_means(model, evaluate, pairs, RandomStream(61), 4 * 4096 + 100,
-                                 block=4096, threads=threads)
+        stats, stall = _mc_means(model, evaluate, RandomStream(61), pairs, 4 * 4096 + 100,
+                                 4096, threads=threads)
         assert stall is None
         return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
 
@@ -784,8 +784,8 @@ def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
     pairs = [(Z, X), (X, Z)]
 
     def run(threads):
-        stats, stall = _mc_means(model, model.kernel_masked, pairs, RandomStream(62), 200 * 64,
-                                 block=64, threads=threads)
+        stats, stall = _mc_means(model, model.kernel_masked, RandomStream(62), pairs, 200 * 64,
+                                 64, threads=threads)
         assert stall is None
         return [np.array(s, dtype=float) for s in stats]
 

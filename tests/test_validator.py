@@ -13,6 +13,7 @@ from hvsinglet.geometry import (RandomStream, as_generator, dot, sample_uniform_
                                 with_dot)
 from hvsinglet.models import (
     _MAX_REDRAW_ROUNDS,
+    _SIGMA_TAU,
     CFunction,
     HiddenVariableModel,
     MeasureZeroError,
@@ -25,7 +26,7 @@ from hvsinglet.models import (
     qm_table,
     setting_dot,
     _tables_from_kernel,
-    _lambda_means,
+    _quad_means,
     _scalar_two_point_space,
     _scalar_uniform_space,
 )
@@ -601,19 +602,17 @@ def test_quadrature_check_memory_peak_on_cross_uab(check, args):
 
 @pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
 def test_quadrature_means_keep_the_old_sums(name):
-    # the primitive's quadrature branch against the sums it replaced:
-    # zero-average's abs(sum(w * C)) and analytic simulate's sum(w * correlator)
+    # the quadrature sum against the sums it replaced: zero-average's
+    # abs(sum(w * C)) and analytic simulate's sum(w * correlator)
     m = _quadrature_model(name)
     nodes, w = m.lambda_space.quadrature
     gen = stream(54).generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(6)]
-    stats, stall = _lambda_means(m, m.implied_c, pairs, None, 0)
-    assert stall is None
     old_zero = []
-    for (a, b), (n, mean, stderr) in zip(pairs, stats):
+    for (a, b), (weight, mean) in zip(pairs, _quad_means(m, m.implied_c, pairs)):
         c, ok = m.implied_c(nodes, a, b)
         old_zero.append(abs(float((w[ok] * c[ok]).sum())))
-        assert (n, abs(float(mean)), stderr) == (len(nodes), old_zero[-1], 0.0)
+        assert (weight, abs(float(mean))) == (np.sum(w), old_zero[-1])
     rep = check_zero_average(m, len(pairs), stream(54))
     worst = int(np.argmax(old_zero))
     assert rep.extremal_value == old_zero[worst]
@@ -625,24 +624,43 @@ def test_quadrature_means_keep_the_old_sums(name):
                                                         len(nodes))
 
 
-@pytest.mark.parametrize("name", ["family2", "square", "cross_uab"])
+@pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
 def test_qm_k_sum_table_matches_the_table_einsum(name):
-    # qm-reproduction's mean table (1 - sigma*tau*kbar)/4 against the weighted
-    # sum of whole tables it replaced. The einsum table itself sits up to
-    # 7.2e-15 from the singlet table on cross_uab's 32768 nodes, the k sum
-    # within 6e-17, so the two agree to 1e-14, not to the sum's last bits.
+    # qm-reproduction's mean table (W - sigma*tau*kbar)/4 against the sum of
+    # w * tables it replaced. Both round the same sum: the k sum stays within
+    # 1e-15 of the correctly rounded one (math.fsum), and within 1e-15 of the
+    # einsum beyond the einsum's own rounding (6.9e-15 on cross_uab's nodes).
     m = _quadrature_model(name)
     nodes, w = m.lambda_space.quadrature
     gen = stream(55).generator()
-    for _ in range(20):
-        a, b = _random_pair(gen, endpoint=False)
-        [(_, kbar, _)], _ = _lambda_means(m, m.kernel_masked, [(a, b)], None, 0)
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(20)]
+    devs = []
+    for (a, b), (weight, kbar) in zip(pairs, _quad_means(m, m.kernel_masked, pairs)):
         tables, ok = m.tables_masked(nodes, a, b)
         assert ok.all()
-        by_k = _tables_from_kernel(kbar)
+        by_k = (weight - _SIGMA_TAU * kbar) / 4.0
+        exact = np.array([[math.fsum(w * tables[:, i, j]) for j in (0, 1)] for i in (0, 1)])
         by_tables = np.einsum("n,nij->ij", w, tables)
-        assert np.abs(by_k - by_tables).max() <= 1e-14
-        assert np.abs(by_k - qm_table(a, b)).max() <= 1e-16
+        assert np.abs(by_k - exact).max() <= 1e-15
+        assert np.abs(by_k - by_tables).max() <= np.abs(by_tables - exact).max() + 1e-15
+        devs.append(np.abs(by_k - qm_table(a, b)).max())
+    assert check_qm_reproduction(m, len(pairs), stream(55)).extremal_value == max(devs)
+
+
+def test_qm_reproduction_counts_an_undefined_quadrature_node_as_p_zero():
+    # k = 2 a.b where lambda > 0, half the weight, and undefined elsewhere:
+    # kbar = a.b is the singlet's, but the tables' mass is 1/2, so every entry
+    # of sum w P misses the singlet's by 1/8
+    space = _scalar_uniform_space(1.0, 16)
+
+    def kernel_rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        return np.full(len(lam), 2.0 * dot(a, b)), lam > 0.0
+
+    m = HiddenVariableModel("half-defined", space, kernel_rule=kernel_rule)
+    rep = check_qm_reproduction(m, 5, stream(58))
+    assert rep.status is CheckStatus.FAIL
+    assert abs(rep.extremal_value - 0.125) <= 1e-15
 
 
 def _expansion_reference(model, source, eps_list, n_axes):
@@ -712,8 +730,7 @@ def test_qm_reproduction_quadrature_and_mc():
 def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
     # a rule undefined on a different set of quadrature nodes at each pair, and
     # on none at some: every pair's zero-average and qm-reproduction values
-    # are the sums over that pair's valid nodes, whatever the pairs before it;
-    # a kernel model's mean table is (1 - sigma*tau*kbar)/4 with kbar = sum w k
+    # are the sums over that pair's valid nodes, whatever the pairs before it
     space = _scalar_uniform_space(1.0, 16)
     nodes, w = space.quadrature
 
@@ -729,9 +746,8 @@ def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
         a, b = _random_pair(gen, endpoint=False)
         c, ok = m.implied_c(nodes, a, b)
         zero.append(abs(float(np.sum(w[ok] * c[ok]))))
-        k, ok = m.kernel_masked(nodes, a, b)
-        kbar = np.sum(w[ok] * k[ok])
-        qm.append(float(np.abs(_tables_from_kernel(kbar) - qm_table(a, b)).max()))
+        t, ok = m.tables_masked(nodes, a, b)
+        qm.append(float(np.abs(np.einsum("n,nij->ij", w[ok], t[ok]) - qm_table(a, b)).max()))
         pairs.append((a, b))
         partial.append(not ok.all())
     assert any(partial) and not all(partial)
@@ -739,7 +755,9 @@ def test_quadrature_sums_over_partial_masks_use_each_pairs_valid_nodes():
         for check, values in ((check_zero_average, zero), (check_qm_reproduction, qm)):
             rep = check(m, n, stream(50))
             worst = int(np.argmax(values[:n]))
-            assert rep.extremal_value == values[worst], (check.__name__, n)
+            # qm-reproduction sums k, not tables: the same sum, rounded otherwise
+            assert abs(rep.extremal_value - values[worst]) <= (
+                0.0 if check is check_zero_average else 1e-15), (check.__name__, n)
             assert np.array_equal(rep.witness.a, pairs[worst][0])
             assert np.array_equal(rep.witness.b, pairs[worst][1])
 
