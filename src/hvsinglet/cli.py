@@ -27,15 +27,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .geometry import GeometryError, RandomStream, sample_uniform_sphere
+from .geometry import GeometryError, RandomStream, dot, sample_uniform_sphere
 from .models import (
     _MAX_GAUSS_NODES,
+    _SIGMA_TAU,
     ModelSpecError,
     RECIPE_REGISTRY,
     _masked_rows,
     build_recipe_model,
     load_model,
     model_from_spec,
+    setting_dot,
 )
 from .simulator import (
     _MAX_PAIRS,
@@ -90,7 +92,9 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
                    help="override sphere quadrature to N polar x 2N azimuthal nodes")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads, at most one per task and per CPU this process "
-                        "may use; results do not depend on this")
+                        "may use; validate on a model with a quadrature runs on one thread, "
+                        "as its short checks hold the interpreter lock; results do not "
+                        "depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 
@@ -314,19 +318,41 @@ def cmd_scan(args) -> int:
     for x in np.linspace(-1.0, 1.0, args.points):
         b = x * a + np.sqrt(max(0.0, 1.0 - x * x)) * tangent
         b /= np.linalg.norm(b)
-        tables, ok = model.tables_masked(batch, a, b)
-        (tables,) = _masked_rows(ok, tables)
-        c, ok_c = model.implied_c(batch, a, b)
-        w_c, c = _masked_rows(ok_c, w, c)
-        mean_abs_c = float(np.sum(w_c * np.abs(c)) / max(np.sum(w_c), 1e-300))
-        rows.append([f"{x:.17g}", f"{mean_abs_c:.17g}",
-                     f"{float(tables.min()):.17g}", f"{float(tables.max()):.17g}"])
+        rows.append([f"{float(v):.17g}" for v in (x, *_scan_row(model, batch, w, a, b))])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a_dot_b", "mean_abs_c", "min_entry", "max_entry"])
     writer.writerows(rows)
     _emit(buf.getvalue(), args.out)
     return EX_OK
+
+
+def _scan_row(model, batch, w, a, b) -> tuple:
+    """Weighted mean |C| and the extreme table entries over the valid rows.
+
+    The rule is evaluated once, and C and k take the bits that ``implied_c``
+    and ``kernel_masked`` give them. A kernel model builds no tables: its
+    entries are (1 -+ k)/4 and rounding is monotone, so k's extremes give
+    theirs exactly.
+    """
+    if model.has_kernel:
+        if model.is_canonical:
+            c = model.c_values(batch, a, b)
+            k = setting_dot(a, b) - c
+        else:
+            k, ok = model.kernel_masked(batch, a, b)
+            w, k = _masked_rows(ok, w, k)
+            c = dot(a, b) - k
+        k_lo, k_hi = k.min(), k.max()
+        lo = np.minimum((1.0 - k_hi) / 4.0, (1.0 + k_lo) / 4.0)
+        hi = np.maximum((1.0 - k_lo) / 4.0, (1.0 + k_hi) / 4.0)
+    else:
+        tables, ok = model.tables_masked(batch, a, b)
+        c = np.einsum("nij,ij->n", tables, _SIGMA_TAU)
+        c += dot(a, b)
+        w, c, tables = _masked_rows(ok, w, c, tables)
+        lo, hi = tables.min(), tables.max()
+    return np.sum(w * np.abs(c)) / max(np.sum(w), 1e-300), lo, hi
 
 
 def cmd_build_recipe(args) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import _ROWS, _SPLIT_MAX, RandomStream, require_unit, unit
 from .models import (HiddenVariableModel, LambdaPoint, _block_sizes, _mc_means, _Moments,
-                     _quad_means)
+                     _quad_means, _signs)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -123,7 +123,7 @@ def _sample_products(cols, gen: np.random.Generator) -> np.ndarray:
     count += u >= cum
     cum += p11
     count += u >= cum
-    return np.where((count == 1) | (count == 2), -1.0, 1.0)
+    return _signs((count == 1) | (count == 2))
 
 
 def _blocks(shots: int) -> list[int]:

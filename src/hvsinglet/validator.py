@@ -30,9 +30,11 @@ kernel models average k, so no check builds tables over the quadrature. An
 MC pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
 than two samples, zero spread with a nonzero deviation or a stalled block
 leaves the check ``inconclusive`` rather than guessing, as does a check
-that evaluated no rows. ``run_full_suite`` starts the two MC checks ahead
-of the others, the longest jobs first. The checks take the correction from
-``model.implied_c`` and their lambda rows from ``LambdaSpace.nodes``.
+that evaluated no rows. ``run_full_suite`` runs the suite of a model with a
+quadrature on the calling thread; without one it starts the two MC checks
+ahead of the others on its pool, the longest jobs first. The checks take
+the correction from ``model.implied_c`` and their lambda rows from
+``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -246,7 +248,12 @@ def decompose_delta(table, a, b) -> DeltaDecomposition:
 
 @dataclass(frozen=True)
 class ValidatorConfig:
-    """Scan sizes and Monte Carlo budgets for the full suite."""
+    """Scan sizes and Monte Carlo budgets for the full suite.
+
+    ``threads`` caps the workers that run the checks of a model without a
+    quadrature, whose Monte Carlo checks gain from a second thread. A model
+    with a quadrature runs its suite on the calling thread whatever the value.
+    """
 
     n_settings: int = 100
     n_lambda: int = 2000
@@ -810,6 +817,12 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
     Results are bitwise reproducible for a given seed regardless of
     ``config.threads``: each check owns a stream derived from its fixed
     position in the battery, so scheduling cannot reorder draws.
+
+    Only a model without a quadrature runs its checks on a pool of up to
+    ``config.threads`` workers: its two Monte Carlo checks make long numpy
+    calls that release the interpreter lock. A model with a quadrature runs
+    every check on the calling thread, where a second thread would only
+    trade the lock back and forth.
     """
     cfg = config or ValidatorConfig()
     root = RandomStream(seed).split(3)  # purpose tag for validation streams
@@ -865,10 +878,11 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
     # the exponent fit is shared by two checks; materialize it first
     exponents()
     # the two MC checks are the longest on a model without quadrature, so
-    # they start first and the short checks fill in behind them
+    # they start first and the short checks fill in behind them; with a
+    # quadrature no check runs the MC engine, and the suite needs no pool
     jobs = [qm, zero_avg, scan, marginal, coincident, exponent_bound, endpoint_g, expansion]
-    qm_report, zero_report, scan_reports, *results = _map_ordered(lambda f: f(), jobs,
-                                                                  cfg.threads)
+    threads = cfg.threads if model.lambda_space.quadrature is None else 1
+    qm_report, zero_report, scan_reports, *results = _map_ordered(lambda f: f(), jobs, threads)
     by_id = {r.constraint_id: r for r in [qm_report, zero_report, *scan_reports, *results]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]
     return SuiteResult(model_spec=dict(model.spec), seed=int(seed), reports=reports)

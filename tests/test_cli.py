@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
-from hvsinglet.models import HiddenVariableModel, _scalar_uniform_space, qm_table
+from hvsinglet.geometry import RandomStream
+from hvsinglet.models import (RECIPE_REGISTRY, HiddenVariableModel, _scalar_uniform_space,
+                              builtin_model, qm_table)
 from hvsinglet.simulator import _MAX_PAIRS, _MAX_SHOTS, CSV_HEADER
 from hvsinglet.validator import _MAX_MC_SAMPLES, CONSTRAINT_ORDER
 
@@ -131,6 +134,9 @@ RECIPE_POLY1 = {"family": "recipe", "scalar_measure": "uniform", "s": 1.0,
     ("scale must be finite",
      {**RECIPE_POLY1, "parameters": {"f": "poly1", "scale": float("nan")}}),
     ("unknown recipe function [1]", {**RECIPE_POLY1, "parameters": {"f": [1]}}),
+    # the uniform sampler draws on [-gamma, gamma]: numpy raised on a negative width
+    ("recipe needs 0 < gamma <= 1", {**RECIPE_POLY1, "gamma": -0.0}),
+    ("recipe needs 0 < gamma <= 1", {**RECIPE_POLY1, "gamma": 1.5}),
 ])
 def test_malformed_spec_numbers_exit_64(tmp_path, capsys, message, spec):
     path = tmp_path / "spec.json"
@@ -291,6 +297,22 @@ def test_scan_shows_counterexample_dip(capsys):
     assert min_entries[np.abs(xs) < 0.5].min() >= 0.0  # but fine at generic angles
 
 
+def _scan_rows_from_tables(m, batch, w, points):
+    """The scan as first written: whole tables and implied_c at every a.b point."""
+    a, tangent = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    rows, partial = [], []
+    for x in np.linspace(-1.0, 1.0, points):
+        b = x * a + np.sqrt(max(0.0, 1.0 - x * x)) * tangent
+        b /= np.linalg.norm(b)
+        tables, ok = m.tables_masked(batch, a, b)
+        c, ok_c = m.implied_c(batch, a, b)
+        mean_abs_c = float(np.sum(w[ok_c] * np.abs(c[ok_c])) / max(np.sum(w[ok_c]), 1e-300))
+        rows.append([f"{x:.17g}", f"{mean_abs_c:.17g}", f"{float(tables[ok].min()):.17g}",
+                     f"{float(tables[ok].max()):.17g}"])
+        partial.append(not ok.all())
+    return rows, partial
+
+
 def test_scan_reads_only_valid_rows(capsys, monkeypatch):
     # a rule undefined on some quadrature nodes at some angles, with junk
     # entries there: every row is the masked formula over that angle's nodes
@@ -310,19 +332,36 @@ def test_scan_reads_only_valid_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_load_model", lambda args: m)
     code, out, _ = run_cli(capsys, "scan", "--model", "holey", "--points", "9")
     assert code == EX_OK
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    a, tangent = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
-    partial = []
-    for row, x in zip(rows, np.linspace(-1.0, 1.0, 9)):
-        b = x * a + np.sqrt(max(0.0, 1.0 - x * x)) * tangent
-        b /= np.linalg.norm(b)
-        tables, ok = m.tables_masked(batch, a, b)
-        c, ok_c = m.implied_c(batch, a, b)
-        mean_abs_c = float(np.sum(w[ok_c] * np.abs(c[ok_c])) / max(np.sum(w[ok_c]), 1e-300))
-        assert row == [f"{x:.17g}", f"{mean_abs_c:.17g}", f"{float(tables[ok].min()):.17g}",
-                       f"{float(tables[ok].max()):.17g}"]
-        partial.append(not ok.all())
+    want, partial = _scan_rows_from_tables(m, batch, w, 9)
+    assert list(csv.reader(io.StringIO(out)))[1:] == want
     assert any(partial) and not all(partial)
+
+
+@pytest.mark.parametrize("name", ["family1", "wrongtrial", "family2", "cerf"])
+def test_scan_of_kernel_models_matches_tables(capsys, name):
+    # kernel models take the extreme entries from k's extremes: the same bits
+    code, out, _ = run_cli(capsys, "scan", "--model", name, "--points", "9", "--seed", "4",
+                           "--lambda-n", "3000")
+    assert code == EX_OK
+    m = builtin_model(name)
+    batch, w = m.lambda_space.nodes(RandomStream(4).split(13), 3000)
+    want, _ = _scan_rows_from_tables(m, batch, w, 9)
+    assert list(csv.reader(io.StringIO(out)))[1:] == want
+
+
+def test_scan_of_cross_uab_builds_no_tables(tmp_path):
+    # 32768 nodes: (n, 2, 2) tables at each point peaked at 4.6 MB, model load included
+    spec = str(tmp_path / "cross_uab.json")
+    assert _run_quiet(["build-recipe", "cross_uab", "1", "--out", spec])[0] == EX_OK
+    argv = ["scan", "--model", spec, "--points", "9"]
+    serial = _run_quiet(argv)
+    tracemalloc.start()
+    try:
+        assert _run_quiet(argv) == serial
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert serial[0] == EX_OK and peak < 3_000_000, peak
 
 
 def test_scan_family1_stays_admissible(capsys):
@@ -469,7 +508,25 @@ def _run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(command, code, out, err):
+    """Exit 0, 1, 2 or 64 with no traceback; 1 only from a strict-JSON report with a fail."""
+    assert "Traceback" not in err
+    assert code in (EX_OK, EX_VIOLATION, EX_INCONCLUSIVE, EX_USAGE)
+    if code == EX_USAGE:
+        assert out == "" and "error" in err
+    elif command == "validate":
+        report = strict_json(out)
+        assert report["exit_code"] == code
+        assert ("fail" in {c["status"] for c in report["checks"]}) == (code == EX_VIOLATION)
+    else:
+        assert code == EX_OK
+        if command != "scan":
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == CSV_HEADER and len(rows) > 1
+            assert all(len(r) == len(CSV_HEADER) for r in rows)
 
 
 _counts = st.one_of(st.integers(-2, 8), st.sampled_from([_MAX_PAIRS + 1, 1 << 40]))
@@ -496,14 +553,90 @@ def _numeric_argv(draw):
 @given(_numeric_argv())
 @settings(max_examples=40, deadline=None)
 def test_numeric_flags_fuzz_keep_exit_and_output_contract(argv):
-    code, out = _run_quiet(argv)
-    assert code in (EX_OK, EX_VIOLATION, EX_INCONCLUSIVE, EX_USAGE)
-    if code == EX_USAGE:
-        assert out == ""
-    elif argv[0] == "validate":
-        assert strict_json(out)["exit_code"] == code
-    else:
-        assert code == EX_OK
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == CSV_HEADER and len(rows) > 1
-        assert all(len(r) == len(CSV_HEADER) for r in rows)
+    _assert_exit_contract(argv[0], *_run_quiet(argv))
+
+
+# Spec and settings files: mostly well-formed JSON, with a few faults mixed in
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.sampled_from(["NaN", "nan", "Infinity", "-inf", "1e999", "3"]),
+                  st.lists(st.integers(-2, 2), max_size=3), st.just({"nested": [1.5]}))
+_odd_numbers = st.sampled_from([0.0, -1.0, -1e308, 1e308, 1e-320, float("nan"), float("inf")])
+# valid counts stay small; the huge ones must be turned away before any work
+_odd_counts = st.sampled_from([-(1 << 40), -3, 0, 1, 2.5, 1024, 1025, 2049, 1 << 40])
+
+
+@st.composite
+def _faulty(draw, valid, odd, one_in=10):
+    """``valid``, except one time in ``one_in``: an ``odd`` value, junk of any type, or none."""
+    if draw(st.integers(1, one_in)) < one_in:
+        return draw(valid)
+    return draw(st.one_of(odd, _junk, st.none()))
+
+
+@st.composite
+def _spec_json(draw):
+    """A model spec with wrong types, nesting, odd counts and stray keys mixed in."""
+    fields = {
+        "family": (st.sampled_from(["family1", "family2", "wrongtrial", "cerf", "recipe"]),
+                   st.sampled_from(["family3", "Family1", ""])),
+        "scalar_measure": (st.sampled_from(["two_point", "uniform"]), st.just("gauss")),
+        "gamma": (st.floats(0.05, 0.5), _odd_numbers),
+        "s": (st.floats(1.0, 3.0), _odd_numbers),
+        "seed": (st.integers(0, 3), st.sampled_from([-1, 1 << 64, -(1 << 70), 1.5])),
+    }
+    params = {
+        "n_nodes": (st.integers(2, 6), _odd_counts),
+        "n_polar": (st.integers(2, 6), _odd_counts),
+        "n_azimuth": (st.integers(2, 8), _odd_counts),
+        "weights": (st.sampled_from([[0.5, 0.5], [0.25, 0.75]]),
+                    st.lists(st.one_of(_odd_numbers, st.floats(0.0, 1.0)), max_size=3)),
+        "f": (st.sampled_from(sorted(RECIPE_REGISTRY)), st.just("cubic")),
+        "scale": (st.floats(0.01, 1.0), _odd_numbers),
+    }
+    spec = {k: draw(_faulty(*v)) for k, v in fields.items()}
+    spec["parameters"] = {k: draw(_faulty(*v)) for k, v in params.items()}
+    for d in (spec, spec["parameters"]):
+        for k in [k for k, v in d.items() if v is None and draw(st.booleans())]:
+            del d[k]  # a missing key, or else an explicit null
+    shape = draw(st.integers(0, 12))
+    if shape == 10:
+        spec[draw(st.sampled_from(["extra", "n_nodes"]))] = 1
+    elif shape == 11:
+        spec["parameters"] = draw(st.one_of(_junk, st.just({"parameters": spec["parameters"]})))
+    elif shape == 12:
+        return draw(st.one_of(_junk, st.just([spec])))
+    return spec
+
+
+_UNIT = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]]
+
+
+@st.composite
+def _settings_json(draw):
+    """Settings pairs: unit vectors mostly, with odd numbers, ragged rows and junk mixed in."""
+    vector = _faulty(st.sampled_from(_UNIT),
+                     st.lists(st.one_of(st.floats(-1.0, 1.0), _odd_numbers), max_size=4), 12)
+    pair = _faulty(st.lists(vector, min_size=2, max_size=2), st.lists(vector, max_size=3), 12)
+    n = draw(st.sampled_from([0, 1, 3, 4, 4, 4, 5]))
+    pairs = draw(st.lists(pair, min_size=n, max_size=n))
+    return draw(_faulty(st.just(pairs), st.just([pairs]), 12))
+
+
+@given(spec=_spec_json(), command=st.sampled_from(["validate", "scan"]))
+@settings(max_examples=60, deadline=None)
+def test_spec_file_fuzz_keeps_exit_and_output_contract(tmp_path_factory, spec, command):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(spec))  # non-finite floats as the NaN/Infinity that json reads
+    argv = [command, "--model", str(path), "--lambda-n", "20"]
+    argv += (["--settings-n", "2", "--mc-samples", "200"] if command == "validate"
+             else ["--points", "3"])
+    _assert_exit_contract(command, *_run_quiet(argv))
+
+
+@given(raw=_settings_json(), command=st.sampled_from(["simulate", "chsh"]))
+@settings(max_examples=80, deadline=None)
+def test_settings_file_fuzz_keeps_exit_and_output_contract(tmp_path_factory, raw, command):
+    path = tmp_path_factory.mktemp("settings") / "settings.json"
+    path.write_text(json.dumps(raw))
+    argv = [command, "--model", "family1", "--settings", str(path), "--shots", "50"]
+    _assert_exit_contract(command, *_run_quiet(argv))

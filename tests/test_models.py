@@ -40,6 +40,8 @@ from hvsinglet.models import (
     _recipe_mean,
     _sample_valid,
     _scalar_space,
+    _scalar_two_point_space,
+    _signs,
     _tables_from_kernel,
 )
 
@@ -401,6 +403,44 @@ def test_cerf_kernel_matches_normalized_rule_on_adversarial_rows():
     ok = _assert_kernel_matches_oracle(U, V, a, b)
     assert not ok[:150].any()
     assert ok[150:].any() and not ok[150:].all()
+
+
+_MASKS = {"random": lambda gen, n: gen.random(n) < 0.5,
+          "all-true": lambda gen, n: np.ones(n, dtype=bool),
+          "all-false": lambda gen, n: np.zeros(n, dtype=bool)}
+
+
+@pytest.mark.parametrize("kind", sorted(_MASKS))
+def test_signs_match_where_form(kind):
+    mask = _MASKS[kind](RandomStream(34).generator(), 16384)
+    got = _signs(mask)
+    assert got.dtype == np.float64 and got.tobytes() == np.where(mask, -1.0, 1.0).tobytes()
+
+
+def test_cerf_kernel_signs_match_where_form():
+    # u.a, v.a > 0 with (u + v).b > 0 flips no row, and with (u + v).b < 0 every row;
+    # random rows are checked against the normalized rule above
+    gen = RandomStream(35).generator()
+    U = sample_uniform_sphere(gen, 4096)
+    V = sample_uniform_sphere(gen, 4096)
+    U[:, 2] = np.abs(U[:, 2])
+    V[:, 2] = np.abs(V[:, 2])
+    for b, flip in ((Z, False), (-Z, True)):
+        k, ok = _cerf_kernel(U, V, Z, b)
+        assert ok.sum() > 4000
+        assert k.tobytes() == np.where(np.full(len(U), flip), -1.0, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.4, 0.0, -0.3])
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 1e-12), (1e-12, 1.0)],
+                         ids=["random", "all-plus", "all-minus"])
+def test_two_point_sampler_matches_where_form(gamma, weights):
+    space = _scalar_two_point_space(gamma, weights)
+    got = space.sample(RandomStream(36).generator(), 16384).scalars[:, 0]
+    pick = RandomStream(36).generator().random(16384) < weights[0]
+    assert got.tobytes() == np.where(pick, gamma, -gamma).tobytes()
+    if weights != (0.5, 0.5):
+        assert pick.all() or not pick.any()
 
 
 def test_cerf_model_has_kernel_rule():

@@ -280,6 +280,18 @@ def test_column_draw_matches_cumsum_on_negative_entries():
         _assert_same_draws(t, _columns(t), 45)
 
 
+@pytest.mark.parametrize("table, product", [
+    ([[0.0, 1.0], [0.0, 0.0]], -1.0),  # every u lands in (+1, -1)
+    ([[0.0, 0.0], [1.0, 0.0]], -1.0),  # every u lands in (-1, +1)
+    ([[1.0, 0.0], [0.0, 0.0]], 1.0),
+    ([[0.0, 0.0], [0.0, 1.0]], 1.0),
+])
+def test_column_draw_matches_cumsum_when_every_product_is_equal(table, product):
+    t = np.tile(np.array(table), (16384, 1, 1))
+    prods = _assert_same_draws(t, _columns(t), 46)
+    assert prods.tobytes() == np.full(16384, product).tobytes()
+
+
 def test_column_draw_matches_cumsum_at_ties():
     # u landing exactly on a running sum, and on sums of a non-monotone table
     # the last table has (0.01 + 0.01) + 0.04 != (0.01 + 0.04) + 0.01: the sum order shows

@@ -828,17 +828,35 @@ def test_run_full_suite_deterministic_and_thread_invariant():
     assert run_full_suite(m, FAST, seed=4).to_json() != r1
 
 
+SMALL_MC = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings": 2,
+                               "mc_settings": 2})
+
+
 def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
-    m = builtin_model("family1")
-    many = run_full_suite(m, ValidatorConfig(**{**FAST.__dict__, "threads": 2000}), seed=3)
-    assert many.to_json() == run_full_suite(m, FAST, seed=3).to_json()
+    m = builtin_model("cerf")
+    many = run_full_suite(m, ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2000}), seed=3)
+    assert many.to_json() == run_full_suite(m, SMALL_MC, seed=3).to_json()
     assert recording_pool == [4]  # eight checks, four usable CPUs
 
 
+@pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
+def test_run_full_suite_with_quadrature_starts_no_pool(recording_pool, name):
+    m = _quadrature_model(name)
+    serial = run_full_suite(m, FAST, seed=3).to_json()
+    for threads in (2, 2000):
+        cfg = ValidatorConfig(**{**FAST.__dict__, "threads": threads})
+        assert run_full_suite(m, cfg, seed=3).to_json() == serial
+    assert recording_pool == []
+
+
+def test_run_full_suite_without_quadrature_keeps_its_pool(recording_pool):
+    cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
+    run_full_suite(builtin_model("cerf"), cfg, seed=1)
+    assert recording_pool == [2]
+
+
 def test_run_full_suite_cerf_small_budget_inconclusive():
-    cfg = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings": 2,
-                             "mc_settings": 2})
-    res = run_full_suite(builtin_model("cerf"), cfg, seed=1)
+    res = run_full_suite(builtin_model("cerf"), SMALL_MC, seed=1)
     assert res.exit_code == 2
     assert res.report("zero-average").status is CheckStatus.INCONCLUSIVE
 
@@ -868,11 +886,9 @@ def test_run_full_suite_submits_mc_checks_first(monkeypatch):
 
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", OrderRecordingPool)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    cfg = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings": 2,
-                             "mc_settings": 2})
-    res = run_full_suite(builtin_model("cerf"), ValidatorConfig(**{**cfg.__dict__,
+    res = run_full_suite(builtin_model("cerf"), ValidatorConfig(**{**SMALL_MC.__dict__,
                                                                    "threads": 2}), seed=1)
     assert ran[:3] == [["qm-reproduction"], ["zero-average"],
                        ["normalization", "positivity", "entry-half-bound"]]
     assert sorted(cid for ids in ran for cid in ids) == sorted(CONSTRAINT_ORDER)
-    assert res.to_json() == run_full_suite(builtin_model("cerf"), cfg, seed=1).to_json()
+    assert res.to_json() == run_full_suite(builtin_model("cerf"), SMALL_MC, seed=1).to_json()
