@@ -12,9 +12,8 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
 * ``validate`` on family1, family2, wrongtrial, cerf (``--mc-samples
   250000``) and the two recipe specs;
 * ``chsh`` and ``simulate --settings random:3`` in sampling and analytic
-  mode on the same six models, at 120001 shots: one full 65536-shot block
-  and a partial one of 54465 shots, which the simulator evaluates as three
-  full 16384-row chunks and a ragged one of 5313 rows;
+  mode on the same six models, at 120001 shots: seven full 16384-shot
+  blocks and a ragged one of 5313 shots;
 * ``scan`` on the same six models.
 
 Each output is compared byte for byte, exit code included. The script

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .geometry import GeometryError, RandomStream, dot, sample_uniform_sphere
 from .models import (
+    _MAX_DRAWS,
     _MAX_GAUSS_NODES,
     _SIGMA_TAU,
     ModelSpecError,
@@ -49,7 +50,7 @@ from .simulator import (
     write_chsh_csv,
     write_correlations_csv,
 )
-from .validator import _MAX_MC_SAMPLES, ValidatorConfig, run_full_suite
+from .validator import ValidatorConfig, run_full_suite
 
 EX_OK = 0
 EX_VIOLATION = 1
@@ -68,7 +69,7 @@ _SIZE_CAPS = {
     "settings_n": 1 << 16,
     "points": 1 << 16,
     "grid_n": _MAX_GAUSS_NODES,
-    "mc_samples": _MAX_MC_SAMPLES,
+    "mc_samples": _MAX_DRAWS,
 }
 
 

@@ -38,10 +38,6 @@ UNIT_ATOL = 1e-9
 _SPLIT_BITS = 20
 _SPLIT_MAX = (1 << _SPLIT_BITS) - 1
 
-# Rows per chunk of the per-row math on a large block: each float64
-# temporary is 128 KB, so a chunk's working set stays in cache.
-_ROWS = 16384
-
 
 class GeometryError(ValueError):
     """Bad direction input: zero vector, non-unit vector, out-of-range dot."""
@@ -125,27 +121,23 @@ def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
 
     The rule and draw order of ``sample_uniform_sphere`` (z, then azimuth);
     samplers use it to fill one slot of a preallocated (n, nv, 3) block.
-    Both draws cover all rows; r = sqrt(max(0, 1 - z*z)), x and y are then
-    computed ``_ROWS`` rows at a time in two reused buffers, with the same
-    operations in the same order, so the bytes are those of one pass.
+    r = sqrt(max(0, 1 - z*z)) and the cosine and sine are computed in place
+    in two arrays: numpy elides no temporary below 256 KB (a 16384-row
+    block's arrays are 128 KB), so the chained expression would allocate
+    four.
     """
     m = len(out)
     z = rng.uniform(-1.0, 1.0, size=m)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
     out[:, 2] = z
-    r_buf = np.empty(min(m, _ROWS))
-    t_buf = np.empty_like(r_buf)
-    for s in range(0, m, _ROWS):
-        e = min(s + _ROWS, m)
-        r, t = r_buf[:e - s], t_buf[:e - s]
-        np.multiply(z[s:e], z[s:e], out=r)
-        np.subtract(1.0, r, out=r)
-        np.maximum(0.0, r, out=r)
-        np.sqrt(r, out=r)
-        np.cos(phi[s:e], out=t)
-        np.multiply(r, t, out=out[s:e, 0])
-        np.sin(phi[s:e], out=t)
-        np.multiply(r, t, out=out[s:e, 1])
+    r = z * z
+    np.subtract(1.0, r, out=r)
+    np.maximum(0.0, r, out=r)
+    np.sqrt(r, out=r)
+    t = np.cos(phi)
+    np.multiply(r, t, out=out[:, 0])
+    np.sin(phi, out=t)
+    np.multiply(r, t, out=out[:, 1])
 
 
 def with_dot(a, direction, target: float) -> np.ndarray:

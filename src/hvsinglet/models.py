@@ -22,8 +22,9 @@ Three rule styles are supported:
 correction: ``correlations_masked`` gives the per-lambda correlator (-k for
 canonical and kernel models, the table contraction for direct rules) and
 ``implied_c`` the correction (C for canonical models, correlator + a.b
-otherwise). Outside this module only the outcome draw and the Monte Carlo
-mean tables ask ``has_kernel``, to skip building tables.
+otherwise). Outside this module only the outcome draw, qm-reproduction's
+mean tables and ``scan``'s extreme entries ask ``has_kernel``, to skip
+building tables.
 ``LambdaSpace.nodes`` gives the quadrature, or else a 1/n-weighted sample.
 
 The measure over lambda never depends on the settings, and per-lambda
@@ -40,7 +41,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
-    _ROWS,
+    _SPLIT_MAX,
     GeometryError,
     RandomStream,
     _clamp_unit,
@@ -823,18 +824,10 @@ def _recipe_c_function(space: LambdaSpace, f: RecipeFunction, s: float, scale: f
     return CFunction(fn, s_plus=s, s_minus=s)
 
 
-def _recipe_gamma(gamma) -> float:
-    """The recipe's scalar range as a float; ModelSpecError outside (0, 1]."""
-    gamma = _spec_number(gamma, "gamma", float)
-    if not 0.0 < gamma <= 1.0:
-        raise ModelSpecError(f"recipe needs 0 < gamma <= 1 so |f| <= 1, got {gamma}")
-    return gamma
-
-
 def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
                        measure: str = "uniform", weights=None, n_nodes: int = 16,
                        n_polar: int = 32, n_azimuth: int = 64,
-                       seed: int = 0) -> HiddenVariableModel:
+                       seed: int = 0, scale: float | None = None) -> HiddenVariableModel:
     """Turn a bounded base function into an admissible canonical model.
 
     Recipe: center f per setting, g = f - mean_lambda f, then attach the
@@ -842,20 +835,37 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     once per model, when it is built or loaded (``_recipe_mean``), not per
     settings pair. If sup|g| exceeds the positivity budget
     frobenius_bound(s), rescale g by 0.99 * bound / sup. The final
-    multiplier is recorded in the model spec so reloading is deterministic.
+    multiplier is recorded in the model spec so reloading is deterministic:
+    a given ``scale`` (a spec's stored multiplier) is used as it is.
     """
-    if f_name not in RECIPE_REGISTRY:
+    if not isinstance(f_name, str) or f_name not in RECIPE_REGISTRY:
         known = ", ".join(sorted(RECIPE_REGISTRY))
-        raise ModelSpecError(f"unknown recipe function '{f_name}' (known: {known})")
+        raise ModelSpecError(f"unknown recipe function {f_name!r} (known: {known})")
     s = _spec_number(s, "s", float)
     if s < 1.0:
         raise ModelSpecError(f"recipe exponent s must be >= 1 (endpoint zeros), got {s}")
-    gamma = _recipe_gamma(gamma)
+    gamma = _spec_number(gamma, "gamma", float)
+    if not 0.0 < gamma <= 1.0:
+        raise ModelSpecError(f"recipe needs 0 < gamma <= 1 so |f| <= 1, got {gamma}")
     f = RECIPE_REGISTRY[f_name]
     space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
     if f.needs_vector:
         space = _with_unit_vector(space, n_polar, n_azimuth)
+    if scale is None:
+        scale = _probe_scale(f, s, gamma, space, seed)
+    else:
+        scale = _spec_number(scale, "scale", float)
+        if scale <= 0.0:
+            raise ModelSpecError(f"recipe scale must be positive, got {scale}")
+    cfun = _recipe_c_function(space, f, s, scale)
+    spec = _normalize_spec("recipe", space, seed, extra={"f": f_name, "scale": scale})
+    spec["s"] = s
+    return HiddenVariableModel("recipe", space, c_function=cfun, spec=spec)
 
+
+def _probe_scale(f: RecipeFunction, s: float, gamma: float, space: LambdaSpace,
+                 seed: int) -> float:
+    """The recipe's multiplier of g: 1, or 0.99 * frobenius_bound(s) / sup|g|."""
     # sup|g| probe: quadrature nodes, fresh samples, and corner rows where
     # the scalar sits at an endpoint while the hidden vector (if any) is
     # aligned with a probed setting axis. Quadrature nodes alone miss both
@@ -896,11 +906,7 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
         sup = max(sup, float(np.max(np.abs(g))))
 
     bound = frobenius_bound(s)
-    scale = 1.0 if sup <= bound else _RECIPE_SAFETY * bound / sup
-    cfun = _recipe_c_function(space, f, s, scale)
-    spec = _normalize_spec("recipe", space, seed, extra={"f": f_name, "scale": scale})
-    spec["s"] = s
-    return HiddenVariableModel("recipe", space, c_function=cfun, spec=spec)
+    return 1.0 if sup <= bound else _RECIPE_SAFETY * bound / sup
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +915,6 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
 
 _TOP_KEYS = {"family", "parameters", "scalar_measure", "gamma", "s", "seed"}
 _PARAM_KEYS = {"weights", "n_nodes", "n_polar", "n_azimuth", "f", "scale"}
-_DEFAULT_GAMMA = {"family1": 0.4, "family2": 0.5, "wrongtrial": 0.4, "recipe": 1.0}
 
 
 def _spec_number(value, key: str, kind):
@@ -929,8 +934,12 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
     """Build a model from a JSON-style spec dict; raises ModelSpecError.
 
     Keys: family (required), scalar_measure, gamma, s (recipe only), seed,
-    parameters {weights, n_nodes, n_polar, n_azimuth, f, scale}. ``grid_n``
-    overrides the sphere quadrature as (n_polar, n_azimuth) = (N, 2N).
+    parameters {weights, n_nodes, n_polar, n_azimuth, f, scale}. Only the keys
+    the spec holds reach the family's builder, so a missing one takes the
+    builder's default, and a key the model does not read (``weights`` under
+    the uniform measure, any key of cerf's but the seed) is an error.
+    ``grid_n`` overrides the sphere quadrature as (n_polar, n_azimuth) =
+    (N, 2N).
     """
     if not isinstance(spec, dict):
         raise ModelSpecError(f"model spec must be an object, got {type(spec).__name__}")
@@ -950,53 +959,39 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ModelSpecError(f"seed must be an integer, got {seed!r}")
 
-    if family == "cerf":
-        return cerf_model(seed=seed)
-
-    measure = spec.get("scalar_measure", "two_point")
-    if measure not in _MEASURES:
-        raise ModelSpecError(f"unknown scalar_measure {measure!r} (known: {', '.join(_MEASURES)})")
-    gamma = _spec_number(spec.get("gamma", _DEFAULT_GAMMA[family]), "gamma", float)
+    kw: dict[str, Any] = {"seed": seed}
+    if "scalar_measure" in spec:
+        kw["measure"] = spec["scalar_measure"]
+    if "gamma" in spec:
+        kw["gamma"] = _spec_number(spec["gamma"], "gamma", float)
     weights = params.get("weights")
-    if weights is not None:
+    if "weights" in params:
         try:
-            weights = np.asarray(weights, dtype=float)
+            kw["weights"] = np.asarray(weights, dtype=float)
         except (TypeError, ValueError):
             raise ModelSpecError(f"weights must be two numbers, got {weights!r}") from None
-    n_nodes = _spec_number(params.get("n_nodes", 16), "n_nodes", int)
-    n_polar = _spec_number(params.get("n_polar", 64 if family == "family2" else 32), "n_polar",
-                           int)
-    n_azimuth = _spec_number(params.get("n_azimuth", 2 * n_polar), "n_azimuth", int)
+    for key in ("n_nodes", "n_polar", "n_azimuth"):
+        if key in params:
+            kw[key] = _spec_number(params[key], key, int)
     if grid_n is not None:
-        n_polar, n_azimuth = int(grid_n), 2 * int(grid_n)
+        kw.update(n_polar=int(grid_n), n_azimuth=2 * int(grid_n))
 
-    if family == "family1":
-        return family1_model(gamma, measure, weights=weights, n_nodes=n_nodes, seed=seed)
-    if family == "wrongtrial":
-        return wrongtrial_model(gamma, measure, weights=weights, n_nodes=n_nodes, seed=seed)
-    if family == "family2":
-        return family2_model(gamma, measure, weights=weights, n_nodes=n_nodes,
-                             n_polar=n_polar, n_azimuth=n_azimuth, seed=seed)
-
-    # recipe: rebuild the lambda space, then reuse the stored scale
-    f_name = params.get("f")
-    if not isinstance(f_name, str) or f_name not in RECIPE_REGISTRY:
-        known = ", ".join(sorted(RECIPE_REGISTRY))
-        raise ModelSpecError(f"unknown recipe function {f_name!r} (known: {known})")
-    f = RECIPE_REGISTRY[f_name]
-    s = _spec_number(spec.get("s", 1.0), "s", float)
-    if s < 1.0:
-        raise ModelSpecError(f"recipe exponent s must be >= 1, got {s}")
-    scale = _spec_number(params.get("scale", 1.0), "scale", float)
-    if scale <= 0.0:
-        raise ModelSpecError(f"recipe scale must be positive, got {scale}")
-    gamma = _recipe_gamma(gamma)
-    space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
-    if f.needs_vector:
-        space = _with_unit_vector(space, n_polar, n_azimuth)
-    full = {**spec, "parameters": params, "gamma": gamma, "scalar_measure": measure}
-    return HiddenVariableModel("recipe", space, c_function=_recipe_c_function(space, f, s, scale),
-                               spec=full)
+    if family == "cerf":
+        model = cerf_model(seed=seed)
+    elif family == "recipe":  # a stored scale is reused, not probed again
+        model = build_recipe_model(params.get("f"), spec.get("s"), scale=params.get("scale"), **kw)
+    else:
+        if family != "family2":  # no hidden vector, so no sphere to size
+            kw = {k: v for k, v in kw.items() if k not in ("n_polar", "n_azimuth")}
+        model = {"family1": family1_model, "family2": family2_model,
+                 "wrongtrial": wrongtrial_model}[family](**kw)
+    unread = sorted(set(spec) - set(model.spec)) + sorted(
+        set(params) - set(model.spec["parameters"]))
+    if unread:
+        measure = model.spec.get("scalar_measure")
+        on = f" on the {measure} measure" if measure else ""
+        raise ModelSpecError(f"a {family} model{on} does not read spec keys {unread}")
+    return model
 
 
 def load_model(path, *, grid_n: int | None = None) -> HiddenVariableModel:
@@ -1058,7 +1053,7 @@ def _valid_rounds(model: HiddenVariableModel, evaluate, gen: np.random.Generator
         cand = model.lambda_space.sample(gen, max(need))
         for p, (a, b) in enumerate(pairs):
             if need[p] > 0:
-                v, ok = _evaluate_chunked(evaluate, cand, a, b)
+                v, ok = evaluate(cand, a, b)
                 rows = slice(need[p]) if ok.all() else np.flatnonzero(ok)[:need[p]]
                 v = v[rows]
                 need[p] -= len(v)
@@ -1067,24 +1062,6 @@ def _valid_rounds(model: HiddenVariableModel, evaluate, gen: np.random.Generator
     if max(need) > 0:
         raise MeasureZeroError(f"model '{model.name}': sampling stalled, rule undefined on "
                                "almost all draws")
-
-
-def _evaluate_chunked(evaluate, batch: LambdaBatch, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate(batch, a, b)``, run on ``_ROWS``-row views into preallocated outputs."""
-    n = len(batch)
-    v, m = evaluate(batch.take(slice(_ROWS)) if n > _ROWS else batch, a, b)
-    if n <= _ROWS:
-        return v, m
-    values, ok = np.empty((n,) + v.shape[1:], dtype=v.dtype), np.empty(n, dtype=bool)
-    values[:_ROWS], ok[:_ROWS] = v, m
-    for s in range(_ROWS, n, _ROWS):
-        values[s:s + _ROWS], ok[s:s + _ROWS] = evaluate(batch.take(slice(s, s + _ROWS)), a, b)
-    return values, ok
-
-
-def _block_sizes(n: int, size: int) -> list[int]:
-    """The blocks a budget of n draws splits into: full ones, then the rest."""
-    return [size] * (n // size) + ([n % size] if n % size else [])
 
 
 class _Moments(NamedTuple):
@@ -1126,13 +1103,21 @@ class _Moments(NamedTuple):
             self.spread, np.sqrt(var / n), 0.0)
 
 
-def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int,
-              block: int, *, threads: int = 1, per_block=None):
+# Rows per Monte Carlo block, the unit of streams and of thread tasks: each
+# float64 temporary of a block is 128 KB, so its working set stays in cache.
+# The block index takes one 20-bit stream-split field, which caps the draws.
+_MC_BLOCK = 16384
+_MAX_DRAWS = _SPLIT_MAX * _MC_BLOCK
+
+
+def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int, *,
+              threads: int = 1, per_block=None):
     """The one Monte Carlo engine: lambda-means of ``evaluate`` at every pair.
 
-    n draws per pair, in blocks of ``block`` rows; block i comes from
-    ``stream.split(i)`` (counter-based streams: Salmon et al., SC'11), is
-    drawn once for all pairs and made whole by ``_valid_rounds``. Values are
+    n draws per pair, in ``_MC_BLOCK``-row blocks and a ragged last one;
+    block i comes from ``stream.split(i)`` (counter-based streams: Salmon et
+    al., SC'11), so its bytes follow from its key alone. A block is drawn
+    once for all pairs and made whole by ``_valid_rounds``. Values are
     reduced round by round, so a block holds one pair's values at a time;
     with one pair, ``per_block(gen, values)`` may reduce its whole block after
     the draws. Blocks run on ``_map_ordered`` and merge in order, so
@@ -1141,7 +1126,8 @@ def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs,
     rounds ends the estimate: ``stall`` is its MeasureZeroError (else None);
     its rows count, later blocks do not.
     """
-    sizes = _block_sizes(n, block) if pairs else []
+    full, rest = divmod(n, _MC_BLOCK) if pairs else (0, 0)
+    sizes = [_MC_BLOCK] * full + ([rest] if rest else [])
     stalled: list[int] = []  # append-only; read only to skip work the merge drops
     # per pair, the index of a block whose draws differed (else len(sizes)).
     # A later block skips the compare: a merge that reaches it has merged that

@@ -1,12 +1,11 @@
 """Correlation experiments: finite-shot sampling, analytic averages, CHSH.
 
 A pair's Monte Carlo estimate is the one-pair case of the MC engine
-(``models._mc_means``): 65536-shot blocks, block i drawn from the stream
+(``models._mc_means``): 16384-shot blocks, block i drawn from the stream
 (seed, pair index, i) and made whole from further draws of that stream, then
 merged in index order, so estimates are bitwise identical for any thread
-count. A block's per-row math runs in 16384-row chunks (128 KB temporaries)
-that consume its stream as one pass would; its +-1 products sum to an exact
-integer however they are grouped.
+count. A block's outcomes are one draw over its rows; its +-1 products sum
+to an exact integer.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _ROWS, _SPLIT_MAX, RandomStream, require_unit, unit
-from .models import (HiddenVariableModel, LambdaPoint, _block_sizes, _mc_means, _Moments,
-                     _quad_means, _signs)
+from .geometry import _SPLIT_MAX, RandomStream, require_unit, unit
+from .models import (_MAX_DRAWS, _MC_BLOCK, HiddenVariableModel, LambdaPoint, _mc_means,
+                     _Moments, _quad_means, _signs)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -41,11 +40,8 @@ __all__ = [
     "write_chsh_csv",
 ]
 
-_BLOCK = 65536
-# Pair and block indices each take one 20-bit stream-split field, so a run
-# holds at most _SPLIT_MAX settings pairs and _SPLIT_MAX blocks per pair.
+# The pair index takes one 20-bit stream-split field, as the block index does
 _MAX_PAIRS = _SPLIT_MAX
-_MAX_SHOTS = _SPLIT_MAX * _BLOCK
 
 # Settings maximizing the quantum CHSH value S = 2*sqrt(2) for the singlet
 # (E(a, b) = -a.b): pairs ordered (a0,b0), (a0,b1), (a1,b0), (a1,b1), with
@@ -70,9 +66,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.shots > _MAX_SHOTS:
-            raise ValueError(f"shots must be <= {_MAX_SHOTS} ({_SPLIT_MAX} blocks of "
-                             f"{_BLOCK}, the stream split limit), got {self.shots}")
+        if self.shots > _MAX_DRAWS:
+            raise ValueError(f"shots must be <= {_MAX_DRAWS} ({_SPLIT_MAX} blocks of "
+                             f"{_MC_BLOCK}, the stream split limit), got {self.shots}")
         if self.mode not in ("sampling", "analytic"):
             raise ValueError(f"mode must be 'sampling' or 'analytic', got {self.mode!r}")
         if self.threads < 1:
@@ -126,10 +122,6 @@ def _sample_products(cols, gen: np.random.Generator) -> np.ndarray:
     return _signs((count == 1) | (count == 2))
 
 
-def _blocks(shots: int) -> list[int]:
-    return _block_sizes(shots, _BLOCK)
-
-
 def estimate_correlation(model: HiddenVariableModel, a, b,
                          config: ExperimentConfig | None = None,
                          pair_index: int = 0) -> CorrelationEstimate:
@@ -160,23 +152,20 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     def per_block(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
         if cfg.mode == "analytic":  # one sum over the block
             return _Moments.of(vals)
-        total = 0.0
-        for s in range(0, len(vals), _ROWS):
-            if model.has_kernel:
-                diag = (1.0 - vals[s:s + _ROWS]) / 4.0
-                off = (1.0 + vals[s:s + _ROWS]) / 4.0
-                cols = diag, off, off, diag
-            else:
-                cols = vals[s:s + _ROWS].reshape(-1, 4).T
-            total += float(_sample_products(cols, gen).sum())
-        # +-1 products: exact integer chunk sums (the bits of one sum over the
-        # block), a sum of squares n, and all products equal exactly when |total| = n
+        if model.has_kernel:
+            diag, off = (1.0 - vals) / 4.0, (1.0 + vals) / 4.0
+            cols = diag, off, off, diag
+        else:
+            cols = vals.reshape(-1, 4).T
+        total = float(_sample_products(cols, gen).sum())
+        # +-1 products: an exact integer sum, a sum of squares n, and all
+        # products equal exactly when |total| = n
         n = len(vals)
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
     [(n, e, stderr)], stall = _mc_means(
         model, evaluate, RandomStream(cfg.seed).split(2, pair_index), [(a, b)], cfg.shots,
-        _BLOCK, threads=cfg.threads, per_block=per_block)
+        threads=cfg.threads, per_block=per_block)
     if stall is not None:
         raise stall
     return CorrelationEstimate(a, b, float(e), float(stderr), e_qm, n, cfg.mode, cfg.seed)

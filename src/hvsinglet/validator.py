@@ -47,8 +47,8 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import (_ROWS, _SPLIT_MAX, RandomStream, _map_ordered, as_generator, dot,
-                       sample_uniform_sphere, with_dot)
+from .geometry import (RandomStream, _map_ordered, as_generator, dot, sample_uniform_sphere,
+                       with_dot)
 from .models import (
     _SIGMA_TAU,
     HiddenVariableModel,
@@ -98,8 +98,6 @@ CONSTRAINT_ORDER = (
 _SIGMA = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _TAU = np.array([[1.0, -1.0], [1.0, -1.0]])
 
-# an MC check's block index takes one 20-bit stream-split field
-_MAX_MC_SAMPLES = _SPLIT_MAX * _ROWS
 # an MC check whose standard error exceeds this cannot resolve its tolerance
 _MC_STDERR_TOL = 1e-2
 
@@ -423,7 +421,7 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
         raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
     gen = source.generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, _ROWS, threads=1)
+    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, threads=1)
     estimates = []
     unresolved = not pairs or stall is not None
     max_stderr, worst_z = 0.0, -np.inf

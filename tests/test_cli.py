@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
 from hvsinglet.geometry import RandomStream
-from hvsinglet.models import (RECIPE_REGISTRY, HiddenVariableModel, _scalar_uniform_space,
-                              builtin_model, qm_table)
-from hvsinglet.simulator import _MAX_PAIRS, _MAX_SHOTS, CSV_HEADER
-from hvsinglet.validator import _MAX_MC_SAMPLES, CONSTRAINT_ORDER
+from hvsinglet.models import (_MAX_DRAWS, RECIPE_REGISTRY, HiddenVariableModel,
+                              _scalar_uniform_space, builtin_model, load_model, qm_table)
+from hvsinglet.simulator import _MAX_PAIRS, CSV_HEADER
+from hvsinglet.validator import CONSTRAINT_ORDER
 
 FAST_VALIDATE = ["--lambda-n", "200", "--settings-n", "10"]
 
@@ -430,21 +430,50 @@ def test_settings_file_over_split_limit_rejected(tmp_path, capsys, monkeypatch):
 
 
 def test_shots_over_split_limit_exit_64(capsys):
-    code, out, err = run_cli(capsys, "chsh", "--model", "family1",
-                             "--shots", str(_MAX_SHOTS + 1))
+    # --shots and --mc-samples share one cap: 1048575 blocks of 16384 rows
+    assert _MAX_DRAWS == 17179852800
+    code, out, err = run_cli(capsys, "chsh", "--model", "family1", "--shots", "17179852801")
     assert code == EX_USAGE and out == ""
-    assert f"shots must be <= {_MAX_SHOTS}" in err
+    assert "shots must be <= 17179852800" in err
 
 
 def test_mc_samples_over_split_limit_exit_64(capsys):
     # 1048575 blocks of 16384 rows, each keyed by one 20-bit stream-split field
-    assert _MAX_MC_SAMPLES == 17179852800
+    assert _MAX_DRAWS == 17179852800
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "validate", "--model", "cerf",
-                             "--mc-samples", str(_MAX_MC_SAMPLES + 1))
+                             "--mc-samples", str(_MAX_DRAWS + 1))
     assert time.perf_counter() - t0 < 1.0
     assert code == EX_USAGE and out == ""
-    assert f"--mc-samples must be <= {_MAX_MC_SAMPLES}" in err
+    assert f"--mc-samples must be <= {_MAX_DRAWS}" in err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "family1", "scalar_measure": "uniform",
+      "parameters": {"weights": [float("nan"), -3, 7]}}, "weights"),
+    ({"family": "family1", "parameters": {"n_nodes": -5}}, "n_nodes"),
+    ({"family": "family1", "parameters": {"n_polar": 8}}, "n_polar"),
+    ({"family": "wrongtrial", "s": 2.0}, "s"),
+    ({"family": "family2", "parameters": {"f": "poly1"}}, "f"),
+    ({"family": "family2", "parameters": {"scale": 0.5}}, "scale"),
+    ({**RECIPE_POLY1, "parameters": {"f": "poly1", "n_azimuth": 8}}, "n_azimuth"),
+    ({"family": "cerf", "gamma": 0.3}, "gamma"),
+    ({"family": "cerf", "parameters": {"weights": [0.5, 0.5]}}, "weights"),
+])
+def test_spec_keys_the_model_does_not_read_exit_64(tmp_path, capsys, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "scan", "--model", str(path), "--points", "2")
+    assert code == EX_USAGE and out == ""
+    assert f"does not read spec keys ['{key}']" in err
+
+
+@pytest.mark.parametrize("f, s", [("square", "2"), ("cross_uab", "1")])
+def test_benchmark_recipe_specs_load_back(tmp_path, capsys, f, s):
+    path = tmp_path / "recipe.json"
+    assert run_cli(capsys, "build-recipe", f, s, "--seed", "1", "--out", str(path))[0] == EX_OK
+    spec = json.loads(path.read_text())
+    assert load_model(path).spec == spec
 
 
 def _spec_file(tmp_path, family, measure="two_point", **params):
@@ -530,7 +559,7 @@ def _assert_exit_contract(command, code, out, err):
 
 
 _counts = st.one_of(st.integers(-2, 8), st.sampled_from([_MAX_PAIRS + 1, 1 << 40]))
-_shots = st.one_of(st.integers(-2, 3000), st.sampled_from([_MAX_SHOTS + 1]))
+_shots = st.one_of(st.integers(-2, 3000), st.sampled_from([_MAX_DRAWS + 1]))
 
 
 @st.composite
@@ -573,6 +602,27 @@ def _faulty(draw, valid, odd, one_in=10):
     return draw(st.one_of(odd, _junk, st.none()))
 
 
+def _drop_unread(spec):
+    """Remove the keys that the spec's family and measure do not read."""
+    family, params = spec["family"], spec["parameters"]
+    if family == "cerf":
+        for key in ("scalar_measure", "gamma", "s"):
+            del spec[key]
+        params.clear()
+        return
+    measure = spec.get("scalar_measure") or ("uniform" if family == "recipe" else "two_point")
+    read = {"weights"} if measure == "two_point" else {"n_nodes"} if measure == "uniform" \
+        else {"weights", "n_nodes"}  # a faulty measure: both stay
+    if family == "family2" or (family == "recipe" and params.get("f") == "cross_uab"):
+        read |= {"n_polar", "n_azimuth"}
+    if family == "recipe":
+        read |= {"f", "scale"}
+    else:
+        spec.pop("s")
+    for key in set(params) - read:
+        del params[key]
+
+
 @st.composite
 def _spec_json(draw):
     """A model spec with wrong types, nesting, odd counts and stray keys mixed in."""
@@ -595,6 +645,8 @@ def _spec_json(draw):
     }
     spec = {k: draw(_faulty(*v)) for k, v in fields.items()}
     spec["parameters"] = {k: draw(_faulty(*v)) for k, v in params.items()}
+    if draw(st.integers(1, 5)) < 5:  # most specs hold only keys their model reads
+        _drop_unread(spec)
     for d in (spec, spec["parameters"]):
         for k in [k for k, v in d.items() if v is None and draw(st.booleans())]:
             del d[k]  # a missing key, or else an explicit null

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from hvsinglet import geometry
 from hvsinglet.geometry import (
     UNIT_ATOL,
-    _ROWS,
     GeometryError,
     RandomStream,
     _fill_uniform_sphere,
@@ -274,11 +273,11 @@ def test_vector_helpers_match_numpy_formulas():
 
 
 # ---------------------------------------------------------------------------
-# The chunked sphere fill against the one-pass formula it replaced
+# The sphere fill against the one-pass formula whose bytes it keeps
 
 
 def _one_pass_fill(rng, out):
-    """The sphere fill as one pass over all rows: the oracle for the chunked fill."""
+    """The sphere fill as one pass over all rows: the bytes the fill must keep."""
     m = len(out)
     z = rng.uniform(-1.0, 1.0, size=m)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
@@ -288,9 +287,8 @@ def _one_pass_fill(rng, out):
     np.multiply(r, np.sin(phi), out=out[:, 1])
 
 
-@pytest.mark.parametrize("n", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 4465])
+@pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 3 * 16384 + 4465])
 def test_chunked_sphere_fill_is_the_one_pass_formula(n):
-    assert _ROWS == 16384
     new, old = np.full((n, 2, 3), 7.0), np.full((n, 2, 3), 7.0)
     g_new, g_old = RandomStream(n + 5).generator(), RandomStream(n + 5).generator()
     _fill_uniform_sphere(g_new, new[:, 1])

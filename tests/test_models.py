@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hvsinglet import models
 from hvsinglet.geometry import RandomStream, dot, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
     RECIPE_REGISTRY,
@@ -306,7 +307,7 @@ def test_kernel_redraws_match_table_redraws():
 
 
 def _one_call_sample_valid(model, evaluate, gen, n, a, b):
-    """The redraw loop with one ``evaluate`` per round: the oracle for the chunked one."""
+    """The redraw loop with one ``evaluate`` per round: the oracle for ``_sample_valid``."""
     batches, values, need = [], [], n
     while need > 0:
         cand = model.lambda_space.sample(gen, need)
@@ -762,6 +763,43 @@ def test_model_from_spec_grid_override():
     assert len(nodes) == 2 * 8 * 16  # two scalar atoms times the 8x16 sphere grid
 
 
+_BUILDERS = {"family1": family1_model, "family2": family2_model,
+             "wrongtrial": wrongtrial_model,
+             "recipe": lambda **kw: build_recipe_model("cross_uab", 1.0, **kw)}
+
+
+@pytest.mark.parametrize("family, measure, params", [
+    *((family, measure, {}) for family in _BUILDERS for measure in (None, "two_point", "uniform")),
+    ("family2", None, {"n_polar": 8}),
+])
+def test_spec_without_optional_keys_takes_the_builder_defaults(family, measure, params):
+    kw = {"measure": measure} if measure else {}
+    built = _BUILDERS[family](**kw, **params)
+    spec = {"family": family, "parameters": dict(params)}
+    if measure:
+        spec["scalar_measure"] = measure
+    if family == "recipe":  # f and s have no defaults; scale is probed as the builder does
+        spec["s"], spec["parameters"]["f"] = 1.0, "cross_uab"
+    loaded = model_from_spec(spec)
+    assert loaded.spec == built.spec
+    (bn, bw), (ln, lw) = built.lambda_space.quadrature, loaded.lambda_space.quadrature
+    assert ln.scalars.tobytes() == bn.scalars.tobytes()
+    assert ln.vectors.tobytes() == bn.vectors.tobytes()
+    assert lw.tobytes() == bw.tobytes()
+
+
+def test_every_builder_spec_loads_back():
+    models = [builtin_model(name) for name in ("family1", "family2", "wrongtrial", "cerf")]
+    for measure in ("two_point", "uniform"):
+        models += [family1_model(measure=measure), wrongtrial_model(measure=measure),
+                   family2_model(measure=measure, n_polar=8, n_azimuth=16)]
+        models += [build_recipe_model(f, 1.5, measure=measure, n_polar=8, n_azimuth=16)
+                   for f in RECIPE_REGISTRY]
+    for m in models:
+        spec = json.loads(json.dumps(m.spec))
+        assert model_from_spec(spec).spec == spec, spec
+
+
 def test_builtin_model_names():
     for name in ("family1", "family2", "wrongtrial", "cerf"):
         assert builtin_model(name).name == name
@@ -787,7 +825,7 @@ def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
 
     def run(threads):
         stats, stall = _mc_means(model, evaluate, RandomStream(61), pairs, 4 * 4096 + 100,
-                                 4096, threads=threads)
+                                 threads=threads)
         assert stall is None
         return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
 
@@ -798,6 +836,7 @@ def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
     def every_row(vals, spread=False):  # the rule before the skip: always compare
         return of(vals)
 
+    monkeypatch.setattr(models, "_MC_BLOCK", 4096)
     monkeypatch.setattr(_Moments, "of", staticmethod(recorded))
     skipping = run(1)
     # five blocks per pair: cerf's first block shows spread, so the other four skip
@@ -825,10 +864,11 @@ def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
 
     def run(threads):
         stats, stall = _mc_means(model, model.kernel_masked, RandomStream(62), pairs, 200 * 64,
-                                 64, threads=threads)
+                                 threads=threads)
         assert stall is None
         return [np.array(s, dtype=float) for s in stats]
 
+    monkeypatch.setattr(models, "_MC_BLOCK", 64)
     serial = run(1)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()

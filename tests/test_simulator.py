@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hvsinglet import simulator
 from hvsinglet.geometry import RandomStream, unit, with_dot
 from hvsinglet.models import (
+    _MAX_DRAWS,
     HiddenVariableModel,
     LambdaPoint,
     LambdaSpace,
@@ -23,7 +24,6 @@ from hvsinglet.models import (
 )
 from hvsinglet.simulator import (
     _MAX_PAIRS,
-    _MAX_SHOTS,
     CHSH_SIGNS,
     CSV_HEADER,
     OPTIMAL_CHSH_SETTINGS,
@@ -112,7 +112,7 @@ def test_sampling_is_deterministic_and_thread_invariant():
 def test_block_pool_is_bounded_by_blocks_and_cpus(recording_pool):
     m = builtin_model("family1")
     b = unit([0.25, -0.33, 0.91])
-    args = dict(shots=5 * 65536 + 7, seed=11)
+    args = dict(shots=5 * 16384 + 7, seed=11)
     serial = estimate_correlation(m, Z, b, ExperimentConfig(**args))
     many = estimate_correlation(m, Z, b, ExperimentConfig(**args, threads=2000))
     assert (many.e_est, many.stderr) == (serial.e_est, serial.stderr)
@@ -361,14 +361,15 @@ def test_kernel_estimate_equals_table_estimate_with_redraws():
 
 
 # ---------------------------------------------------------------------------
-# Chunked blocks against the full-block rule they replaced
+# Estimates against a per-block oracle
 
 
 def _full_block_estimate(model, a, b, cfg, pair_index):
-    """(e_est, stderr, n_shots) with each block's draws and sums taken whole."""
+    """(e_est, stderr, n_shots) from 16384-shot blocks, each drawn and summed whole."""
     pair_stream = RandomStream(cfg.seed).split(2, pair_index)
+    full, rest = divmod(cfg.shots, 16384)
     parts = []
-    for i, n in enumerate(simulator._blocks(cfg.shots)):
+    for i, n in enumerate([16384] * full + ([rest] if rest else [])):
         gen = pair_stream.split(i).generator()
         if cfg.mode == "analytic":
             vals = _sample_valid(model, model.correlations_masked, gen, n, a, b)[1]
@@ -398,7 +399,8 @@ def test_chunked_estimate_is_the_full_block_rule(name, mode, threads):
         m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.shape,
                                                             m.lambda_space.sampler))
     b = unit([0.25, -0.33, 0.91])
-    cfg = ExperimentConfig(shots=65536 + 3 * 16384 + 4465, mode=mode, seed=16, threads=threads)
+    # seven full blocks and a ragged one
+    cfg = ExperimentConfig(shots=7 * 16384 + 4465, mode=mode, seed=16, threads=threads)
     got = estimate_correlation(m, Z, b, cfg, pair_index=1)
     assert (got.e_est, got.stderr, got.n_shots) == _full_block_estimate(m, Z, b, cfg, 1)
 
@@ -414,7 +416,9 @@ def test_one_block_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5_500_000, peak
+    # four 16384-shot blocks, one at a time: a (16384, 2, 3) cerf lambda block
+    # is 0.8 MB; 65536-shot blocks peaked at 4.9 MB
+    assert peak <= 2_200_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +443,9 @@ def test_one_draw_estimate_has_no_stderr(mode):
 
 
 def test_stream_split_limits_are_checked_up_front(monkeypatch):
-    assert ExperimentConfig(shots=_MAX_SHOTS).shots == _MAX_SHOTS
-    with pytest.raises(ValueError, match=str(_MAX_SHOTS)):
-        ExperimentConfig(shots=_MAX_SHOTS + 1)
+    assert ExperimentConfig(shots=_MAX_DRAWS).shots == _MAX_DRAWS
+    with pytest.raises(ValueError, match=str(_MAX_DRAWS)):
+        ExperimentConfig(shots=_MAX_DRAWS + 1)
     assert _MAX_PAIRS == (1 << 20) - 1
     monkeypatch.setattr(simulator, "_MAX_PAIRS", 2)
     m = builtin_model("family1")
