@@ -92,10 +92,11 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     p.add_argument("--grid-n", type=int, default=None, metavar="N",
                    help="override sphere quadrature to N polar x 2N azimuthal nodes")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, at most one per task and per CPU this process "
-                        "may use; validate on a model with a quadrature runs on one thread, "
-                        "as its short checks hold the interpreter lock; results do not "
-                        "depend on this")
+                   help="workers of the command's one pool, at most one per task and per "
+                        "CPU this process may use; the calling thread is one of them, so N "
+                        "workers start N-1 threads; validate on a model with a quadrature "
+                        "runs on one thread, as its short checks hold the interpreter lock; "
+                        "results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 
@@ -359,9 +360,11 @@ def _scan_row(model, batch, w, a, b) -> tuple:
 def cmd_build_recipe(args) -> int:
     _check_caps(args, "grid_n")
     seed = _resolve_seed(args.seed, None)
-    model = build_recipe_model(
-        args.f, args.s, gamma=args.gamma, measure=args.scalar_measure,
-        n_polar=args.grid_n, n_azimuth=2 * args.grid_n, seed=seed)
+    # --grid-n sizes the hidden vector of a base function that has one
+    sphere = (dict(n_polar=args.grid_n, n_azimuth=2 * args.grid_n)
+              if RECIPE_REGISTRY[args.f].needs_vector else {})
+    model = build_recipe_model(args.f, args.s, gamma=args.gamma,
+                               measure=args.scalar_measure, seed=seed, **sphere)
     out = args.out or f"recipe-{args.f}-s{args.s:g}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(model.spec, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -6,13 +6,15 @@ determinism contract lives here: a ``RandomStream`` is a pure value
 ``(seed, stream)`` and every generator derived from it is counter-based
 (Philox), which makes results independent of thread count and evaluation
 order as long as stream ids are assigned statically. ``_map_ordered`` is the
-one thread pool that work runs on: it returns results in submission order.
+one thread pool that work runs on, with the calling thread as one of its
+workers: it yields results in submission order.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -249,17 +251,88 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_ordered(fn, args, threads: int) -> list:
-    """``[fn(x) for x in args]``, on up to ``threads`` worker threads.
+# Tasks per worker that _map_ordered lets run ahead of the oldest result not
+# yet taken: it bounds the results held, and it leaves room for a long task
+# (a validate suite's eight checks fit at two workers).
+_AHEAD = 8
 
-    The pool never outgrows the tasks or the CPUs this process may use: the
-    executor starts a thread per submit while no worker is idle, and each
-    worker holds its task's memory. Results come back in order, so the
-    thread count cannot change them.
+
+def _map_ordered(fn, args, threads: int):
+    """Yield ``fn(x)`` for each x of the sequence ``args``, in order, on up to ``threads`` workers.
+
+    The calling thread is one of the workers. It starts ``min(threads,
+    len(args), usable CPUs) - 1`` helper threads, and every worker claims tasks
+    in index order from one shared counter, so no task starts before one of
+    lower index. While the next result is not in, the caller runs the next
+    unclaimed task rather than wait. A task is claimed only within ``_AHEAD``
+    tasks per worker of the next result to yield, so the results held back
+    for their turn stay bounded however long one task runs. Results come back
+    in index order, so the thread count cannot change them. A task that
+    raises stops all claims, and its exception is raised at its turn, after
+    the results before it, so the lowest failing index wins, as with
+    ``Executor.map``. The helpers are joined before the generator returns,
+    raises or is closed.
     """
-    args = list(args)
-    workers = min(threads, len(args), _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, args))
-    return [fn(x) for x in args]
+    n = len(args)
+    helpers = min(threads, n, _usable_cpus()) - 1
+    if helpers < 1:
+        for x in args:
+            yield fn(x)
+        return
+    window = _AHEAD * (helpers + 1)
+    cond = threading.Condition()
+    done: dict = {}  # index -> (raised, result or exception), until its turn
+    claimed, turn, stop = 0, 0, False  # tasks claimed; the next index to yield
+
+    def claim(wait: bool) -> int | None:
+        """The next task; None once all are claimed or one failed, or (``wait``
+        False) while the window is full."""
+        nonlocal claimed
+        with cond:
+            while not stop and claimed < n:
+                if claimed < turn + window:
+                    claimed += 1
+                    return claimed - 1
+                if not wait:
+                    return None
+                cond.wait()
+            return None
+
+    def run(i: int) -> None:
+        nonlocal stop
+        try:
+            out = False, fn(args[i])
+        except BaseException as exc:  # re-raised in the caller at index i
+            out = True, exc
+        with cond:
+            done[i] = out
+            stop = stop or out[0]
+            cond.notify_all()
+
+    def helper() -> None:
+        while (i := claim(wait=True)) is not None:
+            run(i)
+
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        try:
+            for _ in range(helpers):
+                pool.submit(helper)
+            for k in range(n):
+                with cond:
+                    turn = k
+                    cond.notify_all()
+                while k not in done:
+                    i = claim(wait=False)
+                    if i is not None:
+                        run(i)
+                        continue
+                    with cond:  # k is claimed, so a helper is running it
+                        cond.wait_for(lambda: k in done)
+                raised, value = done.pop(k)
+                if raised:
+                    raise value
+                yield value
+        finally:
+            with cond:
+                stop = True
+                cond.notify_all()

@@ -34,7 +34,9 @@ violation of outcome independence is the only nonlocal ingredient.
 
 from __future__ import annotations
 
+import itertools
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -585,11 +587,24 @@ def _scalar_uniform_space(gamma: float, n_nodes: int = 16) -> LambdaSpace:
     )
 
 
-def _scalar_space(measure: str, gamma: float, *, weights=None, n_nodes: int = 16) -> LambdaSpace:
+def _unread(family: str, measure: str | None, keys) -> ModelSpecError:
+    """The error for spec keys (builder keywords) that a model never reads."""
+    on = f" on the {measure} measure" if measure else ""
+    return ModelSpecError(f"a {family} model{on} does not read spec keys {sorted(keys)}")
+
+
+def _scalar_space(family: str, measure: str, gamma: float, *, weights=None, n_nodes=None,
+                  default_nodes: int = 16) -> LambdaSpace:
+    """The scalar measure; a keyword it does not read (``n_nodes`` on two points,
+    ``weights`` on the uniform measure) is an error naming ``family``."""
     if measure == "two_point":
+        if n_nodes is not None:
+            raise _unread(family, measure, ["n_nodes"])
         return _scalar_two_point_space(gamma, weights if weights is not None else (0.5, 0.5))
     if measure == "uniform":
-        return _scalar_uniform_space(gamma, n_nodes)
+        if weights is not None:
+            raise _unread(family, measure, ["weights"])
+        return _scalar_uniform_space(gamma, default_nodes if n_nodes is None else n_nodes)
     raise ModelSpecError(f"unknown scalar_measure '{measure}' (known: {', '.join(_MEASURES)})")
 
 
@@ -653,12 +668,16 @@ def _cerf_space() -> LambdaSpace:
 
 
 def family1_model(gamma: float = 0.4, measure: str = "two_point", *, weights=None,
-                  n_nodes: int = 16, seed: int = 0) -> HiddenVariableModel:
-    """Polynomial-envelope model, C = (1 - (a.b)^2) * lambda, lambda in [-gamma, gamma]."""
+                  n_nodes: int | None = None, seed: int = 0) -> HiddenVariableModel:
+    """Polynomial-envelope model, C = (1 - (a.b)^2) * lambda, lambda in [-gamma, gamma].
+
+    ``weights`` sizes the two-point measure and ``n_nodes`` (default 16) the
+    uniform one's quadrature; either under the other measure is an error.
+    """
     gamma = float(gamma)
     if not 0.0 < gamma <= 0.5:
         raise ModelSpecError(f"family1 needs 0 < gamma <= 0.5 for positivity, got {gamma}")
-    space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
+    space = _scalar_space("family1", measure, gamma, weights=weights, n_nodes=n_nodes)
 
     def fn(batch: LambdaBatch, a, b):
         return family1_c(batch.scalars[:, 0], setting_dot(a, b))
@@ -668,14 +687,20 @@ def family1_model(gamma: float = 0.4, measure: str = "two_point", *, weights=Non
 
 
 def family2_model(gamma: float = 0.5, measure: str = "two_point", *, weights=None,
-                  n_nodes: int = 8, n_polar: int = 64, n_azimuth: int = 128,
-                  seed: int = 0) -> HiddenVariableModel:
-    """Quartic-bracket model with a unit-vector hidden variable, |g| <= 1/2."""
+                  n_nodes: int | None = None, n_polar: int | None = None,
+                  n_azimuth: int | None = None, seed: int = 0) -> HiddenVariableModel:
+    """Quartic-bracket model with a unit-vector hidden variable, |g| <= 1/2.
+
+    The scalar keywords are family1's (``n_nodes`` default 8); the vector's
+    quadrature is ``n_polar`` x ``n_azimuth`` (default 64 x 128).
+    """
     gamma = float(gamma)
     if not 0.0 < gamma <= 0.5:
         raise ModelSpecError(f"family2 needs 0 < gamma <= 0.5 for positivity, got {gamma}")
-    base = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
-    space = _with_unit_vector(base, n_polar, n_azimuth)
+    base = _scalar_space("family2", measure, gamma, weights=weights, n_nodes=n_nodes,
+                         default_nodes=8)
+    space = _with_unit_vector(base, 64 if n_polar is None else n_polar,
+                              128 if n_azimuth is None else n_azimuth)
 
     def fn(batch: LambdaBatch, a, b):
         return family2_c(batch.scalars[:, 0], batch.vectors[:, 0, :], a, b)
@@ -685,12 +710,15 @@ def family2_model(gamma: float = 0.5, measure: str = "two_point", *, weights=Non
 
 
 def wrongtrial_model(gamma: float = 0.4, measure: str = "two_point", *, weights=None,
-                     n_nodes: int = 16, seed: int = 0) -> HiddenVariableModel:
-    """Inadmissible sqrt-envelope construction, kept as a detection target."""
+                     n_nodes: int | None = None, seed: int = 0) -> HiddenVariableModel:
+    """Inadmissible sqrt-envelope construction, kept as a detection target.
+
+    The scalar keywords are family1's.
+    """
     gamma = float(gamma)
     if not 0.0 < gamma <= 1.0:
         raise ModelSpecError(f"wrongtrial needs 0 < gamma <= 1, got {gamma}")
-    space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
+    space = _scalar_space("wrongtrial", measure, gamma, weights=weights, n_nodes=n_nodes)
 
     def fn(batch: LambdaBatch, a, b):
         return wrongtrial_c(batch.scalars[:, 0], setting_dot(a, b))
@@ -825,8 +853,8 @@ def _recipe_c_function(space: LambdaSpace, f: RecipeFunction, s: float, scale: f
 
 
 def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
-                       measure: str = "uniform", weights=None, n_nodes: int = 16,
-                       n_polar: int = 32, n_azimuth: int = 64,
+                       measure: str = "uniform", weights=None, n_nodes: int | None = None,
+                       n_polar: int | None = None, n_azimuth: int | None = None,
                        seed: int = 0, scale: float | None = None) -> HiddenVariableModel:
     """Turn a bounded base function into an admissible canonical model.
 
@@ -837,6 +865,10 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     frobenius_bound(s), rescale g by 0.99 * bound / sup. The final
     multiplier is recorded in the model spec so reloading is deterministic:
     a given ``scale`` (a spec's stored multiplier) is used as it is.
+
+    The scalar keywords are family1's (``n_nodes`` default 16); ``n_polar`` x
+    ``n_azimuth`` (default 32 x 64) size the unit vector of a base function
+    that reads one, and are an error for one that does not.
     """
     if not isinstance(f_name, str) or f_name not in RECIPE_REGISTRY:
         known = ", ".join(sorted(RECIPE_REGISTRY))
@@ -848,9 +880,13 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     if not 0.0 < gamma <= 1.0:
         raise ModelSpecError(f"recipe needs 0 < gamma <= 1 so |f| <= 1, got {gamma}")
     f = RECIPE_REGISTRY[f_name]
-    space = _scalar_space(measure, gamma, weights=weights, n_nodes=n_nodes)
+    space = _scalar_space("recipe", measure, gamma, weights=weights, n_nodes=n_nodes)
     if f.needs_vector:
-        space = _with_unit_vector(space, n_polar, n_azimuth)
+        space = _with_unit_vector(space, 32 if n_polar is None else n_polar,
+                                  64 if n_azimuth is None else n_azimuth)
+    elif n_polar is not None or n_azimuth is not None:  # no hidden vector to size
+        sphere = {"n_polar": n_polar, "n_azimuth": n_azimuth}
+        raise _unread(f"{f_name} recipe", None, [k for k, v in sphere.items() if v is not None])
     if scale is None:
         scale = _probe_scale(f, s, gamma, space, seed)
     else:
@@ -973,24 +1009,24 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
     for key in ("n_nodes", "n_polar", "n_azimuth"):
         if key in params:
             kw[key] = _spec_number(params[key], key, int)
-    if grid_n is not None:
+    f = params.get("f")
+    sphere = family == "family2" or (family == "recipe" and isinstance(f, str)
+                                     and f in RECIPE_REGISTRY and RECIPE_REGISTRY[f].needs_vector)
+    if grid_n is not None and sphere:  # the override sizes a sphere where there is one
         kw.update(n_polar=int(grid_n), n_azimuth=2 * int(grid_n))
 
     if family == "cerf":
         model = cerf_model(seed=seed)
     elif family == "recipe":  # a stored scale is reused, not probed again
-        model = build_recipe_model(params.get("f"), spec.get("s"), scale=params.get("scale"), **kw)
+        model = build_recipe_model(f, spec.get("s"), scale=params.get("scale"), **kw)
     else:
         if family != "family2":  # no hidden vector, so no sphere to size
             kw = {k: v for k, v in kw.items() if k not in ("n_polar", "n_azimuth")}
         model = {"family1": family1_model, "family2": family2_model,
                  "wrongtrial": wrongtrial_model}[family](**kw)
-    unread = sorted(set(spec) - set(model.spec)) + sorted(
-        set(params) - set(model.spec["parameters"]))
+    unread = (set(spec) - set(model.spec)) | (set(params) - set(model.spec["parameters"]))
     if unread:
-        measure = model.spec.get("scalar_measure")
-        on = f" on the {measure} measure" if measure else ""
-        raise ModelSpecError(f"a {family} model{on} does not read spec keys {unread}")
+        raise _unread(family, model.spec.get("scalar_measure"), unread)
     return model
 
 
@@ -1048,7 +1084,7 @@ def _valid_rounds(model: HiddenVariableModel, evaluate, gen: np.random.Generator
     """
     need = [int(n)] * len(pairs)
     for _ in range(_MAX_REDRAW_ROUNDS):
-        if max(need) <= 0:
+        if max(need, default=0) <= 0:
             return
         cand = model.lambda_space.sample(gen, max(need))
         for p, (a, b) in enumerate(pairs):
@@ -1110,56 +1146,70 @@ _MC_BLOCK = 16384
 _MAX_DRAWS = _SPLIT_MAX * _MC_BLOCK
 
 
-def _mc_means(model: HiddenVariableModel, evaluate, stream: RandomStream, pairs, n: int, *,
-              threads: int = 1, per_block=None):
-    """The one Monte Carlo engine: lambda-means of ``evaluate`` at every pair.
+def _mc_means(model: HiddenVariableModel, evaluate, jobs, n: int, *, threads: int = 1,
+              per_block=None):
+    """The one Monte Carlo engine: lambda-means of ``evaluate`` for independent jobs.
 
-    n draws per pair, in ``_MC_BLOCK``-row blocks and a ragged last one;
-    block i comes from ``stream.split(i)`` (counter-based streams: Salmon et
-    al., SC'11), so its bytes follow from its key alone. A block is drawn
-    once for all pairs and made whole by ``_valid_rounds``. Values are
-    reduced round by round, so a block holds one pair's values at a time;
-    with one pair, ``per_block(gen, values)`` may reduce its whole block after
-    the draws. Blocks run on ``_map_ordered`` and merge in order, so
-    ``threads`` changes no byte. Returns ([(count, mean, stderr)] per pair,
-    stall); see ``_Moments.estimate``. A block still short after its redraw
-    rounds ends the estimate: ``stall`` is its MeasureZeroError (else None);
-    its rows count, later blocks do not.
+    A job is (stream, pairs): n draws for each of its pairs, in
+    ``_MC_BLOCK``-row blocks and a ragged last one, where block i comes from
+    ``stream.split(i)`` (counter-based streams: Salmon et al., SC'11), so its
+    bytes follow from its key alone. A block is drawn once for all pairs of
+    its job (common random numbers) and made whole by ``_valid_rounds``.
+    Values are reduced round by round, so a block holds one pair's values at a
+    time; for jobs of one pair, ``per_block(gen, values)`` may reduce the whole
+    block after the draws. Every (job, block) task runs in one
+    ``_map_ordered`` pass, job by job, and each job folds its blocks in order
+    as they come back, so ``threads`` changes no byte and only the tasks in
+    flight hold block results. Returns, per job, ([(count, mean, stderr)] per
+    pair, stall); see ``_Moments.estimate``. A block still short after its
+    redraw rounds ends its job's estimate and the pass: ``stall`` is its
+    MeasureZeroError (else None), its rows count, later blocks do not, and the
+    jobs after it are left out of the list.
     """
-    full, rest = divmod(n, _MC_BLOCK) if pairs else (0, 0)
-    sizes = [_MC_BLOCK] * full + ([rest] if rest else [])
-    stalled: list[int] = []  # append-only; read only to skip work the merge drops
-    # per pair, the index of a block whose draws differed (else len(sizes)).
-    # A later block skips the compare: a merge that reaches it has merged that
-    # block's spread, so the result is the same whatever the threads interleave.
-    spread_in = [len(sizes)] * len(pairs)
+    full, rest = divmod(n, _MC_BLOCK)
+    n_blocks = full + (rest > 0)
+    # per job, append-only; read only to skip work the fold drops
+    stalled: list[list[int]] = [[] for _ in jobs]
+    # per job and pair, the index of a block whose draws differed (else
+    # n_blocks). A later block skips the compare: a fold that reaches it has
+    # merged that block's spread, so the result is the same whatever the
+    # threads interleave.
+    spread_in = [[n_blocks] * len(pairs) for _, pairs in jobs]
 
-    def run(i: int):
-        if any(j < i for j in stalled):
+    def run(task: int):
+        j, i = divmod(task, n_blocks)
+        stream, pairs = jobs[j]
+        if any(k < i for k in stalled[j]):
             return None
         gen = stream.split(i).generator()
+        size = _MC_BLOCK if i < full else rest
         moments = [_Moments()] * len(pairs)
         try:
             if per_block is not None:
                 [(a, b)] = pairs
-                vals = _sample_valid(model, evaluate, gen, sizes[i], a, b)[1]
+                vals = _sample_valid(model, evaluate, gen, size, a, b)[1]
                 return [per_block(gen, vals)], None
-            for p, _, _, v in _valid_rounds(model, evaluate, gen, sizes[i], pairs):
-                moments[p] = moments[p].merge(_Moments.of(v, spread_in[p] < i))
-                if i < spread_in[p] and np.all(moments[p].spread):
-                    spread_in[p] = i
+            for p, _, _, v in _valid_rounds(model, evaluate, gen, size, pairs):
+                moments[p] = moments[p].merge(_Moments.of(v, spread_in[j][p] < i))
+                if i < spread_in[j][p] and np.all(moments[p].spread):
+                    spread_in[j][p] = i
         except MeasureZeroError as exc:
-            stalled.append(i)
+            stalled[j].append(i)
             return moments, exc
         return moments, None
 
-    totals = [_Moments()] * len(pairs)
-    stall = None
-    for moments, stall in _map_ordered(run, range(len(sizes)), threads):
-        totals = [t.merge(m) for t, m in zip(totals, moments)]
-        if stall is not None:
-            break
-    return [t.estimate() for t in totals], stall
+    out = []
+    with closing(_map_ordered(run, range(len(jobs) * n_blocks), threads)) as blocks:
+        for _, pairs in jobs:
+            totals, stall = [_Moments()] * len(pairs), None
+            for moments, stall in itertools.islice(blocks, n_blocks):
+                totals = [t.merge(m) for t, m in zip(totals, moments)]
+                if stall is not None:
+                    break
+            out.append(([t.estimate() for t in totals], stall))
+            if stall is not None:
+                break
+    return out
 
 
 def _quad_means(model: HiddenVariableModel, evaluate, pairs):

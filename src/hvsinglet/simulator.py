@@ -1,9 +1,11 @@
 """Correlation experiments: finite-shot sampling, analytic averages, CHSH.
 
-A pair's Monte Carlo estimate is the one-pair case of the MC engine
-(``models._mc_means``): 16384-shot blocks, block i drawn from the stream
-(seed, pair index, i) and made whole from further draws of that stream, then
-merged in index order, so estimates are bitwise identical for any thread
+The Monte Carlo estimates of an experiment are one pass of the MC engine
+(``models._mc_means``) with one job per settings pair: 16384-shot blocks,
+block i of pair p drawn from the stream (seed, p, i) and made whole from
+further draws of that stream. Every block of every pair is one task of a
+single thread pool whose calling thread works too, and each pair merges its
+blocks in index order, so estimates are bitwise identical for any thread
 count. A block's outcomes are one draw over its rows; its +-1 products sum
 to an exact integer.
 
@@ -133,17 +135,41 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
     ``shots`` draws. mode 'sampling' simulates the experiment shot by shot:
     draw lambda, draw (sigma, tau) from the conditional table, average the
     products. Kernel models draw from k alone. A Monte Carlo estimate from
-    fewer than two draws reports stderr NaN.
+    fewer than two draws reports stderr NaN. This is the one-pair case of
+    ``run_experiment``, on the streams of pair ``pair_index``.
     """
+    [estimate] = _estimates(model, [(a, b)], config or ExperimentConfig(), [pair_index])
+    return estimate
+
+
+def run_experiment(model: HiddenVariableModel, settings,
+                   config: ExperimentConfig | None = None) -> list[CorrelationEstimate]:
+    """Estimate correlations for a list of (a, b) pairs, one stream each, in one pass."""
     cfg = config or ExperimentConfig()
-    a = require_unit(a, name="a")
-    b = require_unit(b, name="b")
-    e_qm = -float(np.clip(np.dot(a, b), -1.0, 1.0))
+    pairs = np.asarray(settings, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
+        raise ValueError(f"settings must have shape (n, 2, 3), got {pairs.shape}")
+    if len(pairs) > _MAX_PAIRS:
+        raise ValueError(f"at most {_MAX_PAIRS} settings pairs (the stream split limit), "
+                         f"got {len(pairs)}")
+    return _estimates(model, pairs, cfg, range(len(pairs)))
+
+
+def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
+               indices) -> list[CorrelationEstimate]:
+    """The estimates of ``run_experiment`` for ``pairs``, pair p on the streams of ``indices[p]``.
+
+    A Monte Carlo run is one ``_mc_means`` pass with one job per pair; the
+    first pair in order whose draws stall raises its MeasureZeroError.
+    """
+    pairs = [(require_unit(a, name="a"), require_unit(b, name="b")) for a, b in pairs]
+    e_qm = [-float(np.clip(np.dot(a, b), -1.0, 1.0)) for a, b in pairs]
 
     if cfg.mode == "analytic" and model.lambda_space.quadrature is not None:
-        [(_, e)] = _quad_means(model, model.correlations_masked, [(a, b)])
-        return CorrelationEstimate(a, b, float(e), 0.0, e_qm,
-                                   len(model.lambda_space.quadrature[1]), "analytic", cfg.seed)
+        n = len(model.lambda_space.quadrature[1])
+        means = _quad_means(model, model.correlations_masked, pairs)
+        return [CorrelationEstimate(a, b, float(e), 0.0, q, n, "analytic", cfg.seed)
+                for (a, b), q, (_, e) in zip(pairs, e_qm, means)]
 
     # kernel models draw outcomes from k and never build the tables (1 - sigma*tau*k)/4
     evaluate = (model.correlations_masked if cfg.mode == "analytic" else
@@ -163,26 +189,16 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
         n = len(vals)
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
-    [(n, e, stderr)], stall = _mc_means(
-        model, evaluate, RandomStream(cfg.seed).split(2, pair_index), [(a, b)], cfg.shots,
-        threads=cfg.threads, per_block=per_block)
-    if stall is not None:
-        raise stall
-    return CorrelationEstimate(a, b, float(e), float(stderr), e_qm, n, cfg.mode, cfg.seed)
-
-
-def run_experiment(model: HiddenVariableModel, settings,
-                   config: ExperimentConfig | None = None) -> list[CorrelationEstimate]:
-    """Estimate correlations for a list of (a, b) pairs, one stream each."""
-    cfg = config or ExperimentConfig()
-    pairs = np.asarray(settings, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
-        raise ValueError(f"settings must have shape (n, 2, 3), got {pairs.shape}")
-    if len(pairs) > _MAX_PAIRS:
-        raise ValueError(f"at most {_MAX_PAIRS} settings pairs (the stream split limit), "
-                         f"got {len(pairs)}")
-    return [estimate_correlation(model, pairs[i, 0], pairs[i, 1], cfg, pair_index=i)
-            for i in range(len(pairs))]
+    root = RandomStream(cfg.seed)
+    jobs = [(root.split(2, i), [pair]) for i, pair in zip(indices, pairs)]
+    out = []
+    for (a, b), q, ([(n, e, stderr)], stall) in zip(
+            pairs, e_qm, _mc_means(model, evaluate, jobs, cfg.shots, threads=cfg.threads,
+                                   per_block=per_block)):
+        if stall is not None:
+            raise stall
+        out.append(CorrelationEstimate(a, b, float(e), float(stderr), q, n, cfg.mode, cfg.seed))
+    return out
 
 
 def chsh(model: HiddenVariableModel, config: ExperimentConfig | None = None,

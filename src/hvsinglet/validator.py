@@ -421,7 +421,7 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
         raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
     gen = source.generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    stats, stall = _mc_means(model, evaluate, source, pairs, mc_samples, threads=1)
+    [(stats, stall)] = _mc_means(model, evaluate, [(source, pairs)], mc_samples, threads=1)
     estimates = []
     unresolved = not pairs or stall is not None
     max_stderr, worst_z = 0.0, -np.inf

@@ -29,26 +29,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and starts no thread."""
+    """Stands in for ThreadPoolExecutor: records max_workers and starts no thread.
+
+    A submitted helper runs when the pool closes, after the caller has taken
+    every task, so it finds none left.
+    """
 
     sizes: list = []
 
     def __init__(self, max_workers):
         _RecordingPool.sizes.append(max_workers)
+        self.submitted = []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        for fn in self.submitted:
+            fn()
         return False
 
-    def map(self, fn, args):
-        return map(fn, args)
+    def submit(self, fn):
+        self.submitted.append(fn)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Pool sizes asked for, on a stand-in executor and a 4-CPU process."""
+    """Helper counts asked for, on a stand-in executor and a 4-CPU process."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)

@@ -268,7 +268,9 @@ def test_many_threads_start_at_most_one_worker_per_cpu(capsys, recording_pool):
     assert recording_pool == []
     assert main([*argv, "--threads", "2000"]) == EX_OK
     assert capsys.readouterr().out == serial
-    assert recording_pool == [4] * 4  # four blocks per pair, four usable CPUs
+    # one pool per command: 4 pairs x 13 blocks, four usable CPUs, so three
+    # helper threads and the caller
+    assert recording_pool == [3]
 
 
 def test_chsh_witness_flag(capsys):
@@ -474,6 +476,16 @@ def test_benchmark_recipe_specs_load_back(tmp_path, capsys, f, s):
     assert run_cli(capsys, "build-recipe", f, s, "--seed", "1", "--out", str(path))[0] == EX_OK
     spec = json.loads(path.read_text())
     assert load_model(path).spec == spec
+
+
+def test_grid_n_sizes_only_a_sphere_the_recipe_has(tmp_path, capsys):
+    # the builders reject a sphere size a model never reads; --grid-n skips it
+    path = tmp_path / "poly1.json"
+    argv = ("build-recipe", "poly1", "1", "--grid-n", "8", "--out", str(path))
+    assert run_cli(capsys, *argv)[0] == EX_OK
+    assert "n_polar" not in json.loads(path.read_text())["parameters"]
+    code, out, _ = run_cli(capsys, "scan", "--model", str(path), "--points", "2", "--grid-n", "8")
+    assert code == EX_OK and out.count("\n") == 3
 
 
 def _spec_file(tmp_path, family, measure="two_point", **params):

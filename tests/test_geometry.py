@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -303,21 +305,145 @@ def test_chunked_sphere_fill_is_the_one_pass_formula(n):
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(recording_pool):
-    # 1e8 shots are 1526 blocks; --threads 2000 must not become 1526 threads
-    assert _map_ordered(lambda i: i * i, range(1526), 2000) == [i * i for i in range(1526)]
-    assert _map_ordered(str, range(3), 2000) == ["0", "1", "2"]
-    assert _map_ordered(str, range(9), 2) == [str(i) for i in range(9)]
-    assert recording_pool == [4, 3, 2]
-    assert _map_ordered(str, range(9), 1) == [str(i) for i in range(9)]
-    assert _map_ordered(str, range(1), 2000) == ["0"]
-    assert _map_ordered(str, [], 2000) == []
-    assert recording_pool == [4, 3, 2]  # one task or one thread runs inline
+    # 1e8 shots are 6104 blocks; --threads 2000 must not become 6104 threads,
+    # and the calling thread is one of the workers
+    assert list(_map_ordered(lambda i: i * i, range(6104), 2000)) == [i * i for i in range(6104)]
+    assert list(_map_ordered(str, range(3), 2000)) == ["0", "1", "2"]
+    assert list(_map_ordered(str, range(9), 2)) == [str(i) for i in range(9)]
+    assert recording_pool == [3, 2, 1]
+    assert list(_map_ordered(str, range(9), 1)) == [str(i) for i in range(9)]
+    assert list(_map_ordered(str, range(1), 2000)) == ["0"]
+    assert list(_map_ordered(str, [], 2000)) == []
+    assert recording_pool == [3, 2, 1]  # one task or one thread runs inline
 
 
 def test_pool_runs_inline_on_one_cpu(recording_pool, monkeypatch):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
-    assert _map_ordered(str, range(50), 2000) == [str(i) for i in range(50)]
+    assert list(_map_ordered(str, range(50), 2000)) == [str(i) for i in range(50)]
     assert recording_pool == []
+
+
+def test_pool_returns_results_in_index_order(monkeypatch):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    before = threading.active_count()
+    workers = set()
+
+    def task(i):
+        workers.add(threading.current_thread())
+        time.sleep(0.001 + 0.002 * (i % 3))  # later tasks often finish first
+        return i * i
+
+    assert list(_map_ordered(task, range(60), 4)) == [i * i for i in range(60)]
+    assert threading.current_thread() in workers  # the caller works too
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_pool_raises_a_task_exception_from_either_thread(monkeypatch, on_caller):
+    # tasks 0 and 1 run at once, one on the caller and one on the helper; the
+    # one on the chosen thread raises at once, the other returns 0.2 s later,
+    # when the failure has stopped all claims
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    caller = threading.current_thread()
+    started = [threading.Event(), threading.Event()]
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i < 2:
+            started[i].set()
+            assert started[1 - i].wait(10)
+            if (threading.current_thread() is caller) == on_caller:
+                raise ValueError(i)
+            time.sleep(0.2)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        list(_map_ordered(task, range(50), 2))
+    assert info.value.args[0] in (0, 1)
+    assert sorted(ran) == [0, 1]  # no task is claimed after a failure
+    assert threading.active_count() == before
+
+
+def test_pool_raises_the_lowest_failing_index(monkeypatch):
+    # task 1 fails first, task 0 later: task 0's exception wins, as with Executor.map
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    started = [threading.Event(), threading.Event()]
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i < 2:
+            started[i].set()
+            assert started[1 - i].wait(10)
+            time.sleep(0.2 * (1 - i))
+            raise ValueError(i)
+        return i
+
+    it = _map_ordered(task, range(50), 2)
+    with pytest.raises(ValueError) as info:
+        next(it)
+    assert info.value.args == (0,)
+    assert sorted(ran) == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_pool_yields_what_precedes_a_failure_and_claims_no_more(recording_pool):
+    # the stand-in helper only runs once the pool closes: the caller claims
+    # 0..3, one at a time as they are taken, and stops at the failure
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 3:
+            raise KeyError(i)
+        return i
+
+    it = _map_ordered(task, range(9), 2)
+    assert [next(it) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        next(it)
+    assert ran == [0, 1, 2, 3] and recording_pool == [1]
+    ran.clear()
+    with pytest.raises(KeyError):
+        list(_map_ordered(task, range(9), 1))
+    assert ran == [0, 1, 2, 3]
+
+
+def test_pool_runs_no_further_ahead_than_its_window(monkeypatch):
+    # task 0 is slow: the other worker runs ahead only up to the window, so
+    # the results held for their turn stay bounded
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    started, seen = [], []
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.3)
+            seen.append(len(started))
+        return i
+
+    assert list(_map_ordered(task, range(200), 2)) == list(range(200))
+    assert seen == [2 * geometry._AHEAD]
+
+
+def test_pool_closed_early_joins_its_helpers(monkeypatch):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    before = threading.active_count()
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        time.sleep(0.005)
+        return i
+
+    it = _map_ordered(task, range(1000), 4)
+    assert [next(it) for _ in range(5)] == list(range(5))
+    it.close()
+    assert threading.active_count() == before
+    assert len(ran) < 100 and sorted(ran) == list(range(len(ran)))  # claimed in order
 
 
 def test_usable_cpus_counts_this_process():

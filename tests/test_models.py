@@ -554,7 +554,7 @@ def test_vector_samplers_match_stacked_sphere_draws():
         fam2 = family2_model(measure=measure).lambda_space.sample(
             RandomStream(22).generator(), n)
         gen = RandomStream(22).generator()
-        base = _scalar_space(measure, 0.5, n_nodes=8).sampler(gen, n)
+        base = _scalar_space("family2", measure, 0.5, default_nodes=8).sampler(gen, n)
         u = sample_uniform_sphere(gen, n)
         assert np.array_equal(fam2.scalars, base.scalars)
         assert np.array_equal(fam2.vectors,
@@ -666,7 +666,8 @@ def test_recipe_mean_is_the_quadrature_sum():
     for name, f in RECIPE_REGISTRY.items():
         for kw in ({"measure": "uniform", "gamma": 0.8},
                    {"measure": "two_point", "weights": (0.3, 0.7)}):
-            m = build_recipe_model(name, 1.5, n_polar=8, n_azimuth=16, **kw)
+            grid = {"n_polar": 8, "n_azimuth": 16} if f.needs_vector else {}
+            m = build_recipe_model(name, 1.5, **grid, **kw)
             nodes, w = m.lambda_space.quadrature
             mean = _recipe_mean(f, nodes, w)
             scale = m.spec["parameters"]["scale"]
@@ -793,11 +794,47 @@ def test_every_builder_spec_loads_back():
     for measure in ("two_point", "uniform"):
         models += [family1_model(measure=measure), wrongtrial_model(measure=measure),
                    family2_model(measure=measure, n_polar=8, n_azimuth=16)]
-        models += [build_recipe_model(f, 1.5, measure=measure, n_polar=8, n_azimuth=16)
-                   for f in RECIPE_REGISTRY]
+        models += [build_recipe_model(name, 1.5, measure=measure,
+                                      **({"n_polar": 8, "n_azimuth": 16} if f.needs_vector
+                                         else {}))
+                   for name, f in RECIPE_REGISTRY.items()]
     for m in models:
         spec = json.loads(json.dumps(m.spec))
         assert model_from_spec(spec).spec == spec, spec
+
+
+@pytest.mark.parametrize("builder", [family1_model, wrongtrial_model, family2_model])
+def test_scalar_builders_reject_keywords_the_measure_never_reads(builder):
+    # a value equal to the default is rejected too: the default is None
+    with pytest.raises(ModelSpecError, match=r"uniform measure does not read spec keys \['weights'\]"):
+        builder(measure="uniform", weights=[0.1, 0.9])
+    with pytest.raises(ModelSpecError, match=r"two_point measure does not read spec keys \['n_nodes'\]"):
+        builder(n_nodes=16)
+    assert builder(measure="uniform", n_nodes=4).spec["parameters"]["n_nodes"] == 4
+    assert builder(weights=[0.25, 0.75]).spec["parameters"]["weights"] == [0.25, 0.75]
+
+
+def test_family2_reads_its_sphere_on_either_measure():
+    for measure in ("two_point", "uniform"):
+        m = family2_model(measure=measure, n_polar=4, n_azimuth=6)
+        assert (m.spec["parameters"]["n_polar"], m.spec["parameters"]["n_azimuth"]) == (4, 6)
+    assert family2_model().spec == family2_model(n_polar=64, n_azimuth=128).spec
+
+
+def test_recipe_builder_rejects_keywords_it_never_reads():
+    # poly1 has no hidden vector: a sphere size is unread, and no cap applies
+    with pytest.raises(ModelSpecError, match=r"does not read spec keys \['n_polar'\]"):
+        build_recipe_model("poly1", 1.0, n_polar=10**6)
+    with pytest.raises(ModelSpecError, match=r"does not read spec keys \['n_azimuth', 'n_polar'\]"):
+        build_recipe_model("square", 2.0, n_polar=32, n_azimuth=64)
+    with pytest.raises(ModelSpecError, match=r"n_polar must be <= 1024"):
+        build_recipe_model("cross_uab", 1.0, n_polar=10**6)
+    with pytest.raises(ModelSpecError, match=r"does not read spec keys \['weights'\]"):
+        build_recipe_model("poly1", 1.0, weights=[0.5, 0.5])
+    with pytest.raises(ModelSpecError, match=r"does not read spec keys \['n_nodes'\]"):
+        build_recipe_model("poly1", 1.0, measure="two_point", n_nodes=16)
+    assert build_recipe_model("cross_uab", 1.0).spec == build_recipe_model(
+        "cross_uab", 1.0, n_polar=32, n_azimuth=64).spec
 
 
 def test_builtin_model_names():
@@ -824,8 +861,8 @@ def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
     of, seen = _Moments.of, []
 
     def run(threads):
-        stats, stall = _mc_means(model, evaluate, RandomStream(61), pairs, 4 * 4096 + 100,
-                                 threads=threads)
+        [(stats, stall)] = _mc_means(model, evaluate, [(RandomStream(61), pairs)],
+                                     4 * 4096 + 100, threads=threads)
         assert stall is None
         return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
 
@@ -863,8 +900,8 @@ def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
     pairs = [(Z, X), (X, Z)]
 
     def run(threads):
-        stats, stall = _mc_means(model, model.kernel_masked, RandomStream(62), pairs, 200 * 64,
-                                 threads=threads)
+        [(stats, stall)] = _mc_means(model, model.kernel_masked, [(RandomStream(62), pairs)],
+                                     200 * 64, threads=threads)
         assert stall is None
         return [np.array(s, dtype=float) for s in stats]
 

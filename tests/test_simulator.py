@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hvsinglet import simulator
-from hvsinglet.geometry import RandomStream, unit, with_dot
+from hvsinglet import geometry, models, simulator
+from hvsinglet.geometry import RandomStream, sample_uniform_sphere, unit, with_dot
 from hvsinglet.models import (
     _MAX_DRAWS,
     HiddenVariableModel,
     LambdaPoint,
     LambdaSpace,
+    MeasureZeroError,
+    _mc_means,
     _scalar_uniform_space,
     _sample_valid,
     _tables_from_kernel,
@@ -116,7 +118,7 @@ def test_block_pool_is_bounded_by_blocks_and_cpus(recording_pool):
     serial = estimate_correlation(m, Z, b, ExperimentConfig(**args))
     many = estimate_correlation(m, Z, b, ExperimentConfig(**args, threads=2000))
     assert (many.e_est, many.stderr) == (serial.e_est, serial.stderr)
-    assert recording_pool == [4]  # six blocks, four usable CPUs
+    assert recording_pool == [3]  # six blocks, four usable CPUs: three helpers and the caller
 
 
 def test_pairs_use_independent_streams():
@@ -419,6 +421,86 @@ def test_one_block_memory_is_bounded():
     # four 16384-shot blocks, one at a time: a (16384, 2, 3) cerf lambda block
     # is 0.8 MB; 65536-shot blocks peaked at 4.9 MB
     assert peak <= 2_200_000, peak
+
+
+# ---------------------------------------------------------------------------
+# One engine pass for every pair of an experiment
+
+
+def _fields(e):
+    return (e.a.tobytes(), e.b.tobytes(), e.e_est, e.stderr, e.e_qm, e.n_shots, e.mode, e.seed)
+
+
+@pytest.mark.parametrize("name", ["cerf", "family2", "cerf-tables"])
+@pytest.mark.parametrize("mode", ["sampling", "analytic"])
+def test_one_pass_equals_the_pairs_one_at_a_time(monkeypatch, name, mode):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    m = (_as_table_rule(builtin_model("cerf")) if name == "cerf-tables"
+         else builtin_model(name))
+    if mode == "analytic":  # no quadrature: the lambda-level Monte Carlo fallback
+        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.shape,
+                                                            m.lambda_space.sampler))
+    gen = RandomStream(18).generator()
+    settings = np.stack([sample_uniform_sphere(gen, 3), sample_uniform_sphere(gen, 3)], axis=1)
+    shots = 2 * 16384 + 4465  # two full blocks and a ragged one
+    alone = [estimate_correlation(m, a, b, ExperimentConfig(shots=shots, mode=mode, seed=18),
+                                  pair_index=i) for i, (a, b) in enumerate(settings)]
+    for e, (a, b), i in zip(alone, settings, range(3)):  # against the per-block oracle
+        assert (e.e_est, e.stderr, e.n_shots) == _full_block_estimate(
+            m, a, b, ExperimentConfig(shots=shots, mode=mode, seed=18), i)
+    for threads in (1, 2, 4):
+        together = run_experiment(m, settings,
+                                  ExperimentConfig(shots=shots, mode=mode, seed=18,
+                                                   threads=threads))
+        assert [_fields(e) for e in together] == [_fields(e) for e in alone]
+
+
+def _undefined_at_x_model(calls):
+    """Kernel k = 0 on two-point scalars, undefined everywhere when a = X."""
+    def rule(batch, a, b):
+        calls.append(a[0] == 1.0)
+        return np.zeros(len(batch)), np.full(len(batch), a[0] != 1.0)
+
+    return HiddenVariableModel("undefined-at-x", family1_model().lambda_space, kernel_rule=rule)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_stalled_pair_ends_the_pass(monkeypatch, threads):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    calls = []
+    m = _undefined_at_x_model(calls)
+    settings = np.array([[Z, X], [X, Z], [Z, X], [X, Z]])
+    with pytest.raises(MeasureZeroError, match="sampling stalled"):
+        run_experiment(m, settings, ExperimentConfig(shots=2 * 16384, seed=19, threads=threads))
+    # the engine's view: pair 1 stalls, its second block and pairs 2 and 3 are
+    # not in the result, and on one thread pair 3 is never drawn
+    jobs = [(RandomStream(19).split(2, i), [(a, b)]) for i, (a, b) in enumerate(settings)]
+    calls.clear()
+    out = _mc_means(m, m.kernel_masked, jobs, 2 * 16384, threads=threads)
+    assert len(out) == 2 and out[0][1] is None and isinstance(out[1][1], MeasureZeroError)
+    assert out[0][0][0][0] == 2 * 16384
+    if threads == 1:
+        assert sum(calls) == models._MAX_REDRAW_ROUNDS
+    assert estimate_correlation(m, Z, X, ExperimentConfig(shots=100, seed=19)).n_shots == 100
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_pass_holds_only_the_blocks_in_flight(monkeypatch, threads):
+    # 12 pairs of 200 one-row blocks: holding every block's moments until the
+    # end would take ~0.9 MB; the pass folds each pair's blocks as they come
+    monkeypatch.setattr(models, "_MC_BLOCK", 1)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    m = builtin_model("family1")
+    jobs = [(RandomStream(20).split(2, i), [(Z, X)]) for i in range(12)]
+    _mc_means(m, m.kernel_masked, jobs[:1], 20, threads=threads)  # warm-up
+    tracemalloc.start()
+    try:
+        out = _mc_means(m, m.kernel_masked, jobs, 200, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [n for [(n, _, _)], _ in out] == [200] * 12
+    assert peak <= 150_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hvsinglet import geometry
+from hvsinglet import geometry, validator
 from hvsinglet.geometry import (RandomStream, as_generator, dot, sample_uniform_sphere, unit,
                                 with_dot)
 from hvsinglet.models import (
@@ -836,7 +836,7 @@ def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
     m = builtin_model("cerf")
     many = run_full_suite(m, ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2000}), seed=3)
     assert many.to_json() == run_full_suite(m, SMALL_MC, seed=3).to_json()
-    assert recording_pool == [4]  # eight checks, four usable CPUs
+    assert recording_pool == [3]  # eight checks, four usable CPUs: three helpers and the caller
 
 
 @pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
@@ -852,7 +852,7 @@ def test_run_full_suite_with_quadrature_starts_no_pool(recording_pool, name):
 def test_run_full_suite_without_quadrature_keeps_its_pool(recording_pool):
     cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
     run_full_suite(builtin_model("cerf"), cfg, seed=1)
-    assert recording_pool == [2]
+    assert recording_pool == [1]  # one helper and the caller
 
 
 def test_run_full_suite_cerf_small_budget_inconclusive():
@@ -861,33 +861,23 @@ def test_run_full_suite_cerf_small_budget_inconclusive():
     assert res.report("zero-average").status is CheckStatus.INCONCLUSIVE
 
 
-def test_run_full_suite_submits_mc_checks_first(monkeypatch):
+def test_run_full_suite_submits_mc_checks_first(monkeypatch, recording_pool):
     ran = []
+    map_ordered = validator._map_ordered
 
-    class OrderRecordingPool:
-        """Stands in for ThreadPoolExecutor: runs the jobs inline in the order handed over."""
+    def recording_map(fn, jobs, threads):
+        """The suite's pool, recording the checks of each job as it runs."""
+        def run(job):
+            out = fn(job)
+            ran.append([r.constraint_id for r in (out if isinstance(out, tuple) else [out])])
+            return out
+        return map_ordered(run, jobs, threads)
 
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            results = []
-            for job in jobs:
-                out = fn(job)
-                ran.append([r.constraint_id for r in (out if isinstance(out, tuple) else [out])])
-                results.append(out)
-            return results
-
-    monkeypatch.setattr(geometry, "ThreadPoolExecutor", OrderRecordingPool)
+    monkeypatch.setattr(validator, "_map_ordered", recording_map)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
     res = run_full_suite(builtin_model("cerf"), ValidatorConfig(**{**SMALL_MC.__dict__,
                                                                    "threads": 2}), seed=1)
+    assert recording_pool == [1]  # the caller claims the jobs in index order
     assert ran[:3] == [["qm-reproduction"], ["zero-average"],
                        ["normalization", "positivity", "entry-half-bound"]]
     assert sorted(cid for ids in ran for cid in ids) == sorted(CONSTRAINT_ORDER)
