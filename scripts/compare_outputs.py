@@ -18,10 +18,13 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
 
 Each output is compared byte for byte, exit code included. The script
 prints one line per output that differs, with the JSON keys whose values
-differ (old -> new) or the first CSV line that differs. For a ``validate``
-report that differs it adds one line: either that the exit code and every
-constraint status are unchanged, or which of them moved (old -> new). It
-exits 0 when every output is identical and 1 otherwise.
+differ (old -> new) or the first CSV line that differs, and one line that
+says either that its verdicts are unchanged or which of them moved
+(old -> new). A command's verdicts are its exit code and, for ``validate``,
+every constraint status. The summary line counts the outputs whose verdicts
+moved; an output that only one tree has counts as moved. The script exits
+0 when every output is identical, 1 when outputs differ but every verdict
+holds, and 2 when a verdict moved.
 """
 
 from __future__ import annotations
@@ -128,22 +131,24 @@ def describe(old: str, new: str) -> list[str]:
     return lines
 
 
-def verdict_moves(old: str, new: str) -> str:
-    """Whether two ``validate`` outputs agree on exit code and every status."""
-    def verdicts(out: str) -> dict[str, str]:
-        head, _, body = out.partition("\n")
+def verdicts(name: str, out: str) -> dict[str, str]:
+    """The exit code of an output and, for ``validate``, every constraint status."""
+    head, _, body = out.partition("\n")
+    checks = []
+    if name.startswith("validate "):
         try:
             checks = json.loads(body)["checks"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            checks = []
-        return {"exit code": head.removeprefix("exit "),
-                **{c["constraint-id"]: c["status"] for c in checks}}
+            pass
+    return {"exit code": head.removeprefix("exit "),
+            **{c["constraint-id"]: c["status"] for c in checks}}
 
-    before, after = verdicts(old), verdicts(new)
-    moved = [f"{k} {before.get(k)} -> {after.get(k)}"
-             for k in dict.fromkeys([*before, *after]) if before.get(k) != after.get(k)]
-    return ("verdicts moved: " + ", ".join(moved)) if moved else \
-        "exit code and every constraint status unchanged"
+
+def verdict_moves(name: str, old: str, new: str) -> list[str]:
+    """The verdicts of one command that differ between two outputs, as 'key old -> new'."""
+    before, after = verdicts(name, old), verdicts(name, new)
+    return [f"{k} {before.get(k)} -> {after.get(k)}"
+            for k in dict.fromkeys([*before, *after]) if before.get(k) != after.get(k)]
 
 
 def main(argv=None) -> int:
@@ -156,21 +161,24 @@ def main(argv=None) -> int:
     ap.add_argument("new", type=Path, help="checkout (or src directory) to compare to")
     args = ap.parse_args(argv)
     old, new = outputs_of(args.old), outputs_of(args.new)
-    differ = 0
+    differ = moved = 0
     for name in sorted(set(old) | set(new)):
         if name not in old or name not in new:
             differ += 1
+            moved += 1
             print(f"DIFFERS {name}: only in {'new' if name in new else 'old'}")
         elif old[name] != new[name]:
             differ += 1
             print(f"DIFFERS {name}")
             for line in describe(old[name], new[name]):
                 print(f"    {line}")
-            if name.startswith("validate "):
-                print(f"    {verdict_moves(old[name], new[name])}")
+            moves = verdict_moves(name, old[name], new[name])
+            moved += bool(moves)
+            print("    verdicts moved: " + ", ".join(moves) if moves else "    verdicts unchanged")
     total = len(set(old) | set(new))
-    print(f"{total} outputs compared, {total - differ} identical, {differ} differ")
-    return 1 if differ else 0
+    print(f"{total} outputs compared, {total - differ} identical, {differ} differ, "
+          f"{moved} with moved verdicts")
+    return 2 if moved else 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -97,19 +97,29 @@ def dot(a, b) -> float:
 
 
 def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform points on S^2 via inverse CDF: z ~ U[-1,1], azimuth ~ U[0,2pi).
+    """Uniform points on S^2 by Marsaglia's disk map (Ann. Math. Statist. 43, 1972).
+
+    A candidate (x, y) is uniform on [-1, 1)^2, drawn as 2 * random() - 1
+    per coordinate; it is kept when s = x^2 + y^2 < 1, and the kept
+    candidate maps to (x*f, y*f, 1 - 2s) with f = 2 * sqrt(1 - s), which is
+    uniform on the sphere. That is one square root per point and no
+    trigonometry: numpy's float64 cos and sin run through scalar libm, and
+    they take about two thirds of an inverse-CDF fill (z, then azimuth).
 
     Returns shape (3,) when ``n`` is None, else (n, 3). The single point is
-    a one-row block computed on Python floats: the same two draws, and
-    ``uniform(low, high)`` is ``low + (high - low) * random()``, whose scale
-    by 2 is exact, so only the sum rounds; math's cos and sin agree with
-    numpy's float64 ones bit for bit (a test compares the two paths).
+    a one-row block computed on Python floats: it draws its candidates as
+    (x, y) pairs, as a one-row block does, with the same arithmetic, so it
+    lands on the same bits and leaves the stream at the same position (a
+    test compares the two paths).
     """
     if n is None:
-        z = -1.0 + 2.0 * rng.random()
-        phi = (2.0 * math.pi) * rng.random()
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        return np.array([r * math.cos(phi), r * math.sin(phi), z])
+        while True:
+            x = 2.0 * rng.random() - 1.0
+            y = 2.0 * rng.random() - 1.0
+            s = x * x + y * y
+            if s < 1.0:
+                f = 2.0 * math.sqrt(1.0 - s)
+                return np.array([x * f, y * f, 1.0 - 2.0 * s])
     m = int(n)
     if m < 0:
         raise GeometryError("n must be nonnegative")
@@ -121,25 +131,37 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
 def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
     """Write len(out) uniform points on S^2 into the (n, 3) view ``out``.
 
-    The rule and draw order of ``sample_uniform_sphere`` (z, then azimuth);
-    samplers use it to fill one slot of a preallocated (n, nv, 3) block.
-    r = sqrt(max(0, 1 - z*z)) and the cosine and sine are computed in place
-    in two arrays: numpy elides no temporary below 256 KB (a 16384-row
-    block's arrays are 128 KB), so the chained expression would allocate
-    four.
+    The rule of ``sample_uniform_sphere``; samplers use it to fill one slot
+    of a preallocated (n, nv, 3) block. While ``need`` rows are missing, one
+    batch draws ``random((2, need + need // 3))``: every candidate's first
+    coordinate, then every second one. The first ``need`` accepted
+    candidates, in index order, fill the next rows, and the rest of the
+    batch is dropped. The acceptance rate is pi/4, so a 16384-row block is
+    filled by its first batch but for odds of about 3e-36; small blocks may
+    take a few. A block is drawn in one batch, not in capped chunks: with
+    4096-row batches the fill alone ran faster, but the extra short numpy
+    calls made ``--threads 2`` runs slower (they contend for the
+    interpreter lock).
     """
-    m = len(out)
-    z = rng.uniform(-1.0, 1.0, size=m)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    out[:, 2] = z
-    r = z * z
-    np.subtract(1.0, r, out=r)
-    np.maximum(0.0, r, out=r)
-    np.sqrt(r, out=r)
-    t = np.cos(phi)
-    np.multiply(r, t, out=out[:, 0])
-    np.sin(phi, out=t)
-    np.multiply(r, t, out=out[:, 1])
+    done, m = 0, len(out)
+    while done < m:
+        need = m - done
+        c = rng.random((2, need + need // 3))
+        c *= 2.0
+        c -= 1.0
+        s = c[0] * c[0]
+        s += c[1] * c[1]
+        keep = np.flatnonzero(s < 1.0)[:need]
+        rows = out[done:done + len(keep)]
+        s = s[keep]
+        np.multiply(s, -2.0, out=rows[:, 2])  # -2s + 1 rounds as 1 - 2s: 2s is exact
+        rows[:, 2] += 1.0
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)
+        s *= 2.0
+        np.multiply(np.take(c[0], keep), s, out=rows[:, 0])  # take: 3x faster than c[0, keep]
+        np.multiply(np.take(c[1], keep), s, out=rows[:, 1])
+        done += len(keep)
 
 
 def with_dot(a, direction, target: float) -> np.ndarray:

@@ -71,6 +71,15 @@ def test_validate_inconclusive_exits_two(capsys):
     assert json.loads(out)["overall"] == "inconclusive"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_small_mc_budget_does_not_fail_an_admissible_model(capsys):
+    # cerf reproduces the singlet, yet at 20 draws per pair this seed's
+    # qm-reproduction reads z > 5 from a plug-in stderr that is too small
+    code, _, _ = run_cli(capsys, "validate", "--model", "cerf", "--seed", "1", "--mc-samples",
+                         "20", "--settings-n", "2", "--lambda-n", "20")
+    assert code in (EX_OK, EX_INCONCLUSIVE)
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"non-finite JSON constant {name}")

@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 import time
@@ -275,29 +276,55 @@ def test_vector_helpers_match_numpy_formulas():
 
 
 # ---------------------------------------------------------------------------
-# The sphere fill against the one-pass formula whose bytes it keeps
+# The sphere fill against its rule, candidate by candidate
 
 
-def _one_pass_fill(rng, out):
-    """The sphere fill as one pass over all rows: the bytes the fill must keep."""
-    m = len(out)
-    z = rng.uniform(-1.0, 1.0, size=m)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out[:, 2] = z
-    np.multiply(r, np.cos(phi), out=out[:, 0])
-    np.multiply(r, np.sin(phi), out=out[:, 1])
+def _candidate_loop_fill(rng, out) -> int:
+    """Marsaglia's rule one candidate at a time, in the fill's batches; returns
+    the number of batches drawn."""
+    done, batches = 0, 0
+    while done < len(out):
+        need = len(out) - done
+        first, second = rng.random((2, need + need // 3)).tolist()
+        batches += 1
+        for u, v in zip(first, second):
+            x, y = 2.0 * u - 1.0, 2.0 * v - 1.0
+            s = x * x + y * y
+            if s < 1.0 and done < len(out):
+                f = 2.0 * math.sqrt(1.0 - s)
+                out[done] = x * f, y * f, 1.0 - 2.0 * s
+                done += 1
+    return batches
 
 
-@pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 3 * 16384 + 4465])
+# seeds at which the 2- and 100-row blocks take more than one batch
+_MULTI_BATCH_SEEDS = {2: 10, 100: 122}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 16383, 16384, 16385, 3 * 16384 + 4465])
 def test_chunked_sphere_fill_is_the_one_pass_formula(n):
+    seed = _MULTI_BATCH_SEEDS.get(n, n + 5)
     new, old = np.full((n, 2, 3), 7.0), np.full((n, 2, 3), 7.0)
-    g_new, g_old = RandomStream(n + 5).generator(), RandomStream(n + 5).generator()
+    g_new, g_old = RandomStream(seed).generator(), RandomStream(seed).generator()
     _fill_uniform_sphere(g_new, new[:, 1])
-    _one_pass_fill(g_old, old[:, 1])
+    batches = _candidate_loop_fill(g_old, old[:, 1])
     assert new.tobytes() == old.tobytes()
     assert np.all(new[:, 0] == 7.0)  # the other slot is left alone
     assert g_new.random(9).tobytes() == g_old.random(9).tobytes()
+    assert (batches > 1) == (n in _MULTI_BATCH_SEEDS)
+
+
+def test_sphere_fill_is_uniform():
+    # chi-square limit 63.7: p = 1e-6 at 19 degrees of freedom
+    u = sample_uniform_sphere(RandomStream(2).generator(), 200_000)
+    x, y, z = u.T
+    for values, lo, hi in ((z, -1.0, 1.0), (np.arctan2(y, x), -np.pi, np.pi)):
+        counts = np.histogram(values, bins=20, range=(lo, hi))[0]
+        expected = len(u) / 20
+        assert ((counts - expected) ** 2 / expected).sum() < 63.7
+    for p in (x * y, x * z, y * z):  # zero means, within 5 sigma
+        assert abs(p.mean()) <= 5.0 * p.std() / math.sqrt(len(u))
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
