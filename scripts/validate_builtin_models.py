@@ -1,7 +1,7 @@
 """Run the admissibility suite on every built-in model and tabulate verdicts.
 
-The three polynomial-envelope constructions pass; the square-root envelope
-counterexample is expected to fail positivity, the entry bound, the decay
+family1, family2 and cerf pass; the square-root envelope counterexample
+wrongtrial is expected to fail positivity, the entry bound, the decay
 exponent floor, and the endpoint expansion. Reports land next to this
 script as JSON unless --out-dir says otherwise.
 """

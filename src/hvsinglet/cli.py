@@ -94,9 +94,9 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help="workers of the command's one pool, at most one per task and per "
                         "CPU this process may use; the calling thread is one of them, so N "
-                        "workers start N-1 threads; validate on a model with a quadrature "
-                        "runs on one thread, as its short checks hold the interpreter lock; "
-                        "results do not depend on this")
+                        "workers start N-1 threads; in validate it sizes only the Monte "
+                        "Carlo pass of a model without a quadrature, and every other check "
+                        "runs on the calling thread; results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 

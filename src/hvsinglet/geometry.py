@@ -274,8 +274,7 @@ def _usable_cpus() -> int:
 
 
 # Tasks per worker that _map_ordered lets run ahead of the oldest result not
-# yet taken: it bounds the results held, and it leaves room for a long task
-# (a validate suite's eight checks fit at two workers).
+# yet taken: it bounds the results held, and it leaves room for a long task.
 _AHEAD = 8
 
 

@@ -486,6 +486,11 @@ def wrongtrial_c(g, x):
 def _cerf_kernel(U: np.ndarray, V: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Sign-model correlator kernel K(u, v, a, b) in {-1, +1}, with mask.
 
+    On every valid row K = sgn(w.a) sgn(w.b), where w is whichever of u and
+    v has the larger |.b|: the selection rule of Cerf, Gisin, Massar and
+    Popescu, PRL 94, 220403 (2005). A tie |u.b| = |v.b| puts (u -+ v).b at
+    0, inside the masked band, so it never reaches a valid row.
+
     The rule reads only signs, so (u +- v).b needs no normalization: for
     unit u, v we have |u +- v| <= 2, hence |(u +- v).b| > 2.5*SIGN_EPS
     already implies both |u +- v| > SIGN_EPS and a normalized argument
@@ -1146,25 +1151,25 @@ _MC_BLOCK = 16384
 _MAX_DRAWS = _SPLIT_MAX * _MC_BLOCK
 
 
-def _mc_means(model: HiddenVariableModel, evaluate, jobs, n: int, *, threads: int = 1,
-              per_block=None):
-    """The one Monte Carlo engine: lambda-means of ``evaluate`` for independent jobs.
+def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
+    """The one Monte Carlo engine: lambda-means for independent jobs.
 
-    A job is (stream, pairs): n draws for each of its pairs, in
-    ``_MC_BLOCK``-row blocks and a ragged last one, where block i comes from
-    ``stream.split(i)`` (counter-based streams: Salmon et al., SC'11), so its
-    bytes follow from its key alone. A block is drawn once for all pairs of
-    its job (common random numbers) and made whole by ``_valid_rounds``.
-    Values are reduced round by round, so a block holds one pair's values at a
-    time; for jobs of one pair, ``per_block(gen, values)`` may reduce the whole
-    block after the draws. Every (job, block) task runs in one
-    ``_map_ordered`` pass, job by job, and each job folds its blocks in order
-    as they come back, so ``threads`` changes no byte and only the tasks in
-    flight hold block results. Returns, per job, ([(count, mean, stderr)] per
-    pair, stall); see ``_Moments.estimate``. A block still short after its
-    redraw rounds ends its job's estimate and the pass: ``stall`` is its
-    MeasureZeroError (else None), its rows count, later blocks do not, and the
-    jobs after it are left out of the list.
+    A job is (stream, pairs, evaluate): n draws of the masked evaluator
+    ``evaluate`` for each of its pairs, in ``_MC_BLOCK``-row blocks and a
+    ragged last one, where block i comes from ``stream.split(i)``
+    (counter-based streams: Salmon et al., SC'11), so its bytes follow from
+    its key alone. A block is drawn once for all pairs of its job (common
+    random numbers) and made whole by ``_valid_rounds``. Values are reduced
+    round by round, so a block holds one pair's values at a time; a fourth
+    job entry ``reduce(gen, values)`` replaces ``_Moments.of`` and may draw
+    from the block's generator after each round. Every (job, block) task
+    runs in one ``_map_ordered`` pass, job by job, and each job folds its
+    blocks in order as they come back, so ``threads`` changes no byte and
+    only the tasks in flight hold block results. Returns, per job, ([(count,
+    mean, stderr)] per pair, stall); see ``_Moments.estimate``. A block still
+    short after its redraw rounds ends its own job's estimate: ``stall`` is
+    its MeasureZeroError (else None), its rows count, and the job's later
+    blocks do not; every other job runs to the end.
     """
     full, rest = divmod(n, _MC_BLOCK)
     n_blocks = full + (rest > 0)
@@ -1174,23 +1179,20 @@ def _mc_means(model: HiddenVariableModel, evaluate, jobs, n: int, *, threads: in
     # n_blocks). A later block skips the compare: a fold that reaches it has
     # merged that block's spread, so the result is the same whatever the
     # threads interleave.
-    spread_in = [[n_blocks] * len(pairs) for _, pairs in jobs]
+    spread_in = [[n_blocks] * len(pairs) for _, pairs, *_ in jobs]
 
     def run(task: int):
         j, i = divmod(task, n_blocks)
-        stream, pairs = jobs[j]
+        stream, pairs, evaluate, *reduce = jobs[j]
         if any(k < i for k in stalled[j]):
             return None
         gen = stream.split(i).generator()
         size = _MC_BLOCK if i < full else rest
         moments = [_Moments()] * len(pairs)
         try:
-            if per_block is not None:
-                [(a, b)] = pairs
-                vals = _sample_valid(model, evaluate, gen, size, a, b)[1]
-                return [per_block(gen, vals)], None
             for p, _, _, v in _valid_rounds(model, evaluate, gen, size, pairs):
-                moments[p] = moments[p].merge(_Moments.of(v, spread_in[j][p] < i))
+                m = reduce[0](gen, v) if reduce else _Moments.of(v, spread_in[j][p] < i)
+                moments[p] = moments[p].merge(m)
                 if i < spread_in[j][p] and np.all(moments[p].spread):
                     spread_in[j][p] = i
         except MeasureZeroError as exc:
@@ -1200,15 +1202,13 @@ def _mc_means(model: HiddenVariableModel, evaluate, jobs, n: int, *, threads: in
 
     out = []
     with closing(_map_ordered(run, range(len(jobs) * n_blocks), threads)) as blocks:
-        for _, pairs in jobs:
+        for _, pairs, *_ in jobs:
             totals, stall = [_Moments()] * len(pairs), None
-            for moments, stall in itertools.islice(blocks, n_blocks):
-                totals = [t.merge(m) for t, m in zip(totals, moments)]
-                if stall is not None:
-                    break
+            for block in itertools.islice(blocks, n_blocks):
+                if stall is None:  # blocks after a stall are dropped, run or not
+                    moments, stall = block
+                    totals = [t.merge(m) for t, m in zip(totals, moments)]
             out.append(([t.estimate() for t in totals], stall))
-            if stall is not None:
-                break
     return out
 
 

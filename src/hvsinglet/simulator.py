@@ -6,8 +6,9 @@ block i of pair p drawn from the stream (seed, p, i) and made whole from
 further draws of that stream. Every block of every pair is one task of a
 single thread pool whose calling thread works too, and each pair merges its
 blocks in index order, so estimates are bitwise identical for any thread
-count. A block's outcomes are one draw over its rows; its +-1 products sum
-to an exact integer.
+count. Outcomes are drawn round by round: the rows a redraw round keeps get
+one draw from the block's stream right after that round's lambda draw, and
+their +-1 products sum to an exact integer.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -175,9 +176,8 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
     evaluate = (model.correlations_masked if cfg.mode == "analytic" else
                 model.kernel_masked if model.has_kernel else model.tables_masked)
 
-    def per_block(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
-        if cfg.mode == "analytic":  # one sum over the block
-            return _Moments.of(vals)
+    def outcomes(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
+        """The moments of one outcome draw per row, from the block's generator."""
         if model.has_kernel:
             diag, off = (1.0 - vals) / 4.0, (1.0 + vals) / 4.0
             cols = diag, off, off, diag
@@ -190,11 +190,11 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
     root = RandomStream(cfg.seed)
-    jobs = [(root.split(2, i), [pair]) for i, pair in zip(indices, pairs)]
+    reduce = [] if cfg.mode == "analytic" else [outcomes]  # analytic: the values' own moments
+    jobs = [(root.split(2, i), [pair], evaluate, *reduce) for i, pair in zip(indices, pairs)]
     out = []
     for (a, b), q, ([(n, e, stderr)], stall) in zip(
-            pairs, e_qm, _mc_means(model, evaluate, jobs, cfg.shots, threads=cfg.threads,
-                                   per_block=per_block)):
+            pairs, e_qm, _mc_means(model, jobs, cfg.shots, threads=cfg.threads)):
         if stall is not None:
             raise stall
         out.append(CorrelationEstimate(a, b, float(e), float(stderr), q, n, cfg.mode, cfg.seed))

@@ -30,9 +30,10 @@ kernel models average k, so no check builds tables over the quadrature. An
 MC pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
 than two samples, zero spread with a nonzero deviation or a stalled block
 leaves the check ``inconclusive`` rather than guessing, as does a check
-that evaluated no rows. ``run_full_suite`` runs the suite of a model with a
-quadrature on the calling thread; without one it starts the two MC checks
-ahead of the others on its pool, the longest jobs first. The checks take
+that evaluated no rows. Each MC check is a job (its pairs, its block
+streams, its evaluator) and a report made from the job's result:
+``run_full_suite`` runs both jobs of a model without a quadrature in one
+engine pass, and every other check on the calling thread. The checks take
 the correction from ``model.implied_c`` and their lambda rows from
 ``LambdaSpace.nodes``.
 """
@@ -47,8 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import (RandomStream, _map_ordered, as_generator, dot, sample_uniform_sphere,
-                       with_dot)
+from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, with_dot
 from .models import (
     _SIGMA_TAU,
     HiddenVariableModel,
@@ -248,9 +248,9 @@ def decompose_delta(table, a, b) -> DeltaDecomposition:
 class ValidatorConfig:
     """Scan sizes and Monte Carlo budgets for the full suite.
 
-    ``threads`` caps the workers that run the checks of a model without a
-    quadrature, whose Monte Carlo checks gain from a second thread. A model
-    with a quadrature runs its suite on the calling thread whatever the value.
+    ``threads`` caps the workers of the one Monte Carlo pass that runs both
+    integral checks of a model without a quadrature. Every other check, and
+    every check of a model with a quadrature, runs on the calling thread.
     """
 
     n_settings: int = 100
@@ -403,25 +403,26 @@ def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel
                             {"mode": "quadrature"})
 
 
-def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_samples: int,
-                  evaluate, compare):
-    """An MC check: the compare/z step over the engine's per-pair means.
-
-    The pairs come first, from ``source.generator()``; ``_mc_means`` then
-    averages ``evaluate`` over 16384-row lambda blocks keyed by
-    ``source.split(i)``. ``compare(a, b, mean, stderr)`` gives (dev, stderr)
-    and z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
-    for dev 0 and NaN otherwise. A pair fails above 5 sigma; else a stderr
-    above 1e-2 (with ``samples_needed``, from stderr ~ 1/sqrt(n)) or an
-    unresolved pair (none at all, a stalled block, fewer than two values, a
-    NaN z) makes the check inconclusive. Returns (the (a, b, n, dev, stderr,
-    z) of pairs with n >= 2, values used, status, details).
-    """
-    if not isinstance(source, RandomStream):  # the blocks are keyed by source.split(i)
+def _mc_job(source, n_settings: int, evaluate):
+    """An MC check's job: pairs from ``source.generator()``, block i from ``source.split(i)``."""
+    if not isinstance(source, RandomStream):
         raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
     gen = source.generator()
-    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    [(stats, stall)] = _mc_means(model, evaluate, [(source, pairs)], mc_samples, threads=1)
+    return source, [_random_pair(gen, endpoint=False) for _ in range(n_settings)], evaluate
+
+
+def _mc_estimates(pairs, result, compare):
+    """An MC check's compare/z step over its job's ``_mc_means`` result.
+
+    ``compare(a, b, mean, stderr)`` gives (dev, stderr) and z = dev / stderr;
+    zero spread is not evidence, so stderr 0 gives z = 0 for dev 0 and NaN
+    otherwise. A pair fails above 5 sigma; else a stderr above 1e-2 (with
+    ``samples_needed``, from stderr ~ 1/sqrt(n)) or an unresolved pair (none
+    at all, a stalled block, fewer than two values, a NaN z) makes the check
+    inconclusive. Returns (the (a, b, n, dev, stderr, z) of pairs with n >= 2,
+    values used, status, details).
+    """
+    stats, stall = result
     estimates = []
     unresolved = not pairs or stall is not None
     max_stderr, worst_z = 0.0, -np.inf
@@ -446,21 +447,29 @@ def _mc_estimates(model: HiddenVariableModel, source, n_settings: int, mc_sample
     return estimates, sum(n for n, _, _ in stats), status, details
 
 
+def _zero_average_mc(model: HiddenVariableModel, n_settings: int, source):
+    """zero-average's MC job and the report it makes of the job's result."""
+    job = _mc_job(source, n_settings, model.implied_c)
+
+    def report(result) -> ConstraintReport:
+        estimates, used, status, details = _mc_estimates(
+            job[1], result, lambda a, b, mean, stderr: (np.abs(mean), stderr))
+        top = max(estimates, key=lambda e: e[3], default=None)  # the first largest deviation
+        worst = None if top is None else Witness(top[3], None, top[0], top[1])
+        return ConstraintReport("zero-average", status, None if worst is None else worst.value,
+                                1e-2, used, worst, details)
+
+    return job, report
+
+
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
                        mc_samples: int = 1_000_000) -> ConstraintReport:
     """The lambda-average of C (or of the implied correction) must vanish."""
     if model.lambda_space.quadrature is not None:
         return _quadrature_check("zero-average", 1e-10, model, source, n_settings,
                                  model.implied_c, lambda a, b, weight, mean: abs(float(mean)))
-
-    # Monte Carlo path: per-setting mean of the implied correction
-    estimates, used, status, details = _mc_estimates(
-        model, source, n_settings, mc_samples, model.implied_c,
-        lambda a, b, mean, stderr: (np.abs(mean), stderr))
-    top = max(estimates, key=lambda e: e[3], default=None)  # the first largest deviation
-    worst = None if top is None else Witness(top[3], None, top[0], top[1])
-    return ConstraintReport("zero-average", status, None if worst is None else worst.value,
-                            1e-2, used, worst, details)
+    job, report = _zero_average_mc(model, n_settings, source)
+    return report(*_mc_means(model, [job], mc_samples))
 
 
 def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int,
@@ -727,38 +736,51 @@ def check_expansion(model: HiddenVariableModel, source,
 # Statistics reproduction
 
 
-def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *,
-                          mc_samples: int = 1_000_000) -> ConstraintReport:
-    """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4.
+def _qm_terms(model: HiddenVariableModel):
+    """qm-reproduction's evaluator and its deviation(a, b, W, mean) from the singlet table.
 
     Kernel models average k in both modes: the mean table is
     (W - sigma*tau*kbar)/4 over the valid mass W (1 for MC draws).
     """
-    evaluate = model.kernel_masked if model.has_kernel else model.tables_masked
-
     def deviation(a, b, weight, mean):
         table = (weight - _SIGMA_TAU * mean) / 4.0 if model.has_kernel else mean
         return np.abs(table - qm_table(a, b))
 
-    if model.lambda_space.quadrature is not None:
-        return _quadrature_check("qm-reproduction", 1e-9, model, source, n_settings, evaluate,
-                                 deviation)
+    return (model.kernel_masked if model.has_kernel else model.tables_masked), deviation
+
+
+def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
+    """qm-reproduction's MC job and the report it makes of the job's result."""
+    evaluate, deviation = _qm_terms(model)
+    job = _mc_job(source, n_settings, evaluate)
 
     def compare(a, b, mean, stderr):
         return deviation(a, b, 1.0, mean), (np.full((2, 2), stderr / 4.0)  # stderr(k)/4
                                             if model.has_kernel else stderr)
 
-    estimates, used, status, details = _mc_estimates(model, source, n_settings, mc_samples,
-                                                     evaluate, compare)
-    worst, worst_z = None, -np.inf
-    for a, b, _, dev, _, z in estimates:
-        z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
-        i, j = divmod(int(z.argmax()), 2)
-        if z[i, j] > worst_z:
-            worst_z = float(z[i, j])
-            worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
-    return ConstraintReport("qm-reproduction", status, None if worst is None else worst_z, 5.0,
-                            used, worst, details)
+    def report(result) -> ConstraintReport:
+        estimates, used, status, details = _mc_estimates(job[1], result, compare)
+        worst, worst_z = None, -np.inf
+        for a, b, _, dev, _, z in estimates:
+            z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
+            i, j = divmod(int(z.argmax()), 2)
+            if z[i, j] > worst_z:
+                worst_z = float(z[i, j])
+                worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
+        return ConstraintReport("qm-reproduction", status, None if worst is None else worst_z,
+                                5.0, used, worst, details)
+
+    return job, report
+
+
+def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *,
+                          mc_samples: int = 1_000_000) -> ConstraintReport:
+    """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4."""
+    if model.lambda_space.quadrature is not None:
+        return _quadrature_check("qm-reproduction", 1e-9, model, source, n_settings,
+                                 *_qm_terms(model))
+    job, report = _qm_reproduction_mc(model, n_settings, source)
+    return report(*_mc_means(model, [job], mc_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -816,71 +838,45 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
     ``config.threads``: each check owns a stream derived from its fixed
     position in the battery, so scheduling cannot reorder draws.
 
-    Only a model without a quadrature runs its checks on a pool of up to
-    ``config.threads`` workers: its two Monte Carlo checks make long numpy
-    calls that release the interpreter lock. A model with a quadrature runs
-    every check on the calling thread, where a second thread would only
-    trade the lock back and forth.
+    A model without a quadrature runs its two Monte Carlo checks as two jobs
+    of one ``_mc_means`` pass on up to ``config.threads`` workers,
+    qm-reproduction's first; a stalled block ends only its own check. Every
+    other check, and every check of a model with a quadrature, runs on the
+    calling thread.
     """
     cfg = config or ValidatorConfig()
     root = RandomStream(seed).split(3)  # purpose tag for validation streams
-
-    exponent_est: list[ExponentEstimate | None] = [None]
-
-    def exponents() -> ExponentEstimate | None:
-        if model.is_canonical and exponent_est[0] is None:
-            exponent_est[0] = estimate_exponents(
-                model, root.split(6), cfg.exponent_window, cfg.exponent_points,
-                cfg.exponent_lambda)
-        return exponent_est[0]
+    # the exponent fit is shared by two checks
+    est = (estimate_exponents(model, root.split(6), cfg.exponent_window, cfg.exponent_points,
+                              cfg.exponent_lambda) if model.is_canonical else None)
 
     def fitted(side: str) -> float | None:
         declared = dict(zip(("plus", "minus"), model.declared_exponents))[side]
-        if declared is not None:
-            return None  # check uses the declared value
-        est = exponents()
-        return None if est is None else getattr(est, f"s_{side}")
+        # a declared exponent is the check's own default
+        return None if declared is not None or est is None else getattr(est, f"s_{side}")
 
-    def scan():
-        return check_table_scan(model, cfg.n_settings, cfg.n_lambda, root.split(1))
-
-    def marginal():
-        return check_marginal_triviality(model, cfg.marginal_settings,
-                                         cfg.marginal_lambda, root.split(2))
-
-    def zero_avg():
-        n = cfg.n_settings if model.lambda_space.quadrature is not None else cfg.mc_settings
-        return check_zero_average(model, n, root.split(4), mc_samples=cfg.mc_samples)
-
-    def coincident():
-        return check_coincident_zero(model, cfg.coincident_axes, cfg.n_lambda, root.split(5))
-
-    def exponent_bound():
-        return check_exponent_bound(model, root.split(6), cfg.exponent_window,
-                                    cfg.exponent_points, cfg.exponent_lambda,
-                                    estimate=exponents())
-
-    def endpoint_g():
-        return check_endpoint_g_bound(
-            model, root.split(7), eps=cfg.endpoint_eps, n_pairs=cfg.endpoint_pairs,
-            n_lambda=cfg.n_lambda, s_plus=fitted("plus"), s_minus=fitted("minus"))
-
-    def expansion():
-        return check_expansion(model, root.split(8), cfg.expansion_eps,
-                               cfg.expansion_axes, cfg.n_lambda)
-
-    def qm():
-        return check_qm_reproduction(model, cfg.qm_settings, root.split(9),
-                                     mc_samples=cfg.mc_samples)
-
-    # the exponent fit is shared by two checks; materialize it first
-    exponents()
-    # the two MC checks are the longest on a model without quadrature, so
-    # they start first and the short checks fill in behind them; with a
-    # quadrature no check runs the MC engine, and the suite needs no pool
-    jobs = [qm, zero_avg, scan, marginal, coincident, exponent_bound, endpoint_g, expansion]
-    threads = cfg.threads if model.lambda_space.quadrature is None else 1
-    qm_report, zero_report, scan_reports, *results = _map_ordered(lambda f: f(), jobs, threads)
-    by_id = {r.constraint_id: r for r in [qm_report, zero_report, *scan_reports, *results]}
+    if model.lambda_space.quadrature is None:
+        checks = [_qm_reproduction_mc(model, cfg.qm_settings, root.split(9)),
+                  _zero_average_mc(model, cfg.mc_settings, root.split(4))]
+        results = _mc_means(model, [job for job, _ in checks], cfg.mc_samples,
+                            threads=cfg.threads)
+        integral = [report(result) for (_, report), result in zip(checks, results)]
+    else:
+        integral = [check_qm_reproduction(model, cfg.qm_settings, root.split(9)),
+                    check_zero_average(model, cfg.n_settings, root.split(4))]
+    by_id = {r.constraint_id: r for r in [
+        *integral,
+        *check_table_scan(model, cfg.n_settings, cfg.n_lambda, root.split(1)),
+        check_marginal_triviality(model, cfg.marginal_settings, cfg.marginal_lambda,
+                                  root.split(2)),
+        check_coincident_zero(model, cfg.coincident_axes, cfg.n_lambda, root.split(5)),
+        check_exponent_bound(model, root.split(6), cfg.exponent_window, cfg.exponent_points,
+                             cfg.exponent_lambda, estimate=est),
+        check_endpoint_g_bound(model, root.split(7), eps=cfg.endpoint_eps,
+                               n_pairs=cfg.endpoint_pairs, n_lambda=cfg.n_lambda,
+                               s_plus=fitted("plus"), s_minus=fitted("minus")),
+        check_expansion(model, root.split(8), cfg.expansion_eps, cfg.expansion_axes,
+                        cfg.n_lambda),
+    ]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]
     return SuiteResult(model_spec=dict(model.spec), seed=int(seed), reports=reports)

@@ -406,6 +406,24 @@ def test_cerf_kernel_matches_normalized_rule_on_adversarial_rows():
     assert ok[150:].any() and not ok[150:].all()
 
 
+def test_cerf_kernel_is_the_larger_projection_rule():
+    # Cerf, Gisin, Massar & Popescu (2005): with w whichever of u, v has the
+    # larger |.b|, k = sgn(w.a) sgn(w.b) on every valid row. A tie
+    # |u.b| = |v.b| puts (u -+ v).b at 0, inside the masked band.
+    m = cerf_model()
+    gen = RandomStream(71).generator()
+    valid = 0
+    for _ in range(40):
+        a, b = sample_uniform_sphere(gen), sample_uniform_sphere(gen)
+        batch = m.lambda_space.sample(gen, 16384)
+        U, V = batch.vectors[:, 0], batch.vectors[:, 1]
+        k, ok = _cerf_kernel(U, V, a, b)
+        W = np.where((np.abs(U @ b) > np.abs(V @ b))[:, None], U, V)
+        assert np.array_equal(k[ok], (np.sign(W @ a) * np.sign(W @ b))[ok])
+        valid += int(ok.sum())
+    assert valid == 40 * 16384
+
+
 _MASKS = {"random": lambda gen, n: gen.random(n) < 0.5,
           "all-true": lambda gen, n: np.ones(n, dtype=bool),
           "all-false": lambda gen, n: np.zeros(n, dtype=bool)}
@@ -861,7 +879,7 @@ def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
     of, seen = _Moments.of, []
 
     def run(threads):
-        [(stats, stall)] = _mc_means(model, evaluate, [(RandomStream(61), pairs)],
+        [(stats, stall)] = _mc_means(model, [(RandomStream(61), pairs, evaluate)],
                                      4 * 4096 + 100, threads=threads)
         assert stall is None
         return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
@@ -900,7 +918,7 @@ def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
     pairs = [(Z, X), (X, Z)]
 
     def run(threads):
-        [(stats, stall)] = _mc_means(model, model.kernel_masked, [(RandomStream(62), pairs)],
+        [(stats, stall)] = _mc_means(model, [(RandomStream(62), pairs, model.kernel_masked)],
                                      200 * 64, threads=threads)
         assert stall is None
         return [np.array(s, dtype=float) for s in stats]

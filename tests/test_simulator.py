@@ -362,6 +362,36 @@ def test_kernel_estimate_equals_table_estimate_with_redraws():
     assert (kern.e_est, kern.stderr) == (tab.e_est, tab.stderr)
 
 
+def test_outcomes_are_drawn_round_by_round():
+    # a block that redraws draws each round's outcomes right after that
+    # round's lambda rows, from the block's stream
+    cerf = builtin_model("cerf")
+
+    def sampler(gen, n):  # ~10% of the rows land on the undefined set at a = Z
+        batch = cerf.lambda_space.sampler(gen, n)
+        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
+        return batch
+
+    m = HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
+                            kernel_rule=cerf.kernel_rule)
+    b = unit([0.3, 0.1, 0.95])
+    total, n, rounds = 0.0, 0, 0
+    for i, size in enumerate((16384, 4465)):
+        gen = RandomStream(14).split(2, 0).split(i).generator()
+        need = size
+        while need:
+            k, ok = m.kernel_masked(m.lambda_space.sample(gen, need), Z, b)
+            k = k[ok][:need]
+            diag, off = (1.0 - k) / 4.0, (1.0 + k) / 4.0
+            total += float(_sample_products((diag, off, off, diag), gen).sum())
+            need, n, rounds = need - len(k), n + len(k), rounds + 1
+    assert rounds > 2
+    e = total / n
+    got = estimate_correlation(m, Z, b, ExperimentConfig(shots=16384 + 4465, seed=14))
+    assert (got.n_shots, got.e_est) == (n, e)
+    assert got.stderr == float(np.sqrt(max(0.0, (n - n * e * e) / (n - 1)) / n))
+
+
 # ---------------------------------------------------------------------------
 # Estimates against a per-block oracle
 
@@ -465,22 +495,27 @@ def _undefined_at_x_model(calls):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_first_stalled_pair_ends_the_pass(monkeypatch, threads):
+def test_a_stall_ends_only_its_own_job(monkeypatch, threads):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
     calls = []
     m = _undefined_at_x_model(calls)
     settings = np.array([[Z, X], [X, Z], [Z, X], [X, Z]])
     with pytest.raises(MeasureZeroError, match="sampling stalled"):
         run_experiment(m, settings, ExperimentConfig(shots=2 * 16384, seed=19, threads=threads))
-    # the engine's view: pair 1 stalls, its second block and pairs 2 and 3 are
-    # not in the result, and on one thread pair 3 is never drawn
-    jobs = [(RandomStream(19).split(2, i), [(a, b)]) for i, (a, b) in enumerate(settings)]
+    # the engine's view: pairs 1 and 3 stall in their first block and skip
+    # their second; pairs 0 and 2 run to the end, as they would alone
+    jobs = [(RandomStream(19).split(2, i), [(a, b)], m.kernel_masked)
+            for i, (a, b) in enumerate(settings)]
     calls.clear()
-    out = _mc_means(m, m.kernel_masked, jobs, 2 * 16384, threads=threads)
-    assert len(out) == 2 and out[0][1] is None and isinstance(out[1][1], MeasureZeroError)
-    assert out[0][0][0][0] == 2 * 16384
+    out = _mc_means(m, jobs, 2 * 16384, threads=threads)
+    assert len(out) == 4
+    for p in (0, 2):
+        assert out[p][1] is None and out[p][0][0][0] == 2 * 16384
+        assert out[p] == _mc_means(m, jobs[p:p + 1], 2 * 16384)[0]
+    for p in (1, 3):
+        assert isinstance(out[p][1], MeasureZeroError) and out[p][0][0][0] == 0
     if threads == 1:
-        assert sum(calls) == models._MAX_REDRAW_ROUNDS
+        assert sum(calls) == 2 * models._MAX_REDRAW_ROUNDS
     assert estimate_correlation(m, Z, X, ExperimentConfig(shots=100, seed=19)).n_shots == 100
 
 
@@ -491,11 +526,11 @@ def test_one_pass_holds_only_the_blocks_in_flight(monkeypatch, threads):
     monkeypatch.setattr(models, "_MC_BLOCK", 1)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
     m = builtin_model("family1")
-    jobs = [(RandomStream(20).split(2, i), [(Z, X)]) for i in range(12)]
-    _mc_means(m, m.kernel_masked, jobs[:1], 20, threads=threads)  # warm-up
+    jobs = [(RandomStream(20).split(2, i), [(Z, X)], m.kernel_masked) for i in range(12)]
+    _mc_means(m, jobs[:1], 20, threads=threads)  # warm-up
     tracemalloc.start()
     try:
-        out = _mc_means(m, m.kernel_masked, jobs, 200, threads=threads)
+        out = _mc_means(m, jobs, 200, threads=threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -834,9 +834,11 @@ SMALL_MC = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings"
 
 def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
     m = builtin_model("cerf")
-    many = run_full_suite(m, ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2000}), seed=3)
-    assert many.to_json() == run_full_suite(m, SMALL_MC, seed=3).to_json()
-    assert recording_pool == [3]  # eight checks, four usable CPUs: three helpers and the caller
+    two_blocks = ValidatorConfig(**{**SMALL_MC.__dict__, "mc_samples": 2 * 16384})
+    many = run_full_suite(m, ValidatorConfig(**{**two_blocks.__dict__, "threads": 2000}), seed=3)
+    assert many.to_json() == run_full_suite(m, two_blocks, seed=3).to_json()
+    # two MC jobs of two blocks, four usable CPUs: three helpers and the caller
+    assert recording_pool == [3]
 
 
 @pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
@@ -849,7 +851,7 @@ def test_run_full_suite_with_quadrature_starts_no_pool(recording_pool, name):
     assert recording_pool == []
 
 
-def test_run_full_suite_without_quadrature_keeps_its_pool(recording_pool):
+def test_run_full_suite_without_quadrature_pools_its_mc_pass(recording_pool):
     cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
     run_full_suite(builtin_model("cerf"), cfg, seed=1)
     assert recording_pool == [1]  # one helper and the caller
@@ -861,24 +863,58 @@ def test_run_full_suite_cerf_small_budget_inconclusive():
     assert res.report("zero-average").status is CheckStatus.INCONCLUSIVE
 
 
-def test_run_full_suite_submits_mc_checks_first(monkeypatch, recording_pool):
-    ran = []
-    map_ordered = validator._map_ordered
+def test_run_full_suite_makes_one_mc_pass(monkeypatch):
+    calls = []
+    mc_means = validator._mc_means
 
-    def recording_map(fn, jobs, threads):
-        """The suite's pool, recording the checks of each job as it runs."""
-        def run(job):
-            out = fn(job)
-            ran.append([r.constraint_id for r in (out if isinstance(out, tuple) else [out])])
-            return out
-        return map_ordered(run, jobs, threads)
+    def recording(model, jobs, n, *, threads=1):
+        calls.append(([(stream, len(pairs), evaluate) for stream, pairs, evaluate in jobs],
+                      n, threads))
+        return mc_means(model, jobs, n, threads=threads)
 
-    monkeypatch.setattr(validator, "_map_ordered", recording_map)
+    monkeypatch.setattr(validator, "_mc_means", recording)
+    m = builtin_model("cerf")
+    cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
+    res = run_full_suite(m, cfg, seed=1)
+    root = RandomStream(1).split(3)
+    # qm-reproduction's job first, then zero-average's, on the suite's threads
+    assert calls == [([(root.split(9), cfg.qm_settings, m.kernel_masked),
+                       (root.split(4), cfg.mc_settings, m.implied_c)], cfg.mc_samples, 2)]
+    assert res.to_json() == run_full_suite(m, SMALL_MC, seed=1).to_json()
+
+
+def _undefined_at_model(a0):
+    """Kernel k = a.b on uniform scalars with no quadrature, undefined everywhere when a = a0."""
+    space = _scalar_uniform_space(1.0, 16)
+
+    def rule(batch, a, b):
+        n = len(batch)
+        return np.full(n, setting_dot(a, b)), np.full(n, not np.array_equal(a, a0))
+
+    return HiddenVariableModel("undefined-at-a0", LambdaSpace(space.shape, space.sampler),
+                               kernel_rule=rule)
+
+
+@pytest.mark.parametrize("stalled, other", [("qm-reproduction", "zero-average"),
+                                            ("zero-average", "qm-reproduction")])
+def test_a_stalled_mc_check_leaves_the_other_as_it_runs_alone(monkeypatch, stalled, other):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    res = run_full_suite(builtin_model("cerf"), ValidatorConfig(**{**SMALL_MC.__dict__,
-                                                                   "threads": 2}), seed=1)
-    assert recording_pool == [1]  # the caller claims the jobs in index order
-    assert ran[:3] == [["qm-reproduction"], ["zero-average"],
-                       ["normalization", "positivity", "entry-half-bound"]]
-    assert sorted(cid for ids in ran for cid in ids) == sorted(CONSTRAINT_ORDER)
-    assert res.to_json() == run_full_suite(builtin_model("cerf"), SMALL_MC, seed=1).to_json()
+    root = RandomStream(5).split(3)
+    cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "mc_samples": 2 * 16384})
+    streams = {"qm-reproduction": root.split(9), "zero-average": root.split(4)}
+    # the first axis of the stalled check's pairs: no other check draws it
+    a0, _ = _random_pair(streams[stalled].generator(), endpoint=False)
+    m = _undefined_at_model(a0)
+    want = {
+        "qm-reproduction": check_qm_reproduction(m, cfg.qm_settings, streams["qm-reproduction"],
+                                                 mc_samples=cfg.mc_samples),
+        "zero-average": check_zero_average(m, cfg.mc_settings, streams["zero-average"],
+                                           mc_samples=cfg.mc_samples),
+    }
+    assert want[stalled].status is CheckStatus.INCONCLUSIVE
+    assert want[other].status is CheckStatus.PASS
+    for threads in (1, 2):
+        res = run_full_suite(m, ValidatorConfig(**{**cfg.__dict__, "threads": threads}), seed=5)
+        for cid in (stalled, other):
+            got = json.dumps(res.report(cid).to_dict(), sort_keys=True, allow_nan=False)
+            assert got == json.dumps(want[cid].to_dict(), sort_keys=True, allow_nan=False), cid
