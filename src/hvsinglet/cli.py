@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 a constraint is violated,
 2 nothing failed but some Monte Carlo check was inconclusive, 64 usage or
-input error. The seed is resolved from --seed, then the HV_SEED environment
-variable, then the model spec, then 0.
+input error. Every numeric flag is range-checked by its argparse type as it
+is parsed, before any model loads, so a bad count exits 64 with a message
+naming the flag and its bound. The seed is resolved from --seed, then the
+HV_SEED environment variable, then the model spec, then 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .models import (
     ModelSpecError,
     RECIPE_REGISTRY,
     _masked_rows,
-    build_recipe_model,
     load_model,
     model_from_spec,
     setting_dot,
@@ -59,18 +60,13 @@ EX_USAGE = 64
 
 _BUILTIN_FAMILIES = ("family1", "family2", "wrongtrial", "cerf")
 
-# Caps on the size flags, checked before any work. A lambda row costs about
-# 160 B at the peak of validate (~170 MB at 2**20 rows); a settings pair or a
-# scan point costs a list entry and a pass over the lambda rows; --grid-n is
-# the sphere's polar Gauss count; the MC block index takes one 20-bit
-# stream-split field.
-_SIZE_CAPS = {
-    "lambda_n": 1 << 20,
-    "settings_n": 1 << 16,
-    "points": 1 << 16,
-    "grid_n": _MAX_GAUSS_NODES,
-    "mc_samples": _MAX_DRAWS,
-}
+# Caps on the size flags. A lambda row costs about 160 B at the peak of
+# validate (~170 MB at 2**20 rows); a settings pair or a scan point costs a
+# list entry and a pass over the lambda rows; --grid-n is the sphere's polar
+# Gauss count; --mc-samples and --shots count 16384-row blocks keyed by one
+# 20-bit stream-split field.
+_MAX_LAMBDA = 1 << 20
+_MAX_SETTINGS = 1 << 16
 
 
 class UsageError(Exception):
@@ -84,19 +80,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _add_count(p: argparse.ArgumentParser, flag: str, lo: int, hi: int | None = None,
+               **kw) -> None:
+    """An integer flag whose type checks lo <= value <= hi as it is parsed, so a
+    value out of range exits 64 with a message naming the flag and its bound."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"{flag} must be <= {hi}, got {value}")
+        return value
+    p.add_argument(flag, type=count, **kw)
+
+
 def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     p.add_argument("--model", required=True, metavar="PATH",
                    help="model spec JSON; a bare family name uses its defaults")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: HV_SEED env, then the model spec, then 0)")
-    p.add_argument("--grid-n", type=int, default=None, metavar="N",
-                   help="override sphere quadrature to N polar x 2N azimuthal nodes")
-    p.add_argument("--threads", type=int, default=1,
-                   help="workers of the command's one pool, at most one per task and per "
-                        "CPU this process may use; the calling thread is one of them, so N "
-                        "workers start N-1 threads; in validate it sizes only the Monte "
-                        "Carlo pass of a model without a quadrature, and every other check "
-                        "runs on the calling thread; results do not depend on this")
+    _add_count(p, "--grid-n", 1, _MAX_GAUSS_NODES, default=None, metavar="N",
+               help="override sphere quadrature to N polar x 2N azimuthal nodes")
+    _add_count(p, "--threads", 1, default=1,
+               help="workers of the command's one pool, at most one per task and per "
+                    "CPU this process may use; the calling thread is one of them, so N "
+                    "workers start N-1 threads; in validate it sizes only the Monte "
+                    "Carlo pass of a model without a quadrature, and every other check "
+                    "runs on the calling thread; scan runs no pool, but the value is "
+                    "still checked; results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 
@@ -107,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the admissibility checks")
     _add_common(p, out_help="write the JSON report here instead of stdout")
-    p.add_argument("--lambda-n", type=int, default=2000,
-                   help="lambda draws per scanned setting (default 2000)")
-    p.add_argument("--settings-n", type=int, default=100,
-                   help="setting pairs for the table scans (default 100)")
-    p.add_argument("--mc-samples", type=int, default=1_000_000,
-                   help="Monte Carlo draws per integral check without quadrature")
+    _add_count(p, "--lambda-n", 0, _MAX_LAMBDA, default=2000,
+               help="lambda draws per scanned setting (default 2000)")
+    _add_count(p, "--settings-n", 0, _MAX_SETTINGS, default=100,
+               help="setting pairs for the table scans (default 100)")
+    _add_count(p, "--mc-samples", 0, _MAX_DRAWS, default=1_000_000,
+               help="Monte Carlo draws per integral check without quadrature")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="estimate correlations at given settings")
     _add_common(p, out_help="write CSV here instead of stdout")
     p.add_argument("--settings", required=True, metavar="PATH|random:N",
                    help="JSON file with [[a, b], ...] pairs, or random:N")
-    p.add_argument("--shots", type=int, default=100_000)
+    _add_count(p, "--shots", 1, _MAX_DRAWS, default=100_000)
     p.add_argument("--mode", choices=("sampling", "analytic"), default="sampling")
     p.set_defaults(func=cmd_simulate)
 
@@ -127,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_help="write CSV here instead of stdout")
     p.add_argument("--settings", default="preset:optimal", metavar="PATH|preset:optimal",
                    help="JSON file with exactly 4 pairs (default: optimal axes)")
-    p.add_argument("--shots", type=int, default=100_000)
+    _add_count(p, "--shots", 1, _MAX_DRAWS, default=100_000)
     p.add_argument("--mode", choices=("sampling", "analytic"), default="sampling")
     p.add_argument("--witness", action="store_true",
                    help="also report the largest per-lambda CHSH value")
@@ -135,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep a.b and tabulate the correction")
     _add_common(p, out_help="write CSV here instead of stdout")
-    p.add_argument("--points", type=int, default=41, help="grid points in [-1, 1]")
-    p.add_argument("--lambda-n", type=int, default=2000,
-                   help="lambda draws when the model has no quadrature")
+    _add_count(p, "--points", 2, _MAX_SETTINGS, default=41, help="grid points in [-1, 1]")
+    _add_count(p, "--lambda-n", 1, _MAX_LAMBDA, default=2000,
+               help="lambda draws when the model has no quadrature")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("build-recipe", help="construct a model from a base function")
@@ -145,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=float, help="envelope exponent, s >= 1")
     p.add_argument("--scalar-measure", choices=("uniform", "two_point"), default="uniform")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=32, metavar="N")
+    _add_count(p, "--grid-n", 1, _MAX_GAUSS_NODES, default=32, metavar="N")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="where to write the model spec JSON (default: recipe-<f>-s<s>.json)")
@@ -171,16 +185,7 @@ def _resolve_seed(arg_seed: int | None, spec_seed) -> int:
     return 0
 
 
-def _check_caps(args, *flags: str) -> None:
-    """Reject a size flag above its cap in ``_SIZE_CAPS`` (exit 64)."""
-    for flag in flags:
-        value, cap = getattr(args, flag), _SIZE_CAPS[flag]
-        if value is not None and value > cap:
-            raise UsageError(f"--{flag.replace('_', '-')} must be <= {cap}, got {value}")
-
-
 def _load_model(args):
-    _check_caps(args, "grid_n")
     name = args.model
     if not os.path.exists(name) and name in _BUILTIN_FAMILIES:
         return model_from_spec({"family": name}, grid_n=args.grid_n)
@@ -206,7 +211,7 @@ def _parse_settings(value: str, seed: int, *, expect: int | None = None) -> np.n
             raw = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read settings file {value!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"{value}: not valid JSON ({exc})") from exc
     try:
         pairs = np.asarray(raw, dtype=float)
@@ -231,11 +236,11 @@ def _check_pair_count(n: int) -> None:
                          f"got {n}")
 
 
-def _experiment_config(args, seed: int) -> ExperimentConfig:
+def _config(cls, **fields):
+    """``cls(**fields)``; the config's own ValueError (library bounds) exits 64."""
     try:
-        return ExperimentConfig(shots=args.shots, mode=args.mode, seed=seed,
-                                threads=args.threads)
-    except ValueError as exc:  # --shots or --threads out of range
+        return cls(**fields)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -252,21 +257,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    for flag in ("lambda_n", "settings_n", "mc_samples"):
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-    _check_caps(args, "lambda_n", "settings_n", "mc_samples")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
-    cfg = ValidatorConfig(
-        n_settings=args.settings_n,
-        n_lambda=args.lambda_n,
-        exponent_lambda=args.lambda_n,
-        mc_samples=args.mc_samples,
-        threads=args.threads,
-    )
+    cfg = _config(ValidatorConfig, n_settings=args.settings_n, n_lambda=args.lambda_n,
+                  exponent_lambda=args.lambda_n, mc_samples=args.mc_samples,
+                  threads=args.threads)
     result = run_full_suite(model, cfg, seed=seed)
     _emit(result.to_json() + "\n", args.out)
     for r in result.reports:
@@ -279,7 +274,8 @@ def cmd_simulate(args) -> int:
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     pairs = _parse_settings(args.settings, seed)
-    cfg = _experiment_config(args, seed)
+    cfg = _config(ExperimentConfig, shots=args.shots, mode=args.mode, seed=seed,
+                  threads=args.threads)
     ests = run_experiment(model, pairs, cfg)
     buf = io.StringIO()
     write_correlations_csv(buf, ests)
@@ -291,7 +287,8 @@ def cmd_chsh(args) -> int:
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     pairs = _parse_settings(args.settings, seed, expect=4)
-    cfg = _experiment_config(args, seed)
+    cfg = _config(ExperimentConfig, shots=args.shots, mode=args.mode, seed=seed,
+                  threads=args.threads)
     result = chsh(model, cfg, settings=pairs)
     buf = io.StringIO()
     write_chsh_csv(buf, result)
@@ -306,11 +303,6 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.points < 2:
-        raise UsageError("--points must be at least 2")
-    if args.lambda_n < 1:
-        raise UsageError("--lambda-n must be at least 1")
-    _check_caps(args, "points", "lambda_n")
     model = _load_model(args)
     seed = _resolve_seed(args.seed, model.spec.get("seed"))
     batch, w = model.lambda_space.nodes(RandomStream(seed).split(13), args.lambda_n)
@@ -358,13 +350,10 @@ def _scan_row(model, batch, w, a, b) -> tuple:
 
 
 def cmd_build_recipe(args) -> int:
-    _check_caps(args, "grid_n")
-    seed = _resolve_seed(args.seed, None)
-    # --grid-n sizes the hidden vector of a base function that has one
-    sphere = (dict(n_polar=args.grid_n, n_azimuth=2 * args.grid_n)
-              if RECIPE_REGISTRY[args.f].needs_vector else {})
-    model = build_recipe_model(args.f, args.s, gamma=args.gamma,
-                               measure=args.scalar_measure, seed=seed, **sphere)
+    spec = {"family": "recipe", "s": args.s, "gamma": args.gamma,
+            "scalar_measure": args.scalar_measure, "seed": _resolve_seed(args.seed, None),
+            "parameters": {"f": args.f}}
+    model = model_from_spec(spec, grid_n=args.grid_n)  # --grid-n sizes a sphere if any
     out = args.out or f"recipe-{args.f}-s{args.s:g}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(model.spec, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -382,13 +371,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"hvsinglet: error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (ModelSpecError, GeometryError) as exc:
-        print(f"hvsinglet: error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except OSError as exc:
+    except (UsageError, ModelSpecError, GeometryError, OSError) as exc:
         print(f"hvsinglet: error: {exc}", file=sys.stderr)
         return EX_USAGE
 

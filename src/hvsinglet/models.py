@@ -1040,7 +1040,7 @@ def load_model(path, *, grid_n: int | None = None) -> HiddenVariableModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ModelSpecError(f"{path}: not valid JSON ({exc})") from exc
     return model_from_spec(spec, grid_n=grid_n)
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
 
@@ -50,6 +50,7 @@ import numpy as np
 
 from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, with_dot
 from .models import (
+    _MAX_DRAWS,
     _SIGMA_TAU,
     HiddenVariableModel,
     LambdaPoint,
@@ -269,6 +270,17 @@ class ValidatorConfig:
     exponent_points: int = 20
     exponent_lambda: int = 2000
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        # every count is >= 0; an exponent fit needs two points, a pass one worker
+        lows = {"exponent_points": 2, "threads": 1}
+        for f in fields(self):
+            value, lo = getattr(self, f.name), lows.get(f.name, 0)
+            if f.type == "int" and value < lo:
+                raise ValueError(f"{f.name} must be >= {lo}, got {value}")
+        if self.mc_samples > _MAX_DRAWS:
+            raise ValueError(f"mc_samples must be <= {_MAX_DRAWS} (the stream split limit), "
+                             f"got {self.mc_samples}")
 
 
 def _random_pair(gen, endpoint: bool) -> tuple[np.ndarray, np.ndarray]:

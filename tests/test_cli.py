@@ -2,10 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,16 @@ from hypothesis import strategies as st
 from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
 from hvsinglet.geometry import RandomStream
-from hvsinglet.models import (_MAX_DRAWS, RECIPE_REGISTRY, HiddenVariableModel,
-                              _scalar_uniform_space, builtin_model, load_model, qm_table)
+from hvsinglet.models import (_MAX_DRAWS, _MAX_GAUSS_NODES, RECIPE_REGISTRY,
+                              HiddenVariableModel, _scalar_uniform_space, builtin_model,
+                              load_model, qm_table)
 from hvsinglet.simulator import _MAX_PAIRS, CSV_HEADER
-from hvsinglet.validator import CONSTRAINT_ORDER
+from hvsinglet.validator import CONSTRAINT_ORDER, ValidatorConfig
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 FAST_VALIDATE = ["--lambda-n", "200", "--settings-n", "10"]
 
@@ -166,11 +174,24 @@ VALIDATE_F1 = ("validate", "--model", "family1")
     (*VALIDATE_F1, "--threads", "0"), (*VALIDATE_F1, "--mc-samples", "-1"),
     (*VALIDATE_F1, "--lambda-n", "-1"), (*VALIDATE_F1, "--settings-n", "-3"),
     ("scan", "--model", "cerf", "--lambda-n", "0"),
+    # scan runs no pool and family1 has no sphere, yet every value is checked
+    ("scan", "--model", "family1", "--threads", "0"),
+    ("scan", "--model", "family1", "--threads", "-3"),
+    ("scan", "--model", "family1", "--grid-n", "-4"),
+    (*VALIDATE_F1, "--grid-n", "0"),
+    ("build-recipe", "square", "2", "--out", os.devnull, "--grid-n", "-1"),
 ])
 def test_bad_numeric_flags_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EX_USAGE
     assert out == "" and "must be" in err
+    assert f"{argv[-2]} must be" in err  # the message names the flag
+
+
+def test_config_errors_exit_64():
+    # the parser checks every flag first; a config's own bound still maps to 64
+    with pytest.raises(cli.UsageError, match="threads must be >= 1"):
+        cli._config(ValidatorConfig, threads=0)
 
 
 def test_validate_out_file_and_spec_model(tmp_path, capsys):
@@ -258,6 +279,23 @@ def test_malformed_settings_file_exits_64(tmp_path, capsys, command, raw):
     p.write_text(json.dumps(raw))
     code, out, err = run_cli(capsys, command, "--model", "family1", "--settings", str(p))
     assert code == EX_USAGE and out == "" and str(p) in err
+
+
+_UNREADABLE = {"not-utf8": b'\xff\xfe{"family": "family1"}', "too-deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("argv", [("scan", "--model", "{}"),
+                                  ("simulate", "--model", "family1", "--settings", "{}"),
+                                  ("chsh", "--model", "family1", "--settings", "{}")],
+                         ids=["spec", "simulate-settings", "chsh-settings"])
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_unreadable_json_files_exit_64(tmp_path, capsys, argv, name):
+    # a UnicodeDecodeError or a RecursionError in the JSON parser, not exit 1
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_UNREADABLE[name])
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == EX_USAGE and out == ""
+    assert f"{path}: not valid JSON" in err
 
 
 def test_chsh_default_preset(capsys):
@@ -573,7 +611,7 @@ def _assert_exit_contract(command, code, out, err):
         assert ("fail" in {c["status"] for c in report["checks"]}) == (code == EX_VIOLATION)
     else:
         assert code == EX_OK
-        if command != "scan":
+        if command in ("simulate", "chsh"):
             rows = list(csv.reader(io.StringIO(out)))
             assert rows[0] == CSV_HEADER and len(rows) > 1
             assert all(len(r) == len(CSV_HEADER) for r in rows)
@@ -584,14 +622,27 @@ _shots = st.one_of(st.integers(-2, 3000), st.sampled_from([_MAX_DRAWS + 1]))
 
 
 @st.composite
+def _size(draw, hi, cap):
+    """-1..hi mostly; one time in eight, the value just past the flag's ``cap``."""
+    return cap + 1 if draw(st.integers(0, 7)) == 0 else draw(st.integers(-1, hi))
+
+
+@st.composite
 def _numeric_argv(draw):
-    model = draw(st.sampled_from(["family1", "cerf"]))
-    command = draw(st.sampled_from(["simulate", "chsh", "validate"]))
-    argv = [command, "--model", model, "--seed", str(draw(st.integers(0, 3))),
+    command = draw(st.sampled_from(["simulate", "chsh", "validate", "scan", "build-recipe"]))
+    grid = ["--grid-n", str(draw(_size(6, _MAX_GAUSS_NODES)))] if draw(st.booleans()) else []
+    seed = ["--seed", str(draw(st.integers(0, 3)))]
+    if command == "build-recipe":  # the test adds --out
+        return [command, draw(st.sampled_from(["square", "cross_uab"])), "2", *seed, *grid]
+    model = draw(st.sampled_from(["family1", "family2", "cerf"]))
+    argv = [command, "--model", model, *seed, *grid,
             "--threads", str(draw(st.integers(-1, 4)))]
-    if command == "validate":
-        for flag, hi in (("--lambda-n", 40), ("--settings-n", 4), ("--mc-samples", 400)):
-            argv += [flag, str(draw(st.integers(-1, hi)))]
+    if command in ("validate", "scan"):
+        flags = ((("--lambda-n", 40, 1 << 20), ("--settings-n", 4, 1 << 16),
+                  ("--mc-samples", 400, _MAX_DRAWS)) if command == "validate"
+                 else (("--points", 8, 1 << 16), ("--lambda-n", 40, 1 << 20)))
+        for flag, hi, cap in flags:
+            argv += [flag, str(draw(_size(hi, cap)))]
         return argv
     argv += ["--shots", str(draw(_shots)),
              "--mode", draw(st.sampled_from(["sampling", "analytic"]))]
@@ -600,10 +651,23 @@ def _numeric_argv(draw):
     return argv
 
 
+def _check_numeric_run(argv, out_dir, run):
+    """Run ``argv`` (build-recipe writes into ``out_dir``) and check the exit contract."""
+    spec = out_dir / "recipe.json"
+    if argv[0] == "build-recipe":
+        argv = [*argv, "--out", str(spec)]
+    code, out, err = run(argv)
+    _assert_exit_contract(argv[0], code, out, err)
+    if argv[0] == "build-recipe":
+        assert out == "" and spec.exists() == (code == EX_OK)
+        if code == EX_OK:
+            strict_json(spec.read_text())
+
+
 @given(_numeric_argv())
-@settings(max_examples=40, deadline=None)
-def test_numeric_flags_fuzz_keep_exit_and_output_contract(argv):
-    _assert_exit_contract(argv[0], *_run_quiet(argv))
+@settings(max_examples=60, deadline=None)
+def test_numeric_flags_fuzz_keep_exit_and_output_contract(tmp_path_factory, argv):
+    _check_numeric_run(argv, tmp_path_factory.mktemp("numeric"), _run_quiet)
 
 
 # Spec and settings files: mostly well-formed JSON, with a few faults mixed in
@@ -695,14 +759,19 @@ def _settings_json(draw):
     return draw(_faulty(st.just(pairs), st.just([pairs]), 12))
 
 
+def _spec_argv(command, spec, out_dir):
+    """``command`` on ``spec`` written to a file in ``out_dir``, at small counts."""
+    path = out_dir / "spec.json"
+    path.write_text(json.dumps(spec))  # non-finite floats as the NaN/Infinity that json reads
+    argv = [command, "--model", str(path), "--lambda-n", "20"]
+    return argv + (["--settings-n", "2", "--mc-samples", "200"] if command == "validate"
+                   else ["--points", "3"])
+
+
 @given(spec=_spec_json(), command=st.sampled_from(["validate", "scan"]))
 @settings(max_examples=60, deadline=None)
 def test_spec_file_fuzz_keeps_exit_and_output_contract(tmp_path_factory, spec, command):
-    path = tmp_path_factory.mktemp("spec") / "spec.json"
-    path.write_text(json.dumps(spec))  # non-finite floats as the NaN/Infinity that json reads
-    argv = [command, "--model", str(path), "--lambda-n", "20"]
-    argv += (["--settings-n", "2", "--mc-samples", "200"] if command == "validate"
-             else ["--points", "3"])
+    argv = _spec_argv(command, spec, tmp_path_factory.mktemp("spec"))
     _assert_exit_contract(command, *_run_quiet(argv))
 
 
@@ -713,3 +782,31 @@ def test_settings_file_fuzz_keeps_exit_and_output_contract(tmp_path_factory, raw
     path.write_text(json.dumps(raw))
     argv = [command, "--model", "family1", "--settings", str(path), "--shots", "50"]
     _assert_exit_contract(command, *_run_quiet(argv))
+
+
+# The same fuzz in child processes under an address-space limit: a bound missed
+# near a cap swaps in process, but here it ends in a MemoryError traceback.
+_LIMITED_CHILD = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from hvsinglet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_limited(argv):
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@given(argv=_numeric_argv(), spec=_spec_json(), command=st.sampled_from(["validate", "scan"]))
+@settings(max_examples=6, deadline=None)
+def test_fuzz_slice_under_an_address_space_limit(tmp_path_factory, argv, spec, command):
+    # 6 examples of two children each, one child at a time
+    out_dir = tmp_path_factory.mktemp("limited")
+    _check_numeric_run(argv, out_dir, _run_limited)
+    _assert_exit_contract(command, *_run_limited(_spec_argv(command, spec, out_dir)))

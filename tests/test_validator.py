@@ -831,6 +831,34 @@ def test_run_full_suite_deterministic_and_thread_invariant():
 SMALL_MC = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2000, "qm_settings": 2,
                                "mc_settings": 2})
 
+_COUNT_FIELDS = ("n_settings", "n_lambda", "marginal_settings", "marginal_lambda", "mc_samples",
+                 "mc_settings", "qm_settings", "coincident_axes", "endpoint_pairs",
+                 "expansion_axes", "exponent_lambda")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[(f, -1, f"{f} must be >= 0, got -1") for f in _COUNT_FIELDS],
+    ("n_lambda", -5, "n_lambda must be >= 0, got -5"),
+    ("exponent_points", 1, "exponent_points must be >= 2, got 1"),
+    ("mc_samples", 17179852801, "mc_samples must be <= 17179852800"),
+    ("mc_samples", 2**40, "mc_samples must be <= 17179852800"),
+    ("threads", 0, "threads must be >= 1, got 0"),
+    ("threads", -3, "threads must be >= 1, got -3"),
+])
+def test_validator_config_rejects_out_of_range_counts(field, value, message):
+    # numpy's "negative dimensions" on family1, a silent serial run at threads 0,
+    # or a million blocks before the stream split fails: each is caught here
+    with pytest.raises(ValueError, match=message):
+        ValidatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_lambda", 0), ("mc_samples", 0), ("mc_samples", 17179852800), ("exponent_points", 2),
+    ("threads", 2000),
+])
+def test_validator_config_accepts_counts_at_their_bounds(field, value):
+    assert getattr(ValidatorConfig(**{field: value}), field) == value
+
 
 def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
     m = builtin_model("cerf")
