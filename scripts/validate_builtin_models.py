@@ -6,19 +6,19 @@ exponent floor, and the endpoint expansion. Reports land next to this
 script as JSON unless --out-dir says otherwise.
 """
 
-import argparse
 import json
 import pathlib
 import time
 
 from hvsinglet import ValidatorConfig, builtin_model, run_full_suite
+from hvsinglet.cli import _SEED_MAX, _add_count, _Parser
 
 MODELS = ("family1", "family2", "wrongtrial", "cerf")
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
+    ap = _Parser(description=__doc__.splitlines()[0])  # a bad flag exits 64, as in the CLI
+    _add_count(ap, "--seed", 0, _SEED_MAX, default=0)
     ap.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("reports"))
     ap.add_argument("--mc-samples", type=int, default=300_000,
                     help="Monte Carlo budget per integral check (cerf has no quadrature)")

@@ -14,7 +14,8 @@ Exit codes: 0 success / all checks pass, 1 a constraint is violated,
 input error. Every numeric flag is range-checked by its argparse type as it
 is parsed, before any model loads, so a bad count exits 64 with a message
 naming the flag and its bound. The seed is resolved from --seed, then the
-HV_SEED environment variable, then the model spec, then 0.
+HV_SEED environment variable, then the model spec, then 0; each must lie in
+[0, 2^64), or the command exits 64.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .geometry import GeometryError, RandomStream, dot, sample_uniform_sphere
+from .geometry import _SEED_MAX, GeometryError, RandomStream, dot, sample_uniform_sphere
 from .models import (
     _MAX_DRAWS,
     _MAX_GAUSS_NODES,
@@ -51,7 +52,7 @@ from .simulator import (
     write_chsh_csv,
     write_correlations_csv,
 )
-from .validator import ValidatorConfig, run_full_suite
+from .validator import CheckStatus, ValidatorConfig, run_full_suite
 
 EX_OK = 0
 EX_VIOLATION = 1
@@ -81,27 +82,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_count(p: argparse.ArgumentParser, flag: str, lo: int, hi: int | None = None,
-               **kw) -> None:
+               env: str | None = None, **kw) -> None:
     """An integer flag whose type checks lo <= value <= hi as it is parsed, so a
-    value out of range exits 64 with a message naming the flag and its bound."""
+    value out of range exits 64 with a message naming the flag and its bound.
+    With ``env``, the flag defaults to that environment variable, checked alike."""
+    name = flag if env is None else f"{flag} (or {env})"
+
     def count(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from None
         if value < lo:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}, got {value}")
         if hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(f"{flag} must be <= {hi}, got {value}")
+            raise argparse.ArgumentTypeError(f"{name} must be <= {hi}, got {value}")
         return value
+    if env is not None:  # argparse runs a string default through the type
+        kw["default"] = os.environ.get(env)
     p.add_argument(flag, type=count, **kw)
 
 
 def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     p.add_argument("--model", required=True, metavar="PATH",
                    help="model spec JSON; a bare family name uses its defaults")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: HV_SEED env, then the model spec, then 0)")
+    _add_count(p, "--seed", 0, _SEED_MAX, env="HV_SEED",
+               help="RNG seed (default: HV_SEED env, then the model spec, then 0)")
     _add_count(p, "--grid-n", 1, _MAX_GAUSS_NODES, default=None, metavar="N",
                help="override sphere quadrature to N polar x 2N azimuthal nodes")
     _add_count(p, "--threads", 1, default=1,
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scalar-measure", choices=("uniform", "two_point"), default="uniform")
     p.add_argument("--gamma", type=float, default=1.0)
     _add_count(p, "--grid-n", 1, _MAX_GAUSS_NODES, default=32, metavar="N")
-    p.add_argument("--seed", type=int, default=None)
+    _add_count(p, "--seed", 0, _SEED_MAX, env="HV_SEED")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="where to write the model spec JSON (default: recipe-<f>-s<s>.json)")
     p.set_defaults(func=cmd_build_recipe)
@@ -172,17 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(arg_seed: int | None, spec_seed) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get("HV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"HV_SEED must be an integer, got {env!r}") from None
-    if spec_seed is not None:
-        return int(spec_seed)
-    return 0
+    """--seed (whose default is HV_SEED), then the model spec's seed, then 0."""
+    return arg_seed if arg_seed is not None else int(spec_seed or 0)
 
 
 def _load_model(args):
@@ -265,9 +262,20 @@ def cmd_validate(args) -> int:
     result = run_full_suite(model, cfg, seed=seed)
     _emit(result.to_json() + "\n", args.out)
     for r in result.reports:
-        print(f"{r.constraint_id:20s} {r.status.value}", file=sys.stderr)
+        print(_verdict_line(r), file=sys.stderr)
     print(f"overall: {result.overall} (exit {result.exit_code})", file=sys.stderr)
     return result.exit_code
+
+
+def _verdict_line(r) -> str:
+    """A check's stderr line; an inconclusive one says why, from its details."""
+    line, d = f"{r.constraint_id:20s} {r.status.value}", r.details
+    if r.status is not CheckStatus.INCONCLUSIVE:
+        return line
+    why = "; ".join(f"{k} {d[k]}" for k in ("samples_needed", "undefined_rows", "undefined_mass")
+                    if k in d) or d.get("reason") or (
+        "no samples" if not r.samples_used else "a pair with under two draws or zero spread")
+    return f"{line} ({why})"
 
 
 def cmd_simulate(args) -> int:

@@ -39,6 +39,7 @@ UNIT_ATOL = 1e-9
 # three nested splits fit in the 64-bit Philox key word.
 _SPLIT_BITS = 20
 _SPLIT_MAX = (1 << _SPLIT_BITS) - 1
+_SEED_MAX = (1 << 64) - 1  # seeds and stream ids are the uint64 words of a Philox key
 
 
 class GeometryError(ValueError):
@@ -230,16 +231,18 @@ class RandomStream:
     (seed, stream), so two calls yield identical sequences; hold on to the
     generator when consuming a stream incrementally. ``split(i, j, ...)``
     derives a child stream by packing each index into a 20-bit field, which
-    gives collision-free ids for up to three nested levels.
+    gives collision-free ids for up to three nested levels. A seed outside
+    [0, 2^64) raises GeometryError: reduced, it would share another's stream.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed) % (1 << 64))
-        if not 0 <= int(self.stream) < (1 << 64):
-            raise GeometryError("stream id out of uint64 range")
+        if not 0 <= int(self.seed) <= _SEED_MAX or not 0 <= int(self.stream) <= _SEED_MAX:
+            raise GeometryError(f"seed and stream must be in [0, {_SEED_MAX}], got seed "
+                                f"{self.seed}, stream {self.stream}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def split(self, *indices: int) -> "RandomStream":
         s = int(self.stream)

@@ -43,6 +43,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
+    _SEED_MAX,
     _SPLIT_MAX,
     GeometryError,
     RandomStream,
@@ -98,8 +99,15 @@ _SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Tolerance below which a sign argument in the sign rule counts as zero.
 SIGN_EPS = 1e-12
 
-# Redraw rounds before sampling gives up on a rule undefined on most draws.
+# Redraw rounds before sample_valid_tables gives up on a rule undefined almost everywhere.
 _MAX_REDRAW_ROUNDS = 100
+
+# Tables need be defined only for almost every lambda. Above this share of a
+# pair's rows undefined (undefined / drawn on MC, 1 - W on a quadrature) no
+# integral check passes and run_experiment raises MeasureZeroError. cerf's
+# undefined band (measure ~1e-12) stays below one row at the default 1e6
+# draws, and 1e-6 sits four decades below the 1e-2 stderr tolerance.
+_UNDEFINED_TOL = 1e-6
 
 _FAMILIES = ("family1", "family2", "wrongtrial", "cerf", "recipe")
 _MEASURES = ("two_point", "uniform")
@@ -997,8 +1005,8 @@ def model_from_spec(spec: dict, *, grid_n: int | None = None) -> HiddenVariableM
     if unknown:
         raise ModelSpecError(f"unknown parameter keys: {sorted(unknown)}")
     seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ModelSpecError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _SEED_MAX:
+        raise ModelSpecError(f"seed must be an integer in [0, {_SEED_MAX}], got {seed!r}")
 
     kw: dict[str, Any] = {"seed": seed}
     if "scalar_measure" in spec:
@@ -1059,89 +1067,71 @@ def sample_valid_tables(model: HiddenVariableModel, source, n: int,
     """(batch, tables) of n lambda values with defined tables at (a, b).
 
     Bad rows are redrawn: almost surely a no-op for continuous measures, but
-    it keeps hand-built degenerate settings from poisoning an estimate.
+    it keeps hand-built degenerate settings from poisoning a sample.
     """
     return _sample_valid(model, model.tables_masked, source, n, a, b)
 
 
 def _sample_valid(model: HiddenVariableModel, evaluate, source, n: int,
                   a, b) -> tuple[LambdaBatch, np.ndarray]:
-    """The one-pair draw of ``_valid_rounds``, gathered into (batch, values).
+    """(batch, values) of n lambda rows where ``evaluate`` is defined at (a, b).
 
     ``evaluate`` is a masked evaluator such as ``tables_masked`` or
-    ``kernel_masked``; evaluators with the same mask draw the same rows.
+    ``kernel_masked``; evaluators with the same mask draw the same rows. A
+    round draws the rows still lacking and keeps the valid ones; rows still
+    lacking after ``_MAX_REDRAW_ROUNDS`` rounds raise MeasureZeroError.
     """
-    parts = [(cand.take(rows), v) for _, cand, rows, v
-             in _valid_rounds(model, evaluate, as_generator(source), n, [(a, b)])]
-    if len(parts) == 1:
-        return parts[0]
-    return LambdaBatch.concat([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _valid_rounds(model: HiddenVariableModel, evaluate, gen: np.random.Generator, n: int,
-                  pairs):
-    """Draw n lambda rows usable at each settings pair: the one redraw rule.
-
-    A round draws what the neediest pair lacks and evaluates it at every pair
-    still short; each keeps its first valid rows, up to what it lacks, and
-    yields (pair index, candidates, kept rows, kept values) if any. A pair
-    short after ``_MAX_REDRAW_ROUNDS`` rounds raises MeasureZeroError.
-    """
-    need = [int(n)] * len(pairs)
+    gen, batches, values, need = as_generator(source), [], [], int(n)
     for _ in range(_MAX_REDRAW_ROUNDS):
-        if max(need, default=0) <= 0:
-            return
-        cand = model.lambda_space.sample(gen, max(need))
-        for p, (a, b) in enumerate(pairs):
-            if need[p] > 0:
-                v, ok = evaluate(cand, a, b)
-                rows = slice(need[p]) if ok.all() else np.flatnonzero(ok)[:need[p]]
-                v = v[rows]
-                need[p] -= len(v)
-                if len(v):
-                    yield p, cand, rows, v
-    if max(need) > 0:
-        raise MeasureZeroError(f"model '{model.name}': sampling stalled, rule undefined on "
-                               "almost all draws")
+        cand = model.lambda_space.sample(gen, need)
+        v, ok = evaluate(cand, a, b)
+        scalars, vectors, v = _masked_rows(ok, cand.scalars, cand.vectors, v)
+        batches.append(LambdaBatch(scalars, vectors))
+        values.append(v)
+        need -= len(v)
+        if need <= 0:
+            if len(batches) == 1:
+                return batches[0], v
+            return LambdaBatch.concat(batches), np.concatenate(values)
+    raise MeasureZeroError(f"model '{model.name}': sampling stalled, rule undefined on "
+                           "almost all draws")
 
 
 class _Moments(NamedTuple):
-    """Sum, sum of squares, count, first value and spread of one pair's draws."""
+    """Sum, sum of squares, count, first value, spread and undefined count of a pair's draws."""
 
     total: Any = 0.0  # scalars, or arrays with one entry per table cell
     total_sq: Any = 0.0
     n: int = 0
     first: Any = None
     spread: Any = False  # True where some draw differs from the first
+    undefined: int = 0
 
     @staticmethod
     def of(vals: np.ndarray, spread: bool = False) -> "_Moments":
-        """The moments of one round's values.
-
-        ``spread`` True (the pair's draws are known to differ already) skips
-        comparing each row with the first.
-        """
+        """The moments of kept values; ``spread`` True (draws known to differ) skips a compare."""
         first = np.array(vals[0])  # a copy: a view would hold the whole block
         return _Moments(vals.sum(axis=0), (vals * vals).sum(axis=0), len(vals), first,
                         True if spread else (vals != first).any(axis=0))
 
     def merge(self, later: "_Moments") -> "_Moments":
+        undefined = self.undefined + later.undefined
         if later.first is None:
-            return self
+            return self._replace(undefined=undefined)
         first = later.first if self.first is None else self.first
         spread = self.spread | later.spread | (later.first != first)
         return _Moments(self.total + later.total, self.total_sq + later.total_sq,
-                        self.n + later.n, first, spread)
+                        self.n + later.n, first, spread, undefined)
 
     def estimate(self):
-        """(count, mean, stderr), variance divisor n - 1; no spread: the draw and stderr 0."""
+        """(count, mean, stderr, undefined), variance divisor n - 1; no spread: the draw and 0."""
         n = self.n
         mean = self.total / n if n else np.nan
         if n < 2:  # one draw carries no estimate of its own spread
-            return n, mean, np.nan
+            return n, mean, np.nan, self.undefined
         var = np.maximum(0.0, (self.total_sq - n * mean * mean) / (n - 1))
         return n, np.where(self.spread, mean, self.first), np.where(
-            self.spread, np.sqrt(var / n), 0.0)
+            self.spread, np.sqrt(var / n), 0.0), self.undefined
 
 
 # Rows per Monte Carlo block, the unit of streams and of thread tasks: each
@@ -1155,60 +1145,49 @@ def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
     """The one Monte Carlo engine: lambda-means for independent jobs.
 
     A job is (stream, pairs, evaluate): n draws of the masked evaluator
-    ``evaluate`` for each of its pairs, in ``_MC_BLOCK``-row blocks and a
-    ragged last one, where block i comes from ``stream.split(i)``
-    (counter-based streams: Salmon et al., SC'11), so its bytes follow from
-    its key alone. A block is drawn once for all pairs of its job (common
-    random numbers) and made whole by ``_valid_rounds``. Values are reduced
-    round by round, so a block holds one pair's values at a time; a fourth
-    job entry ``reduce(gen, values)`` replaces ``_Moments.of`` and may draw
-    from the block's generator after each round. Every (job, block) task
-    runs in one ``_map_ordered`` pass, job by job, and each job folds its
-    blocks in order as they come back, so ``threads`` changes no byte and
-    only the tasks in flight hold block results. Returns, per job, ([(count,
-    mean, stderr)] per pair, stall); see ``_Moments.estimate``. A block still
-    short after its redraw rounds ends its own job's estimate: ``stall`` is
-    its MeasureZeroError (else None), its rows count, and the job's later
-    blocks do not; every other job runs to the end.
+    ``evaluate`` per pair, in ``_MC_BLOCK``-row blocks and a ragged last one;
+    block i comes from ``stream.split(i)`` (counter-based streams: Salmon et
+    al., SC'11), so its bytes follow from its key alone. A block draws its
+    rows once and evaluates them at each pair in turn (common random
+    numbers); rows where the rule is undefined are left out of the pair's
+    moments and counted. A fourth job entry ``reduce(gen, values)`` replaces
+    ``_Moments.of``; it runs right after its pair's evaluation and may draw
+    from the block's generator. All (job, block) tasks run in one
+    ``_map_ordered`` pass and each job folds its blocks in order, so
+    ``threads`` changes no byte and only the tasks in flight hold results.
+    Returns, per job, [(kept, mean, stderr, undefined)] per pair.
     """
     full, rest = divmod(n, _MC_BLOCK)
     n_blocks = full + (rest > 0)
-    # per job, append-only; read only to skip work the fold drops
-    stalled: list[list[int]] = [[] for _ in jobs]
     # per job and pair, the index of a block whose draws differed (else
     # n_blocks). A later block skips the compare: a fold that reaches it has
     # merged that block's spread, so the result is the same whatever the
     # threads interleave.
     spread_in = [[n_blocks] * len(pairs) for _, pairs, *_ in jobs]
 
-    def run(task: int):
+    def run(task: int) -> list[_Moments]:
         j, i = divmod(task, n_blocks)
         stream, pairs, evaluate, *reduce = jobs[j]
-        if any(k < i for k in stalled[j]):
-            return None
         gen = stream.split(i).generator()
-        size = _MC_BLOCK if i < full else rest
-        moments = [_Moments()] * len(pairs)
-        try:
-            for p, _, _, v in _valid_rounds(model, evaluate, gen, size, pairs):
-                m = reduce[0](gen, v) if reduce else _Moments.of(v, spread_in[j][p] < i)
-                moments[p] = moments[p].merge(m)
-                if i < spread_in[j][p] and np.all(moments[p].spread):
-                    spread_in[j][p] = i
-        except MeasureZeroError as exc:
-            stalled[j].append(i)
-            return moments, exc
-        return moments, None
+        batch = model.lambda_space.sample(gen, _MC_BLOCK if i < full else rest)
+        moments = []
+        for p, (a, b) in enumerate(pairs):
+            v, ok = evaluate(batch, a, b)
+            (kept,) = _masked_rows(ok, v)
+            m = (_Moments() if not len(kept) else reduce[0](gen, kept) if reduce
+                 else _Moments.of(kept, spread_in[j][p] < i))
+            moments.append(m._replace(undefined=len(v) - len(kept)) if len(kept) < len(v) else m)
+            if i < spread_in[j][p] and np.all(m.spread):
+                spread_in[j][p] = i
+        return moments
 
     out = []
     with closing(_map_ordered(run, range(len(jobs) * n_blocks), threads)) as blocks:
         for _, pairs, *_ in jobs:
-            totals, stall = [_Moments()] * len(pairs), None
-            for block in itertools.islice(blocks, n_blocks):
-                if stall is None:  # blocks after a stall are dropped, run or not
-                    moments, stall = block
-                    totals = [t.merge(m) for t, m in zip(totals, moments)]
-            out.append(([t.estimate() for t in totals], stall))
+            totals = [_Moments()] * len(pairs)
+            for moments in itertools.islice(blocks, n_blocks):
+                totals = [t.merge(m) for t, m in zip(totals, moments)]
+            out.append([t.estimate() for t in totals])
     return out
 
 

@@ -2,13 +2,14 @@
 
 The Monte Carlo estimates of an experiment are one pass of the MC engine
 (``models._mc_means``) with one job per settings pair: 16384-shot blocks,
-block i of pair p drawn from the stream (seed, p, i) and made whole from
-further draws of that stream. Every block of every pair is one task of a
-single thread pool whose calling thread works too, and each pair merges its
-blocks in index order, so estimates are bitwise identical for any thread
-count. Outcomes are drawn round by round: the rows a redraw round keeps get
-one draw from the block's stream right after that round's lambda draw, and
-their +-1 products sum to an exact integer.
+block i of pair p drawn once from the stream (seed, p, i). Every block of
+every pair is one task of a single thread pool whose calling thread works
+too, and each pair merges its blocks in index order, so estimates are
+bitwise identical for any thread count. Each row where the rule is defined
+gets one outcome draw from the block's stream right after the block's lambda
+draw, and the +-1 products sum to an exact integer. Undefined rows are left
+out and counted; above ``models._UNDEFINED_TOL`` of a pair's draws they
+raise MeasureZeroError.
 
 Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
 the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _SPLIT_MAX, RandomStream, require_unit, unit
-from .models import (_MAX_DRAWS, _MC_BLOCK, HiddenVariableModel, LambdaPoint, _mc_means,
-                     _Moments, _quad_means, _signs)
+from .models import (_MAX_DRAWS, _MC_BLOCK, _UNDEFINED_TOL, HiddenVariableModel, LambdaPoint,
+                     MeasureZeroError, _mc_means, _Moments, _quad_means, _signs)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -161,7 +162,7 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
     """The estimates of ``run_experiment`` for ``pairs``, pair p on the streams of ``indices[p]``.
 
     A Monte Carlo run is one ``_mc_means`` pass with one job per pair; the
-    first pair in order whose draws stall raises its MeasureZeroError.
+    first pair undefined above ``_UNDEFINED_TOL`` raises MeasureZeroError.
     """
     pairs = [(require_unit(a, name="a"), require_unit(b, name="b")) for a, b in pairs]
     e_qm = [-float(np.clip(np.dot(a, b), -1.0, 1.0)) for a, b in pairs]
@@ -193,10 +194,11 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
     reduce = [] if cfg.mode == "analytic" else [outcomes]  # analytic: the values' own moments
     jobs = [(root.split(2, i), [pair], evaluate, *reduce) for i, pair in zip(indices, pairs)]
     out = []
-    for (a, b), q, ([(n, e, stderr)], stall) in zip(
-            pairs, e_qm, _mc_means(model, jobs, cfg.shots, threads=cfg.threads)):
-        if stall is not None:
-            raise stall
+    for i, (a, b), q, [(n, e, stderr, undefined)] in zip(
+            indices, pairs, e_qm, _mc_means(model, jobs, cfg.shots, threads=cfg.threads)):
+        if undefined > _UNDEFINED_TOL * (n + undefined):
+            raise MeasureZeroError(f"model '{model.name}': rule undefined on {undefined} of "
+                                   f"{n + undefined} draws at settings pair {i}")
         out.append(CorrelationEstimate(a, b, float(e), float(stderr), q, n, cfg.mode, cfg.seed))
     return out
 

@@ -24,18 +24,18 @@ The two integral checks draw their settings pairs first, then sum over the
 model's quadrature one pair at a time (``models._quad_means``) or, without
 one, run the MC engine shared with the simulator (``models._mc_means``): it
 draws 16384-row lambda blocks keyed by (check stream, block index),
-evaluates each block at every pair (common random numbers) and makes up the
-rows a pair cannot use from further draws of the same block. In both modes
-kernel models average k, so no check builds tables over the quadrature. An
-MC pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
-than two samples, zero spread with a nonzero deviation or a stalled block
-leaves the check ``inconclusive`` rather than guessing, as does a check
-that evaluated no rows. Each MC check is a job (its pairs, its block
-streams, its evaluator) and a report made from the job's result:
-``run_full_suite`` runs both jobs of a model without a quadrature in one
-engine pass, and every other check on the calling thread. The checks take
-the correction from ``model.implied_c`` and their lambda rows from
-``LambdaSpace.nodes``.
+evaluates each block at every pair (common random numbers) and counts the
+rows where the rule is undefined. In both modes kernel models average k, so
+no check builds tables over the quadrature. An MC pair fails at 5 sigma; a
+standard error above 1e-2, a pair with fewer than two samples, zero spread
+with a nonzero deviation, or a pair undefined on more than
+``models._UNDEFINED_TOL`` of its rows leaves the check ``inconclusive``
+rather than guessing, as does a check that evaluated no rows. Each MC check
+is a job (its pairs, its block streams, its evaluator) and a report made
+from the job's result: ``run_full_suite`` runs both jobs of a model without
+a quadrature in one engine pass, and every other check on the calling
+thread. The checks take the correction from ``model.implied_c`` and their
+lambda rows from ``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, wi
 from .models import (
     _MAX_DRAWS,
     _SIGMA_TAU,
+    _UNDEFINED_TOL,
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
@@ -397,22 +398,27 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 
 def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel, source,
                       n_settings: int, evaluate, deviation) -> ConstraintReport:
-    """``deviation(a, b, W, mean)`` of each pair's ``_quad_means`` must stay <= tol."""
+    """``deviation(a, b, W, mean)`` of each pair's ``_quad_means`` must stay <= tol, and
+    without a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
     if n_settings < 1:
         return _no_evidence(constraint_id, tol, {"mode": "quadrature"})
     gen = as_generator(source)
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    worst = Witness(-np.inf)
+    worst, undefined = Witness(-np.inf), 0.0
     for (a, b), (weight, mean) in zip(pairs, _quad_means(model, evaluate, pairs)):
+        undefined = max(undefined, 1.0 - float(weight))
         dev = np.ravel(deviation(a, b, weight, mean))  # one value, or the (sigma, tau) entries
         j = int(dev.argmax())
         if dev[j] > worst.value:
             outcomes = (OUTCOMES[j // 2], OUTCOMES[j % 2]) if len(dev) > 1 else ()
             worst = Witness(float(dev[j]), None, a, b, *outcomes)
-    status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
+    status = (CheckStatus.FAIL if not worst.value <= tol else CheckStatus.INCONCLUSIVE
+              if undefined > _UNDEFINED_TOL else CheckStatus.PASS)
+    details = {"mode": "quadrature"}
+    if undefined > 0.0:
+        details["undefined_mass"] = undefined
     return ConstraintReport(constraint_id, status, worst.value, tol,
-                            n_settings * len(model.lambda_space.quadrature[1]), worst,
-                            {"mode": "quadrature"})
+                            n_settings * len(model.lambda_space.quadrature[1]), worst, details)
 
 
 def _mc_job(source, n_settings: int, evaluate):
@@ -423,24 +429,24 @@ def _mc_job(source, n_settings: int, evaluate):
     return source, [_random_pair(gen, endpoint=False) for _ in range(n_settings)], evaluate
 
 
-def _mc_estimates(pairs, result, compare):
+def _mc_estimates(pairs, stats, compare):
     """An MC check's compare/z step over its job's ``_mc_means`` result.
 
     ``compare(a, b, mean, stderr)`` gives (dev, stderr) and z = dev / stderr;
     zero spread is not evidence, so stderr 0 gives z = 0 for dev 0 and NaN
     otherwise. A pair fails above 5 sigma; else a stderr above 1e-2 (with
     ``samples_needed``, from stderr ~ 1/sqrt(n)) or an unresolved pair (none
-    at all, a stalled block, fewer than two values, a NaN z) makes the check
-    inconclusive. Returns (the (a, b, n, dev, stderr, z) of pairs with n >= 2,
-    values used, status, details).
+    at all, fewer than two kept values, undefined above ``_UNDEFINED_TOL``, a
+    NaN z) makes the check inconclusive. Returns (the (a, b, n, dev, stderr,
+    z) of pairs with n >= 2, kept values, status, details).
     """
-    stats, stall = result
     estimates = []
-    unresolved = not pairs or stall is not None
-    max_stderr, worst_z = 0.0, -np.inf
-    for (a, b), (n, mean, stderr) in zip(pairs, stats):
+    unresolved = not pairs
+    max_stderr, worst_z, undefined_rows = 0.0, -np.inf, 0
+    for (a, b), (n, mean, stderr, undefined) in zip(pairs, stats):
+        undefined_rows += undefined
+        unresolved = unresolved or n < 2 or undefined > _UNDEFINED_TOL * (n + undefined)
         if n < 2:
-            unresolved = True
             continue
         dev, stderr = compare(a, b, mean, stderr)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,20 +458,22 @@ def _mc_estimates(pairs, result, compare):
     status = (CheckStatus.FAIL if worst_z > 5.0 else CheckStatus.INCONCLUSIVE
               if unresolved or max_stderr > _MC_STDERR_TOL else CheckStatus.PASS)
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
+    if undefined_rows:
+        details["undefined_rows"] = undefined_rows
     if status is CheckStatus.INCONCLUSIVE and max_stderr > _MC_STDERR_TOL:
         details["samples_needed"] = max(
             math.ceil(n * (float(np.max(stderr)) / _MC_STDERR_TOL) ** 2)
             for _, _, n, _, stderr, _ in estimates)
-    return estimates, sum(n for n, _, _ in stats), status, details
+    return estimates, sum(n for n, *_ in stats), status, details
 
 
 def _zero_average_mc(model: HiddenVariableModel, n_settings: int, source):
     """zero-average's MC job and the report it makes of the job's result."""
     job = _mc_job(source, n_settings, model.implied_c)
 
-    def report(result) -> ConstraintReport:
+    def report(stats) -> ConstraintReport:
         estimates, used, status, details = _mc_estimates(
-            job[1], result, lambda a, b, mean, stderr: (np.abs(mean), stderr))
+            job[1], stats, lambda a, b, mean, stderr: (np.abs(mean), stderr))
         top = max(estimates, key=lambda e: e[3], default=None)  # the first largest deviation
         worst = None if top is None else Witness(top[3], None, top[0], top[1])
         return ConstraintReport("zero-average", status, None if worst is None else worst.value,
@@ -770,8 +778,8 @@ def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
         return deviation(a, b, 1.0, mean), (np.full((2, 2), stderr / 4.0)  # stderr(k)/4
                                             if model.has_kernel else stderr)
 
-    def report(result) -> ConstraintReport:
-        estimates, used, status, details = _mc_estimates(job[1], result, compare)
+    def report(stats) -> ConstraintReport:
+        estimates, used, status, details = _mc_estimates(job[1], stats, compare)
         worst, worst_z = None, -np.inf
         for a, b, _, dev, _, z in estimates:
             z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
@@ -852,9 +860,8 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
 
     A model without a quadrature runs its two Monte Carlo checks as two jobs
     of one ``_mc_means`` pass on up to ``config.threads`` workers,
-    qm-reproduction's first; a stalled block ends only its own check. Every
-    other check, and every check of a model with a quadrature, runs on the
-    calling thread.
+    qm-reproduction's first. Every other check, and every check of a model
+    with a quadrature, runs on the calling thread.
     """
     cfg = config or ValidatorConfig()
     root = RandomStream(seed).split(3)  # purpose tag for validation streams
@@ -872,7 +879,7 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
                   _zero_average_mc(model, cfg.mc_settings, root.split(4))]
         results = _mc_means(model, [job for job, _ in checks], cfg.mc_samples,
                             threads=cfg.threads)
-        integral = [report(result) for (_, report), result in zip(checks, results)]
+        integral = [report(stats) for (_, report), stats in zip(checks, results)]
     else:
         integral = [check_qm_reproduction(model, cfg.qm_settings, root.split(9)),
                     check_zero_average(model, cfg.n_settings, root.split(4))]

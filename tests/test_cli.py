@@ -18,7 +18,8 @@ from hvsinglet import cli
 from hvsinglet.cli import EX_INCONCLUSIVE, EX_OK, EX_USAGE, EX_VIOLATION, main
 from hvsinglet.geometry import RandomStream
 from hvsinglet.models import (_MAX_DRAWS, _MAX_GAUSS_NODES, RECIPE_REGISTRY,
-                              HiddenVariableModel, _scalar_uniform_space, builtin_model,
+                              HiddenVariableModel, LambdaSpace, _scalar_uniform_space,
+                              builtin_model,
                               load_model, qm_table)
 from hvsinglet.simulator import _MAX_PAIRS, CSV_HEADER
 from hvsinglet.validator import CONSTRAINT_ORDER, ValidatorConfig
@@ -226,6 +227,68 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HV_SEED", "twenty")
     code, _, err = run_cli(capsys, "validate", "--model", str(model_path), *FAST_VALIDATE)
     assert code == EX_USAGE and "HV_SEED" in err
+
+
+_SEED_ENDS = (("-1", False), ("0", True), (str((1 << 64) - 1), True), (str(1 << 64), False))
+SCAN_F1 = ["scan", "--model", "family1", "--points", "3", "--lambda-n", "20"]
+
+
+@pytest.mark.parametrize("seed, ok", _SEED_ENDS)
+def test_seeds_are_bounded_to_uint64(tmp_path, capsys, monkeypatch, seed, ok):
+    # -1 and 2^64 - 1 once wrote the same bytes: a seed is never reduced mod 2^64
+    want = EX_OK if ok else EX_USAGE
+    for argv in (SCAN_F1, ["build-recipe", "square", "2", "--out", str(tmp_path / "r.json")],
+                 ["simulate", "--model", "family1", "--settings", "random:1", "--shots", "20"],
+                 ["chsh", "--model", "family1", "--shots", "20"]):
+        code, _, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == want, argv
+        assert ok or "--seed (or HV_SEED) must be" in err
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"family": "family1", "seed": int(seed)}))
+    code, _, err = run_cli(capsys, "scan", "--model", str(spec), "--points", "3")
+    assert code == want and (ok or "seed must be an integer in" in err)
+    monkeypatch.setenv("HV_SEED", seed)
+    code, _, err = run_cli(capsys, *SCAN_F1)
+    assert code == want and (ok or "HV_SEED) must be" in err)
+
+
+def test_seed_ends_give_different_streams(capsys):
+    scan = ["scan", "--model", "cerf", "--points", "4", "--lambda-n", "20", "--seed"]
+    assert run_cli(capsys, *scan, "0")[1] != run_cli(capsys, *scan, str((1 << 64) - 1))[1]
+
+
+@pytest.mark.parametrize("seed, ok", _SEED_ENDS)
+def test_validate_script_bounds_its_seed(tmp_path, seed, ok):
+    # an out-of-range seed exits 64 before any model runs; a valid one is not
+    # run here (the script validates all four built-ins)
+    script = Path(__file__).parents[1] / "scripts" / "validate_builtin_models.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(script), "--seed", seed, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == (0 if ok else EX_USAGE), proc.stderr
+    assert ok or "--seed must be" in proc.stderr
+
+
+def test_validate_inconclusive_lines_say_why(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "validate", "--model", "cerf", "--seed", "1",
+                             "--mc-samples", "2000")
+    assert code == EX_INCONCLUSIVE
+    assert checks_by_id(json.loads(out))["zero-average"]["details"]["samples_needed"] == 9901
+    assert "zero-average         inconclusive (samples_needed 9901)\n" in err
+    assert "qm-reproduction      pass\n" in err
+    code, _, err = run_cli(capsys, "validate", "--model", "cerf", "--mc-samples", "0",
+                           *FAST_VALIDATE)
+    assert "zero-average         inconclusive (no samples)\n" in err
+    space = _scalar_uniform_space(1.0, 16)
+    nowhere = HiddenVariableModel(
+        "nowhere", LambdaSpace(space.shape, space.sampler),
+        kernel_rule=lambda batch, a, b: (np.zeros(len(batch)), np.zeros(len(batch), bool)))
+    monkeypatch.setattr(cli, "_load_model", lambda args: nowhere)
+    code, _, err = run_cli(capsys, "validate", "--model", "nowhere", "--mc-samples", "100",
+                           *FAST_VALIDATE)
+    assert code == EX_INCONCLUSIVE
+    assert "zero-average         inconclusive (undefined_rows 1000)\n" in err  # 10 pairs
+    assert "normalization        inconclusive (no samples)\n" in err
 
 
 def test_simulate_random_settings_csv(capsys):

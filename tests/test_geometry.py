@@ -109,6 +109,16 @@ def test_random_stream_split_rejects_out_of_range():
         s.split(1 << 20)
 
 
+def test_random_stream_seeds_cover_uint64_and_no_more():
+    top = (1 << 64) - 1
+    assert RandomStream(top).seed == top
+    x = RandomStream(0).generator().random(4)
+    assert not np.array_equal(x, RandomStream(top).generator().random(4))
+    for seed in (-1, 1 << 64, -(1 << 64)):
+        with pytest.raises(GeometryError, match="seed and stream must be in"):
+            RandomStream(seed)
+
+
 def test_distinct_streams_decorrelated():
     s = RandomStream(42)
     a = s.split(1).generator().random(4096)

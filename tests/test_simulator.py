@@ -346,48 +346,48 @@ def test_kernel_draw_columns_are_the_table_entries(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], tables.reshape(-1, 4))
 
 
-def test_kernel_estimate_equals_table_estimate_with_redraws():
+def _holed_cerf():
+    """cerf whose first sampler call puts u orthogonal to Z in one row: undefined at a = Z."""
     cerf = builtin_model("cerf")
+    calls = []
 
-    def sampler(gen, n):  # ~10% of the rows land on the undefined set at a = Z
+    def sampler(gen, n):
         batch = cerf.lambda_space.sampler(gen, n)
-        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
+        if not calls:
+            batch.vectors[0, 0] = X
+        calls.append(n)
         return batch
 
-    m = HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
-                            kernel_rule=cerf.kernel_rule)
-    cfg = ExperimentConfig(shots=70_000, seed=14)
-    kern = estimate_correlation(m, Z, unit([0.3, 0.1, 0.95]), cfg)
-    tab = estimate_correlation(_as_table_rule(m), Z, unit([0.3, 0.1, 0.95]), cfg)
-    assert (kern.e_est, kern.stderr) == (tab.e_est, tab.stderr)
+    return HiddenVariableModel("holed", LambdaSpace(cerf.lambda_space.shape, sampler),
+                               kernel_rule=cerf.kernel_rule)
 
 
-def test_outcomes_are_drawn_round_by_round():
-    # a block that redraws draws each round's outcomes right after that
-    # round's lambda rows, from the block's stream
-    cerf = builtin_model("cerf")
-
-    def sampler(gen, n):  # ~10% of the rows land on the undefined set at a = Z
-        batch = cerf.lambda_space.sampler(gen, n)
-        batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
-        return batch
-
-    m = HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
-                            kernel_rule=cerf.kernel_rule)
+def test_kernel_estimate_equals_table_estimate_with_a_dropped_row():
+    # 64 blocks: one undefined row of 2^20 is below the undefined bound
+    cfg = ExperimentConfig(shots=1 << 20, seed=14)
     b = unit([0.3, 0.1, 0.95])
-    total, n, rounds = 0.0, 0, 0
-    for i, size in enumerate((16384, 4465)):
+    kern = estimate_correlation(_holed_cerf(), Z, b, cfg)
+    tab = estimate_correlation(_as_table_rule(_holed_cerf()), Z, b, cfg)
+    assert kern.n_shots == (1 << 20) - 1
+    assert (kern.e_est, kern.stderr, kern.n_shots) == (tab.e_est, tab.stderr, tab.n_shots)
+
+
+def test_outcomes_are_drawn_right_after_the_block():
+    # each block draws its lambda rows once, then one outcome per defined row
+    # from the block's stream
+    b = unit([0.3, 0.1, 0.95])
+    m = _holed_cerf()
+    total, n = 0.0, 0
+    for i in range(64):
         gen = RandomStream(14).split(2, 0).split(i).generator()
-        need = size
-        while need:
-            k, ok = m.kernel_masked(m.lambda_space.sample(gen, need), Z, b)
-            k = k[ok][:need]
-            diag, off = (1.0 - k) / 4.0, (1.0 + k) / 4.0
-            total += float(_sample_products((diag, off, off, diag), gen).sum())
-            need, n, rounds = need - len(k), n + len(k), rounds + 1
-    assert rounds > 2
+        k, ok = m.kernel_masked(m.lambda_space.sample(gen, 16384), Z, b)
+        k = k[ok]
+        diag, off = (1.0 - k) / 4.0, (1.0 + k) / 4.0
+        total += float(_sample_products((diag, off, off, diag), gen).sum())
+        n += len(k)
+    assert n == (1 << 20) - 1
     e = total / n
-    got = estimate_correlation(m, Z, b, ExperimentConfig(shots=16384 + 4465, seed=14))
+    got = estimate_correlation(_holed_cerf(), Z, b, ExperimentConfig(shots=1 << 20, seed=14))
     assert (got.n_shots, got.e_est) == (n, e)
     assert got.stderr == float(np.sqrt(max(0.0, (n - n * e * e) / (n - 1)) / n))
 
@@ -495,27 +495,26 @@ def _undefined_at_x_model(calls):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_stall_ends_only_its_own_job(monkeypatch, threads):
+def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, threads):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
     calls = []
     m = _undefined_at_x_model(calls)
     settings = np.array([[Z, X], [X, Z], [Z, X], [X, Z]])
-    with pytest.raises(MeasureZeroError, match="sampling stalled"):
+    with pytest.raises(MeasureZeroError, match="undefined on 32768 of 32768 draws at "
+                                               "settings pair 1"):
         run_experiment(m, settings, ExperimentConfig(shots=2 * 16384, seed=19, threads=threads))
-    # the engine's view: pairs 1 and 3 stall in their first block and skip
-    # their second; pairs 0 and 2 run to the end, as they would alone
+    # the engine's view: every pair evaluates each of its two blocks once;
+    # pairs 1 and 3 keep no row and count all, pairs 0 and 2 run as they would alone
     jobs = [(RandomStream(19).split(2, i), [(a, b)], m.kernel_masked)
             for i, (a, b) in enumerate(settings)]
     calls.clear()
     out = _mc_means(m, jobs, 2 * 16384, threads=threads)
-    assert len(out) == 4
+    assert len(calls) == 8 and sum(calls) == 4
     for p in (0, 2):
-        assert out[p][1] is None and out[p][0][0][0] == 2 * 16384
+        assert out[p][0][0] == 2 * 16384 and out[p][0][3] == 0
         assert out[p] == _mc_means(m, jobs[p:p + 1], 2 * 16384)[0]
     for p in (1, 3):
-        assert isinstance(out[p][1], MeasureZeroError) and out[p][0][0][0] == 0
-    if threads == 1:
-        assert sum(calls) == 2 * models._MAX_REDRAW_ROUNDS
+        assert out[p][0][0] == 0 and out[p][0][3] == 2 * 16384
     assert estimate_correlation(m, Z, X, ExperimentConfig(shots=100, seed=19)).n_shots == 100
 
 
@@ -534,7 +533,7 @@ def test_one_pass_holds_only_the_blocks_in_flight(monkeypatch, threads):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [n for [(n, _, _)], _ in out] == [200] * 12
+    assert [n for [(n, *_)] in out] == [200] * 12
     assert peak <= 150_000, peak
 
 

@@ -12,8 +12,8 @@ from hvsinglet import geometry, validator
 from hvsinglet.geometry import (RandomStream, as_generator, dot, sample_uniform_sphere, unit,
                                 with_dot)
 from hvsinglet.models import (
-    _MAX_REDRAW_ROUNDS,
     _SIGMA_TAU,
+    _UNDEFINED_TOL,
     CFunction,
     HiddenVariableModel,
     MeasureZeroError,
@@ -238,39 +238,42 @@ def test_mc_path_needs_a_random_stream(check):
     assert by_gen.to_dict() == check(m, 3, stream(46)).to_dict()
 
 
-def _holey_everywhere_cerf():
-    """cerf with v = -u on ~10% of the draws: undefined at every settings pair.
+def _half_defined(with_quadrature):
+    """k = a.b where lambda > 0 on uniform scalars, undefined elsewhere: half the measure."""
+    space = _scalar_uniform_space(1.0, 16)
 
-    Dropping those rows leaves u off the cap u_x > 0.8, so the model no longer
-    reproduces the singlet; the test needs only the redraws.
-    """
-    cerf = builtin_model("cerf")
+    def rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        return np.full(len(lam), setting_dot(a, b)), lam > 0.0
 
-    def sampler(gen, n):
-        batch = cerf.lambda_space.sampler(gen, n)
-        hole = batch.vectors[:, 0, 0] > 0.8
-        batch.vectors[hole, 1] = -batch.vectors[hole, 0]
-        return batch
-
-    return HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
-                               kernel_rule=cerf.kernel_rule)
+    if not with_quadrature:
+        space = LambdaSpace(space.shape, space.sampler)
+    return HiddenVariableModel("half-defined", space, kernel_rule=rule)
 
 
-def test_mc_redraws_spend_the_budget_exactly_and_repeat():
-    m = _holey_everywhere_cerf()
-    batch = m.lambda_space.sample(stream(47).generator(), 1000)
-    assert not m.kernel_masked(batch, X, Z)[1].all()  # the holes force redraw rounds
+def test_a_rule_undefined_on_half_its_measure_never_passes():
+    # the kept rows reproduce the singlet exactly, so only the undefined share
+    # tells this rule from an admissible one
+    quad = _half_defined(with_quadrature=True)
+    assert check_qm_reproduction(quad, 5, stream(47)).status is CheckStatus.FAIL
+    rep = check_zero_average(quad, 5, stream(47))
+    assert rep.status is CheckStatus.INCONCLUSIVE and rep.extremal_value == 0.0
+    assert rep.details["undefined_mass"] == 0.5
+    m = _half_defined(with_quadrature=False)
     budget = 16384 + 4465
     for check, n_settings in ((check_zero_average, 3), (check_qm_reproduction, 2)):
         rep = check(m, n_settings, stream(48), mc_samples=budget)
-        assert rep.samples_used == n_settings * budget, rep.constraint_id
+        assert rep.status is CheckStatus.INCONCLUSIVE, rep.constraint_id
+        assert rep.details["max_z"] == 0.0  # the kept rows alone would pass
+        undefined = rep.details["undefined_rows"]
+        assert abs(undefined / (n_settings * budget) - 0.5) < 0.01
+        assert rep.samples_used + undefined == n_settings * budget
         assert check(m, n_settings, stream(48), mc_samples=budget).to_dict() == rep.to_dict()
 
 
-def test_stalled_block_ends_the_estimate():
-    # a rule undefined on every row: one block's redraw rounds, then no more draws
+def _nowhere_model(calls, with_quadrature=False):
+    """A rule undefined on every row; ``calls`` records the sampler's row counts."""
     space = _scalar_uniform_space(1.0, 16)
-    calls = []
 
     def sampler(gen, n):
         calls.append(n)
@@ -279,19 +282,69 @@ def test_stalled_block_ends_the_estimate():
     def rule(batch, a, b):
         return np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
 
-    m = HiddenVariableModel("nowhere", LambdaSpace(space.shape, sampler), kernel_rule=rule)
+    quadrature = space.quadrature if with_quadrature else None
+    return HiddenVariableModel("nowhere", LambdaSpace(space.shape, sampler, quadrature),
+                               kernel_rule=rule)
+
+
+def test_a_rule_undefined_everywhere_is_never_a_pass():
+    # each block draws its rows once, whatever the pairs can use
+    calls = []
+    m = _nowhere_model(calls)
     for check in (check_zero_average, check_qm_reproduction):
         calls.clear()
         rep = check(m, 2, stream(49), mc_samples=3 * 16384)
         assert rep.status is CheckStatus.INCONCLUSIVE, rep.constraint_id
         assert rep.samples_used == 0 and rep.witness is None
-        assert calls == [16384] * _MAX_REDRAW_ROUNDS
+        assert rep.details["undefined_rows"] == 2 * 3 * 16384
+        assert calls == [16384] * 3
+    quad = _nowhere_model(calls, with_quadrature=True)
+    assert check_zero_average(quad, 2, stream(49)).status is CheckStatus.INCONCLUSIVE
+    assert check_qm_reproduction(quad, 2, stream(49)).status is CheckStatus.FAIL
     for threads in (1, 2):
-        with pytest.raises(MeasureZeroError, match="stalled"):
+        with pytest.raises(MeasureZeroError, match="undefined on 196608 of 196608 draws"):
             estimate_correlation(m, Z, X, ExperimentConfig(shots=3 * 65536, seed=1,
                                                            threads=threads))
-    with pytest.raises(MeasureZeroError, match="stalled"):
+    with pytest.raises(MeasureZeroError, match="undefined on 1000 of 1000 draws"):
         estimate_correlation(m, Z, X, ExperimentConfig(shots=1000, mode="analytic", seed=1))
+
+
+def _holed_model(holes):
+    """k = a.b on uniform scalars with no quadrature, undefined at lambda = 2,
+    which the first sampler call writes into its first ``holes`` rows."""
+    space = _scalar_uniform_space(1.0, 16)
+    calls = []
+
+    def sampler(gen, n):
+        batch = space.sampler(gen, n)
+        if not calls:
+            batch.scalars[:holes, 0] = 2.0
+        calls.append(n)
+        return batch
+
+    def rule(batch, a, b):
+        lam = batch.scalars[:, 0]
+        return np.full(len(lam), setting_dot(a, b)), lam != 2.0
+
+    return HiddenVariableModel("holed", LambdaSpace(space.shape, sampler), kernel_rule=rule)
+
+
+@pytest.mark.parametrize("holes", [1, 2])
+def test_a_hole_below_the_undefined_bound_is_dropped_and_counted(holes):
+    # 2^20 draws: one undefined row is a share of 9.5e-7, below the bound of
+    # 1e-6; two are 1.9e-6, above it
+    n = 1 << 20
+    assert (holes / n > _UNDEFINED_TOL) == (holes == 2)
+    for check in (check_zero_average, check_qm_reproduction):
+        rep = check(_holed_model(holes), 1, stream(59), mc_samples=n)
+        assert rep.samples_used == n - holes and rep.details["undefined_rows"] == holes
+        assert rep.status is (CheckStatus.PASS if holes == 1 else CheckStatus.INCONCLUSIVE)
+    cfg = ExperimentConfig(shots=n, seed=2)
+    if holes == 1:
+        assert estimate_correlation(_holed_model(holes), Z, X, cfg).n_shots == n - 1
+    else:
+        with pytest.raises(MeasureZeroError, match="undefined on 2 of 1048576 draws"):
+            estimate_correlation(_holed_model(holes), Z, X, cfg)
 
 
 @pytest.mark.parametrize("check, n_settings", [(check_qm_reproduction, 20),
@@ -582,6 +635,18 @@ def test_expansion_evaluates_c_once_per_pair():
 def _quadrature_model(name):
     recipes = {"square": ("square", 2.0), "cross_uab": ("cross_uab", 1.0)}
     return build_recipe_model(*recipes[name]) if name in recipes else builtin_model(name)
+
+
+@pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
+def test_shipped_quadratures_have_unit_mass_at_every_pair(name):
+    # W == 1 exactly, so the undefined-mass bound cannot trip on rounding
+    m = _quadrature_model(name)
+    gen = stream(60).generator()
+    pairs = [_random_pair(gen, endpoint=False) for _ in range(20)]
+    for evaluate in (m.implied_c, m.kernel_masked):
+        assert [weight for weight, _ in _quad_means(m, evaluate, pairs)] == [1.0] * 20
+    for check in (check_zero_average, check_qm_reproduction):
+        assert "undefined_mass" not in check(m, 20, stream(60)).details
 
 
 @pytest.mark.parametrize("check, args", [(check_qm_reproduction, (20,)), (check_expansion, ())])
@@ -930,7 +995,8 @@ def test_a_stalled_mc_check_leaves_the_other_as_it_runs_alone(monkeypatch, stall
     root = RandomStream(5).split(3)
     cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "mc_samples": 2 * 16384})
     streams = {"qm-reproduction": root.split(9), "zero-average": root.split(4)}
-    # the first axis of the stalled check's pairs: no other check draws it
+    # the first axis of the stalled check's pairs, undefined on every row
+    # there: no other check draws it
     a0, _ = _random_pair(streams[stalled].generator(), endpoint=False)
     m = _undefined_at_model(a0)
     want = {
@@ -940,6 +1006,7 @@ def test_a_stalled_mc_check_leaves_the_other_as_it_runs_alone(monkeypatch, stall
                                            mc_samples=cfg.mc_samples),
     }
     assert want[stalled].status is CheckStatus.INCONCLUSIVE
+    assert want[stalled].details["undefined_rows"] == cfg.mc_samples
     assert want[other].status is CheckStatus.PASS
     for threads in (1, 2):
         res = run_full_suite(m, ValidatorConfig(**{**cfg.__dict__, "threads": threads}), seed=5)
