@@ -11,7 +11,7 @@ import pathlib
 import time
 
 from hvsinglet import ValidatorConfig, builtin_model, run_full_suite
-from hvsinglet.cli import _SEED_MAX, _add_count, _Parser
+from hvsinglet.cli import _MAX_DRAWS, _SEED_MAX, _add_count, _Parser
 
 MODELS = ("family1", "family2", "wrongtrial", "cerf")
 
@@ -20,8 +20,8 @@ def main() -> int:
     ap = _Parser(description=__doc__.splitlines()[0])  # a bad flag exits 64, as in the CLI
     _add_count(ap, "--seed", 0, _SEED_MAX, default=0)
     ap.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("reports"))
-    ap.add_argument("--mc-samples", type=int, default=300_000,
-                    help="Monte Carlo budget per integral check (cerf has no quadrature)")
+    _add_count(ap, "--mc-samples", 0, _MAX_DRAWS, default=300_000,
+               help="Monte Carlo budget per integral check (cerf has no quadrature)")
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 

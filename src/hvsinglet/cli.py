@@ -111,12 +111,14 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     _add_count(p, "--grid-n", 1, _MAX_GAUSS_NODES, default=None, metavar="N",
                help="override sphere quadrature to N polar x 2N azimuthal nodes")
     _add_count(p, "--threads", 1, default=1,
-               help="workers of the command's one pool, at most one per task and per "
-                    "CPU this process may use; the calling thread is one of them, so N "
-                    "workers start N-1 threads; in validate it sizes only the Monte "
-                    "Carlo pass of a model without a quadrature, and every other check "
-                    "runs on the calling thread; scan runs no pool, but the value is "
-                    "still checked; results do not depend on this")
+               help="worker processes of the command's one pass, at most one per task "
+                    "and per CPU this process may use; the calling process is one of "
+                    "them, so N workers fork N-1 processes; in validate it sizes the "
+                    "pass of a model without a quadrature, while a model with a "
+                    "quadrature runs every check in the calling process (forking its "
+                    "short checks slowed the benchmark's one-worker runs, cause not "
+                    "found); scan runs no pass, but the value is still checked; "
+                    "results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 

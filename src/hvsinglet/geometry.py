@@ -4,18 +4,20 @@ Everything downstream (model evaluation, admissibility checks, sampling
 experiments) goes through this module for directions and randomness, so the
 determinism contract lives here: a ``RandomStream`` is a pure value
 ``(seed, stream)`` and every generator derived from it is counter-based
-(Philox), which makes results independent of thread count and evaluation
+(Philox), which makes results independent of worker count and evaluation
 order as long as stream ids are assigned statically. ``_map_ordered`` is the
-one thread pool that work runs on, with the calling thread as one of its
-workers: it yields results in submission order.
+one parallel pass that work runs on: worker processes, forked per pass, of
+which the caller is one. It yields results in submission order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,8 +143,9 @@ def _fill_uniform_sphere(rng: np.random.Generator, out: np.ndarray) -> None:
     filled by its first batch but for odds of about 3e-36; small blocks may
     take a few. A block is drawn in one batch, not in capped chunks: with
     4096-row batches the fill alone ran faster, but the extra short numpy
-    calls made ``--threads 2`` runs slower (they contend for the
-    interpreter lock).
+    calls made ``--threads 2`` runs slower when the workers were threads
+    (they contended for the interpreter lock); not re-measured on worker
+    processes.
     """
     done, m = 0, len(out)
     while done < m:
@@ -276,87 +279,125 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Tasks per worker that _map_ordered lets run ahead of the oldest result not
-# yet taken: it bounds the results held, and it leaves room for a long task.
-_AHEAD = 8
+def _owner(i: int, workers: int) -> int:
+    """The worker of task i: tasks are dealt in snake order (0, 1, .., w-1, w-1, .., 1, 0, 0,
+    1, ..), so a task list sorted longest first splits evenly."""
+    r = i % workers
+    return r if i // workers % 2 == 0 else workers - 1 - r
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """SIGINT held pending on this thread, so a fork or a reap is not cut in two."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _map_ordered(fn, args, threads: int):
     """Yield ``fn(x)`` for each x of the sequence ``args``, in order, on up to ``threads`` workers.
 
-    The calling thread is one of the workers. It starts ``min(threads,
-    len(args), usable CPUs) - 1`` helper threads, and every worker claims tasks
-    in index order from one shared counter, so no task starts before one of
-    lower index. While the next result is not in, the caller runs the next
-    unclaimed task rather than wait. A task is claimed only within ``_AHEAD``
-    tasks per worker of the next result to yield, so the results held back
-    for their turn stay bounded however long one task runs. Results come back
-    in index order, so the thread count cannot change them. A task that
-    raises stops all claims, and its exception is raised at its turn, after
-    the results before it, so the lowest failing index wins, as with
-    ``Executor.map``. The helpers are joined before the generator returns,
-    raises or is closed.
+    The workers are ``min(threads, len(args), usable CPUs)`` processes, and
+    the calling process is one of them: it forks the others, each with a
+    pipe back. Task i belongs to worker ``_owner(i, workers)``, a fixed share.
+    A forked worker runs its share in index order and sends each result as a
+    length-prefixed pickle; the caller runs its own tasks at their turn and
+    reads the others' results from their pipes, so results come back in
+    index order and the worker count cannot change them. A worker blocks
+    while its pipe is full, which bounds how far it runs ahead and the
+    results held. A task that raises ends its worker's share, and its
+    exception is raised at its turn, after the results before it; one that
+    does not survive pickling comes back as a RuntimeError naming the task,
+    the type and the message. Processes, not threads: the kernel's short
+    numpy calls hold the interpreter lock, so two threads gained little
+    there. A fork copies only the calling thread, and the package starts no
+    other. Forked workers keep SIGINT pending, write nothing to stdout or
+    stderr and leave by ``os._exit``; every one is killed and reaped before
+    the generator returns, raises or is closed. Without ``os.fork`` the
+    tasks run inline.
     """
     n = len(args)
-    helpers = min(threads, n, _usable_cpus()) - 1
-    if helpers < 1:
+    workers = min(threads, n, _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers < 2:
         for x in args:
             yield fn(x)
         return
-    window = _AHEAD * (helpers + 1)
-    cond = threading.Condition()
-    done: dict = {}  # index -> (raised, result or exception), until its turn
-    claimed, turn, stop = 0, 0, False  # tasks claimed; the next index to yield
+    pids, pipes = [], []
+    try:
+        for w in range(1, workers):
+            r, out = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                with _sigint_held():
+                    pid = os.fork()
+                    if pid == 0:  # never returns; SIGINT stays held in the worker
+                        _work(fn, args, (i for i in range(n) if _owner(i, workers) == w),
+                              out, pipes)
+                    pids.append(pid)
+            finally:
+                os.close(out)
+        for i, x in enumerate(args):
+            w = _owner(i, workers)
+            yield fn(x) if w == 0 else _receive(pipes[w - 1], i)
+    finally:
+        with _sigint_held():
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for pipe in pipes:
+                pipe.close()
 
-    def claim(wait: bool) -> int | None:
-        """The next task; None once all are claimed or one failed, or (``wait``
-        False) while the window is full."""
-        nonlocal claimed
-        with cond:
-            while not stop and claimed < n:
-                if claimed < turn + window:
-                    claimed += 1
-                    return claimed - 1
-                if not wait:
-                    return None
-                cond.wait()
-            return None
 
-    def run(i: int) -> None:
-        nonlocal stop
-        try:
-            out = False, fn(args[i])
-        except BaseException as exc:  # re-raised in the caller at index i
-            out = True, exc
-        with cond:
-            done[i] = out
-            stop = stop or out[0]
-            cond.notify_all()
+def _work(fn, args, share, out: int, inherited) -> None:
+    """A forked worker: run ``share`` in order, send each result down ``out``, then exit.
 
-    def helper() -> None:
-        while (i := claim(wait=True)) is not None:
-            run(i)
-
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        try:
-            for _ in range(helpers):
-                pool.submit(helper)
-            for k in range(n):
-                with cond:
-                    turn = k
-                    cond.notify_all()
-                while k not in done:
-                    i = claim(wait=False)
-                    if i is not None:
-                        run(i)
-                        continue
-                    with cond:  # k is claimed, so a helper is running it
-                        cond.wait_for(lambda: k in done)
-                raised, value = done.pop(k)
+    It closes the caller's read ends it inherited, so its writes fail once
+    the caller is gone. It drops ``sys.stdout`` and ``sys.stderr``, which may
+    be any file, and points file descriptors 1 and 2 at the null device.
+    """
+    try:
+        for pipe in inherited:
+            pipe.close()
+        sys.stdout = sys.stderr = None  # print() and warnings then write nothing
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        with open(out, "wb") as sink:
+            for i in share:
+                raised = False
+                try:
+                    msg = pickle.dumps((False, fn(args[i])), pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:  # raised in the caller at index i
+                    raised, msg = True, _failure(i, exc)
+                sink.write(len(msg).to_bytes(8, "little"))
+                sink.write(msg)
+                sink.flush()
                 if raised:
-                    raise value
-                yield value
-        finally:
-            with cond:
-                stop = True
-                cond.notify_all()
+                    break
+    finally:
+        os._exit(0)
+
+
+def _failure(i: int, exc: BaseException) -> bytes:
+    """``(True, exc)`` pickled; if exc does not come back from its pickle, a RuntimeError
+    that names task i, the type and the message."""
+    try:
+        msg = pickle.dumps((True, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(msg)
+        return msg
+    except Exception:
+        return pickle.dumps((True, RuntimeError(f"task {i} raised {type(exc).__name__}: {exc}")))
+
+
+def _receive(pipe, i: int):
+    """Task i's result, read from its worker's pipe; a task's exception is raised here."""
+    head = pipe.read(8)
+    body = pipe.read(int.from_bytes(head, "little")) if len(head) == 8 else b""
+    if not body:
+        raise RuntimeError(f"the worker process of task {i} ended before sending its result")
+    raised, value = pickle.loads(body)
+    if raised:
+        raise value
+    return value

@@ -1134,15 +1134,16 @@ class _Moments(NamedTuple):
             self.spread, np.sqrt(var / n), 0.0), self.undefined
 
 
-# Rows per Monte Carlo block, the unit of streams and of thread tasks: each
+# Rows per Monte Carlo block, the unit of streams and of worker tasks: each
 # float64 temporary of a block is 128 KB, so its working set stays in cache.
 # The block index takes one 20-bit stream-split field, which caps the draws.
 _MC_BLOCK = 16384
 _MAX_DRAWS = _SPLIT_MAX * _MC_BLOCK
 
 
-def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
-    """The one Monte Carlo engine: lambda-means for independent jobs.
+def _mc_blocks(model: HiddenVariableModel, jobs, n: int):
+    """The one Monte Carlo engine, as block tasks and their in-order fold: lambda-means
+    for independent jobs.
 
     A job is (stream, pairs, evaluate): n draws of the masked evaluator
     ``evaluate`` per pair, in ``_MC_BLOCK``-row blocks and a ragged last one;
@@ -1152,17 +1153,21 @@ def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
     numbers); rows where the rule is undefined are left out of the pair's
     moments and counted. A fourth job entry ``reduce(gen, values)`` replaces
     ``_Moments.of``; it runs right after its pair's evaluation and may draw
-    from the block's generator. All (job, block) tasks run in one
-    ``_map_ordered`` pass and each job folds its blocks in order, so
-    ``threads`` changes no byte and only the tasks in flight hold results.
-    Returns, per job, [(kept, mean, stderr, undefined)] per pair.
+    from the block's generator.
+
+    Returns (count, run, fold). ``run(t)`` runs task t < count, block
+    t % blocks of job t // blocks, and gives its per-pair moments;
+    ``fold(results)`` takes every task's result, in task order, from the
+    iterator ``results`` and returns, per job, [(kept, mean, stderr,
+    undefined)] per pair. Each job folds its blocks in order, so whichever
+    process runs a task changes no byte.
     """
     full, rest = divmod(n, _MC_BLOCK)
     n_blocks = full + (rest > 0)
     # per job and pair, the index of a block whose draws differed (else
-    # n_blocks). A later block skips the compare: a fold that reaches it has
-    # merged that block's spread, so the result is the same whatever the
-    # threads interleave.
+    # n_blocks), as seen by this process. A later block skips the compare: a
+    # fold that reaches it has merged that block's spread, so the result is
+    # the same whichever process ran which block.
     spread_in = [[n_blocks] * len(pairs) for _, pairs, *_ in jobs]
 
     def run(task: int) -> list[_Moments]:
@@ -1181,14 +1186,24 @@ def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
                 spread_in[j][p] = i
         return moments
 
-    out = []
-    with closing(_map_ordered(run, range(len(jobs) * n_blocks), threads)) as blocks:
+    def fold(results) -> list:
+        out = []
         for _, pairs, *_ in jobs:
             totals = [_Moments()] * len(pairs)
-            for moments in itertools.islice(blocks, n_blocks):
+            for moments in itertools.islice(results, n_blocks):
                 totals = [t.merge(m) for t, m in zip(totals, moments)]
             out.append([t.estimate() for t in totals])
-    return out
+        return out
+
+    return len(jobs) * n_blocks, run, fold
+
+
+def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
+    """``_mc_blocks``' estimates: its tasks in one ``_map_ordered`` pass on up to
+    ``threads`` worker processes, the caller one of them, folded as they come."""
+    count, run, fold = _mc_blocks(model, jobs, n)
+    with closing(_map_ordered(run, range(count), threads)) as results:
+        return fold(results)
 
 
 def _quad_means(model: HiddenVariableModel, evaluate, pairs):

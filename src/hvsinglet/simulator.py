@@ -3,9 +3,10 @@
 The Monte Carlo estimates of an experiment are one pass of the MC engine
 (``models._mc_means``) with one job per settings pair: 16384-shot blocks,
 block i of pair p drawn once from the stream (seed, p, i). Every block of
-every pair is one task of a single thread pool whose calling thread works
-too, and each pair merges its blocks in index order, so estimates are
-bitwise identical for any thread count. Each row where the rule is defined
+every pair is one task of a single pass on worker processes, the calling
+process one of them (``geometry._map_ordered``), and each pair merges its
+blocks in index order, so estimates are bitwise identical for any worker
+count. Each row where the rule is defined
 gets one outcome draw from the block's stream right after the block's lambda
 draw, and the +-1 products sum to an exact integer. Undefined rows are left
 out and counted; above ``models._UNDEFINED_TOL`` of a pair's draws they

@@ -32,23 +32,29 @@ with a nonzero deviation, or a pair undefined on more than
 ``models._UNDEFINED_TOL`` of its rows leaves the check ``inconclusive``
 rather than guessing, as does a check that evaluated no rows. Each MC check
 is a job (its pairs, its block streams, its evaluator) and a report made
-from the job's result: ``run_full_suite`` runs both jobs of a model without
-a quadrature in one engine pass, and every other check on the calling
-thread. The checks take the correction from ``model.implied_c`` and their
+from the job's result. ``run_full_suite`` runs a model without a
+quadrature as one pass on worker processes, the caller one of them: the
+six per-lambda checks and both jobs' blocks (``models._mc_blocks``). A
+model with a quadrature runs every check in the calling process: forking
+its short checks saved little and slowed one-worker runs, for a cause not
+found. The checks take the correction from ``model.implied_c`` and their
 lambda rows from ``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
-from .geometry import RandomStream, as_generator, dot, sample_uniform_sphere, with_dot
+from .geometry import (RandomStream, _map_ordered, as_generator, dot, sample_uniform_sphere,
+                       with_dot)
 from .models import (
     _MAX_DRAWS,
     _SIGMA_TAU,
@@ -56,6 +62,7 @@ from .models import (
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
+    _mc_blocks,
     _mc_means,
     _quad_means,
     qm_table,
@@ -250,9 +257,9 @@ def decompose_delta(table, a, b) -> DeltaDecomposition:
 class ValidatorConfig:
     """Scan sizes and Monte Carlo budgets for the full suite.
 
-    ``threads`` caps the workers of the one Monte Carlo pass that runs both
-    integral checks of a model without a quadrature. Every other check, and
-    every check of a model with a quadrature, runs on the calling thread.
+    ``threads`` caps the worker processes, the caller one of them, of the
+    one pass that runs every check of a model without a quadrature. Every
+    check of a model with a quadrature runs in the calling process.
     """
 
     n_settings: int = 100
@@ -858,10 +865,14 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
     ``config.threads``: each check owns a stream derived from its fixed
     position in the battery, so scheduling cannot reorder draws.
 
-    A model without a quadrature runs its two Monte Carlo checks as two jobs
-    of one ``_mc_means`` pass on up to ``config.threads`` workers,
-    qm-reproduction's first. Every other check, and every check of a model
-    with a quadrature, runs on the calling thread.
+    The exponent fit, which two checks share, runs first. A model without a
+    quadrature then runs as one ``_map_ordered`` pass on up to
+    ``config.threads`` worker processes, the caller one of them: its tasks
+    are the six per-lambda checks, longest first, then the blocks of both
+    Monte Carlo jobs (``models._mc_blocks``), qm-reproduction's first, so
+    the checks overlap the blocks. A model with a quadrature runs every
+    check in the calling process: forking its short checks saved little and
+    slowed one-worker runs, for a cause not found.
     """
     cfg = config or ValidatorConfig()
     root = RandomStream(seed).split(3)  # purpose tag for validation streams
@@ -874,28 +885,35 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
         # a declared exponent is the check's own default
         return None if declared is not None or est is None else getattr(est, f"s_{side}")
 
+    checks = [
+        lambda: check_table_scan(model, cfg.n_settings, cfg.n_lambda, root.split(1)),
+        lambda: check_coincident_zero(model, cfg.coincident_axes, cfg.n_lambda, root.split(5)),
+        lambda: check_marginal_triviality(model, cfg.marginal_settings, cfg.marginal_lambda,
+                                          root.split(2)),
+        lambda: check_exponent_bound(model, root.split(6), cfg.exponent_window,
+                                     cfg.exponent_points, cfg.exponent_lambda, estimate=est),
+        lambda: check_endpoint_g_bound(model, root.split(7), eps=cfg.endpoint_eps,
+                                       n_pairs=cfg.endpoint_pairs, n_lambda=cfg.n_lambda,
+                                       s_plus=fitted("plus"), s_minus=fitted("minus")),
+        lambda: check_expansion(model, root.split(8), cfg.expansion_eps, cfg.expansion_axes,
+                                cfg.n_lambda),
+    ]
     if model.lambda_space.quadrature is None:
-        checks = [_qm_reproduction_mc(model, cfg.qm_settings, root.split(9)),
-                  _zero_average_mc(model, cfg.mc_settings, root.split(4))]
-        results = _mc_means(model, [job for job, _ in checks], cfg.mc_samples,
-                            threads=cfg.threads)
-        integral = [report(stats) for (_, report), stats in zip(checks, results)]
+        mc = [_qm_reproduction_mc(model, cfg.qm_settings, root.split(9)),
+              _zero_average_mc(model, cfg.mc_settings, root.split(4))]
+        count, block, fold = _mc_blocks(model, [job for job, _ in mc], cfg.mc_samples)
+
+        def task(t: int):
+            return checks[t]() if t < len(checks) else block(t - len(checks))
+
+        with closing(_map_ordered(task, range(len(checks) + count), cfg.threads)) as results:
+            per_lambda = list(itertools.islice(results, len(checks)))
+            integral = [report(stats) for (_, report), stats in zip(mc, fold(results))]
     else:
+        per_lambda = [check() for check in checks]
         integral = [check_qm_reproduction(model, cfg.qm_settings, root.split(9)),
                     check_zero_average(model, cfg.n_settings, root.split(4))]
-    by_id = {r.constraint_id: r for r in [
-        *integral,
-        *check_table_scan(model, cfg.n_settings, cfg.n_lambda, root.split(1)),
-        check_marginal_triviality(model, cfg.marginal_settings, cfg.marginal_lambda,
-                                  root.split(2)),
-        check_coincident_zero(model, cfg.coincident_axes, cfg.n_lambda, root.split(5)),
-        check_exponent_bound(model, root.split(6), cfg.exponent_window, cfg.exponent_points,
-                             cfg.exponent_lambda, estimate=est),
-        check_endpoint_g_bound(model, root.split(7), eps=cfg.endpoint_eps,
-                               n_pairs=cfg.endpoint_pairs, n_lambda=cfg.n_lambda,
-                               s_plus=fitted("plus"), s_minus=fitted("minus")),
-        check_expansion(model, root.split(8), cfg.expansion_eps, cfg.expansion_axes,
-                        cfg.n_lambda),
-    ]}
+    scan, *others = per_lambda
+    by_id = {r.constraint_id: r for r in [*integral, *scan, *others]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]
     return SuiteResult(model_spec=dict(model.spec), seed=int(seed), reports=reports)

@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -28,35 +29,52 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"criterion {num} ({slug.replace('_', ' ')}): {label}")
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and starts no thread.
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked through ``os.fork``, on a 4-CPU process."""
+    pids, fork = [], os.fork
 
-    A submitted helper runs when the pool closes, after the caller has taken
-    every task, so it finds none left.
-    """
+    def counting() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    sizes: list = []
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+    return pids
 
-    def __init__(self, max_workers):
-        _RecordingPool.sizes.append(max_workers)
-        self.submitted = []
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for fn in self.submitted:
-            fn()
-        return False
-
-    def submit(self, fn):
-        self.submitted.append(fn)
+def _no_child_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Helper counts asked for, on a stand-in executor and a 4-CPU process."""
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(geometry, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
-    return _RecordingPool.sizes
+def no_child_left():
+    """``no_child_left()`` is True when this process has no child, running or unreaped."""
+    return _no_child_left
+
+
+class CallLog:
+    """A list that forked workers append to too: one line per entry, appended to a file."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, entry) -> None:
+        with open(self.path, "a") as f:  # one short write: appends from processes do not mix
+            f.write(f"{entry}\n")
+
+    def entries(self) -> list[str]:
+        return self.path.read_text().split()
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls")

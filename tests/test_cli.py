@@ -269,6 +269,17 @@ def test_validate_script_bounds_its_seed(tmp_path, seed, ok):
     assert ok or "--seed must be" in proc.stderr
 
 
+@pytest.mark.parametrize("value, ok", [("-1", False), ("0", True), (str(_MAX_DRAWS), True),
+                                       (str(_MAX_DRAWS + 1), False)])
+def test_validate_script_bounds_its_mc_samples(value, ok):
+    script = Path(__file__).parents[1] / "scripts" / "validate_builtin_models.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(script), "--mc-samples", value, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == (0 if ok else EX_USAGE), proc.stderr
+    assert ok or "--mc-samples must be" in proc.stderr
+
+
 def test_validate_inconclusive_lines_say_why(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", "--model", "cerf", "--seed", "1",
                              "--mc-samples", "2000")
@@ -371,16 +382,27 @@ def test_chsh_default_preset(capsys):
     assert "S = " in err
 
 
-def test_many_threads_start_at_most_one_worker_per_cpu(capsys, recording_pool):
+def test_many_threads_start_at_most_one_worker_per_cpu(capsys, forks, no_child_left):
     argv = ["chsh", "--model", "family1", "--shots", "200000", "--seed", "2"]
     assert main(argv) == EX_OK
     serial = capsys.readouterr().out
-    assert recording_pool == []
+    assert forks == []
     assert main([*argv, "--threads", "2000"]) == EX_OK
     assert capsys.readouterr().out == serial
-    # one pool per command: 4 pairs x 13 blocks, four usable CPUs, so three
-    # helper threads and the caller
-    assert recording_pool == [3]
+    # one pass per command: 4 pairs x 13 blocks, four usable CPUs, so three
+    # forked workers and the caller
+    assert len(forks) == 3
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--model", "cerf", "--seed", "1", "--mc-samples", "40000"),
+    ("chsh", "--model", "cerf", "--seed", "1", "--shots", "40000"),
+])
+def test_two_workers_leave_no_process_behind(capsys, forks, no_child_left, argv):
+    serial = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--threads", "2") == serial
+    assert len(forks) == 1 and no_child_left()
 
 
 def test_chsh_witness_flag(capsys):
@@ -873,3 +895,80 @@ def test_fuzz_slice_under_an_address_space_limit(tmp_path_factory, argv, spec, c
     out_dir = tmp_path_factory.mktemp("limited")
     _check_numeric_run(argv, out_dir, _run_limited)
     _assert_exit_contract(command, *_run_limited(_spec_argv(command, spec, out_dir)))
+
+
+# ---------------------------------------------------------------------------
+# Output schemas, pinned: the report keys of each check in both integral
+# modes, and the CSV headers
+
+
+_REPORT_KEYS = ["checks", "exit_code", "model", "overall", "seed"]
+_CHECK_KEYS = ["constraint-id", "details", "extremal_value", "samples_used", "status",
+               "tolerance", "witness"]
+_WITNESS_KEYS = ["a", "b", "lambda", "sigma", "tau", "value"]
+_FITTED = ["s_minus", "s_plus"]
+# per check, in report order: what its witness holds (None: no witness;
+# "lambda": a point and a settings pair; "pair": a settings pair alone) and
+# its details keys
+_CHECK_SCHEMA = {
+    "family2": {  # quadrature mode
+        "normalization": ("lambda", []),
+        "positivity": ("lambda", []),
+        "entry-half-bound": ("lambda", []),
+        "marginal-triviality": ("lambda", []),
+        "zero-average": ("pair", ["mode"]),
+        "coincident-zero": ("lambda", []),
+        "exponent-bound": (None, ["declared", "residual_minus", "residual_plus", *_FITTED]),
+        "endpoint-g-bound": ("lambda", ["min_nonzero_fraction", *_FITTED, "sides"]),
+        "expansion": ("lambda", ["max_rel_dev_per_eps", *_FITTED]),
+        "qm-reproduction": ("pair", ["mode"]),
+    },
+    "cerf": {  # Monte Carlo mode at 2000 samples: zero-average is inconclusive
+        "normalization": ("lambda", []),
+        "positivity": ("lambda", []),
+        "entry-half-bound": ("lambda", []),
+        "marginal-triviality": ("lambda", []),
+        "zero-average": ("pair", ["max_stderr", "max_z", "mode", "samples_needed"]),
+        "coincident-zero": ("lambda", []),
+        "exponent-bound": (None, ["reason"]),
+        "endpoint-g-bound": (None, ["reason"]),
+        "expansion": (None, ["reason"]),
+        "qm-reproduction": ("pair", ["max_stderr", "max_z", "mode"]),
+    },
+}
+
+
+@pytest.mark.parametrize("model, extra", [
+    ("family2", ()), ("cerf", ("--mc-samples", "2000")),
+    ("cerf", ("--mc-samples", "2000", "--threads", "2")),
+])
+def test_validate_report_schema_is_pinned(capsys, model, extra):
+    _, out, _ = run_cli(capsys, "validate", "--model", model, "--seed", "1", *extra)
+    report = json.loads(out)
+    assert sorted(report) == _REPORT_KEYS
+    got = {}
+    for check in report["checks"]:
+        assert sorted(check) == _CHECK_KEYS
+        witness = check["witness"]
+        if witness is not None:
+            assert sorted(witness) == _WITNESS_KEYS
+            if witness["lambda"] is not None:
+                assert sorted(witness["lambda"]) == ["scalars", "vectors"]
+        got[check["constraint-id"]] = (
+            None if witness is None else "pair" if witness["lambda"] is None else "lambda",
+            sorted(check["details"]))
+    assert list(got.items()) == list(_CHECK_SCHEMA[model].items())
+
+
+_ESTIMATE_HEADER = "ax,ay,az,bx,by,bz,E_est,stderr,E_qm,n_shots,mode,seed"
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("chsh", "--model", "family1", "--shots", "100"), _ESTIMATE_HEADER),
+    (("simulate", "--model", "family1", "--shots", "100", "--settings", "random:2"),
+     _ESTIMATE_HEADER),
+    (("scan", "--model", "family1", "--points", "3"), "a_dot_b,mean_abs_c,min_entry,max_entry"),
+])
+def test_csv_headers_are_pinned(capsys, argv, header):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EX_OK and out.splitlines()[0] == header

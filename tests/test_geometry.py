@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 import time
 
 import numpy as np
@@ -338,83 +337,84 @@ def test_sphere_fill_is_uniform():
 
 
 # ---------------------------------------------------------------------------
-# The ordered thread pool
+# The ordered pass on forked worker processes
 
 
-def test_pool_size_is_bounded_by_tasks_and_cpus(recording_pool):
-    # 1e8 shots are 6104 blocks; --threads 2000 must not become 6104 threads,
-    # and the calling thread is one of the workers
+def test_pool_size_is_bounded_by_tasks_and_cpus(forks, no_child_left):
+    # 1e8 shots are 6104 blocks; --threads 2000 must not become 6104 processes,
+    # and the calling process is one of the workers
     assert list(_map_ordered(lambda i: i * i, range(6104), 2000)) == [i * i for i in range(6104)]
+    assert len(forks) == 3
     assert list(_map_ordered(str, range(3), 2000)) == ["0", "1", "2"]
+    assert len(forks) == 5
     assert list(_map_ordered(str, range(9), 2)) == [str(i) for i in range(9)]
-    assert recording_pool == [3, 2, 1]
+    assert len(forks) == 6
     assert list(_map_ordered(str, range(9), 1)) == [str(i) for i in range(9)]
     assert list(_map_ordered(str, range(1), 2000)) == ["0"]
     assert list(_map_ordered(str, [], 2000)) == []
-    assert recording_pool == [3, 2, 1]  # one task or one thread runs inline
+    assert len(forks) == 6  # one task or one worker runs inline
+    assert no_child_left()
 
 
-def test_pool_runs_inline_on_one_cpu(recording_pool, monkeypatch):
+def test_pool_runs_inline_on_one_cpu(forks, monkeypatch):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
     assert list(_map_ordered(str, range(50), 2000)) == [str(i) for i in range(50)]
-    assert recording_pool == []
+    assert forks == []
 
 
-def test_pool_returns_results_in_index_order(monkeypatch):
+def test_pool_runs_inline_without_fork(monkeypatch):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
-    before = threading.active_count()
-    workers = set()
+    monkeypatch.delattr(os, "fork")
+    assert list(_map_ordered(lambda i: (i, os.getpid()), range(9), 4)) == [
+        (i, os.getpid()) for i in range(9)]
+
+
+def test_pool_returns_results_in_index_order(monkeypatch, no_child_left):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
 
     def task(i):
-        workers.add(threading.current_thread())
         time.sleep(0.001 + 0.002 * (i % 3))  # later tasks often finish first
-        return i * i
+        return i * i, os.getpid()
 
-    assert list(_map_ordered(task, range(60), 4)) == [i * i for i in range(60)]
-    assert threading.current_thread() in workers  # the caller works too
-    assert threading.active_count() == before
+    out = list(_map_ordered(task, range(60), 4))
+    assert [v for v, _ in out] == [i * i for i in range(60)]
+    pids = [pid for _, pid in out]
+    assert len(set(pids)) == 4 and pids[0] == os.getpid()  # the caller works too
+    # the fixed shares, dealt in snake order: 0 1 2 3 3 2 1 0 0 1 ...
+    assert [pids.index(pid) for pid in pids[:10]] == [0, 1, 2, 3, 3, 2, 1, 0, 0, 1]
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("on_caller", [True, False])
-def test_pool_raises_a_task_exception_from_either_thread(monkeypatch, on_caller):
-    # tasks 0 and 1 run at once, one on the caller and one on the helper; the
-    # one on the chosen thread raises at once, the other returns 0.2 s later,
-    # when the failure has stopped all claims
+def test_pool_raises_a_task_exception_from_either_process(monkeypatch, call_log, no_child_left,
+                                                          on_caller):
+    # task 0 runs on the caller and task 1 on the forked worker; the chosen one raises
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    caller = threading.current_thread()
-    started = [threading.Event(), threading.Event()]
-    ran = []
+    caller = os.getpid()
 
     def task(i):
-        ran.append(i)
-        if i < 2:
-            started[i].set()
-            assert started[1 - i].wait(10)
-            if (threading.current_thread() is caller) == on_caller:
-                raise ValueError(i)
-            time.sleep(0.2)
+        call_log.append(i)
+        if i < 2 and (os.getpid() == caller) == on_caller:
+            raise ValueError(i, os.getpid())
         return i
 
     with pytest.raises(ValueError) as info:
         list(_map_ordered(task, range(50), 2))
-    assert info.value.args[0] in (0, 1)
-    assert sorted(ran) == [0, 1]  # no task is claimed after a failure
-    assert threading.active_count() == before
+    i, pid = info.value.args
+    assert i == (0 if on_caller else 1) and (pid == caller) == on_caller
+    if not on_caller:  # the worker's share ends at its failure, the caller's at its turn
+        assert sorted(call_log.entries()) == ["0", "1"]
+    assert no_child_left()
 
 
-def test_pool_raises_the_lowest_failing_index(monkeypatch):
-    # task 1 fails first, task 0 later: task 0's exception wins, as with Executor.map
+def test_pool_raises_the_lowest_failing_index(monkeypatch, call_log, no_child_left):
+    # task 1 (the worker's) fails first, task 0 (the caller's) later: task 0's
+    # exception wins, as with Executor.map
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    started = [threading.Event(), threading.Event()]
-    ran = []
 
     def task(i):
-        ran.append(i)
+        call_log.append(i)
         if i < 2:
-            started[i].set()
-            assert started[1 - i].wait(10)
             time.sleep(0.2 * (1 - i))
             raise ValueError(i)
         return i
@@ -423,64 +423,131 @@ def test_pool_raises_the_lowest_failing_index(monkeypatch):
     with pytest.raises(ValueError) as info:
         next(it)
     assert info.value.args == (0,)
-    assert sorted(ran) == [0, 1]
-    assert threading.active_count() == before
+    it.close()
+    assert no_child_left()
+    assert sorted(call_log.entries()) == ["0", "1"]
 
 
-def test_pool_yields_what_precedes_a_failure_and_claims_no_more(recording_pool):
-    # the stand-in helper only runs once the pool closes: the caller claims
-    # 0..3, one at a time as they are taken, and stops at the failure
-    ran = []
+def test_pool_yields_what_precedes_a_failure_and_claims_no_more(monkeypatch, call_log,
+                                                                no_child_left):
+    # task 2 fails on the worker: the caller yields 0 and 1 and raises at 2,
+    # and neither process runs a task after that
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
 
     def task(i):
-        ran.append(i)
-        if i == 3:
+        call_log.append(i)
+        if i == 2:
             raise KeyError(i)
         return i
 
     it = _map_ordered(task, range(9), 2)
-    assert [next(it) for _ in range(3)] == [0, 1, 2]
+    assert [next(it) for _ in range(2)] == [0, 1]
     with pytest.raises(KeyError):
         next(it)
-    assert ran == [0, 1, 2, 3] and recording_pool == [1]
-    ran.clear()
+    assert no_child_left()
+    assert sorted(call_log.entries()) == ["0", "1", "2"]
+    call_log.path.write_text("")
     with pytest.raises(KeyError):
         list(_map_ordered(task, range(9), 1))
-    assert ran == [0, 1, 2, 3]
+    assert call_log.entries() == ["0", "1", "2"]
 
 
-def test_pool_runs_no_further_ahead_than_its_window(monkeypatch):
-    # task 0 is slow: the other worker runs ahead only up to the window, so
-    # the results held for their turn stay bounded
+class _TwoArgError(Exception):
+    """Pickles, but its class cannot be rebuilt from the pickled args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def test_pool_names_a_task_whose_exception_does_not_pickle(monkeypatch, no_child_left):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    started, seen = [], []
+
+    class LocalError(Exception):  # a local class does not pickle at all
+        pass
+
+    for exc, name in ((LocalError("no way back"), "LocalError"),
+                      (_TwoArgError("no way", "back"), "_TwoArgError")):
+        def task(i, exc=exc):
+            if i == 1:
+                raise exc
+            return i
+
+        with pytest.raises(RuntimeError, match=f"^task 1 raised {name}: no way.back$"):
+            list(_map_ordered(task, range(4), 2))
+    assert no_child_left()
+
+
+def test_pool_reports_a_worker_that_died(monkeypatch, no_child_left):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
 
     def task(i):
-        started.append(i)
-        if i == 0:
-            time.sleep(0.3)
-            seen.append(len(started))
+        if i == 1:
+            os._exit(3)  # only ever on the forked worker
         return i
 
-    assert list(_map_ordered(task, range(200), 2)) == list(range(200))
-    assert seen == [2 * geometry._AHEAD]
+    with pytest.raises(RuntimeError, match="worker process of task 1 ended before"):
+        list(_map_ordered(task, range(4), 2))
+    assert no_child_left()
 
 
-def test_pool_closed_early_joins_its_helpers(monkeypatch):
-    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
-    before = threading.active_count()
-    ran = []
+def test_pool_runs_no_further_ahead_than_its_window(monkeypatch, call_log):
+    # task 0 is slow on the caller: the worker runs ahead only while its pipe
+    # takes its results, so the results held stay bounded
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    seen = []
 
     def task(i):
-        ran.append(i)
+        call_log.append(i)
+        if i == 0:
+            time.sleep(0.3)
+            seen.append(len(call_log.entries()))
+        return bytes(50_000)  # a default pipe takes one such result, and a part
+
+    assert len(list(_map_ordered(task, range(200), 2))) == 200
+    assert len(seen) == 1 and seen[0] <= 4, seen  # task 0 and the worker's 1 and 2
+
+
+def test_pool_closed_early_reaps_its_workers(monkeypatch, call_log, no_child_left):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+
+    def task(i):
+        call_log.append(i)
         time.sleep(0.005)
         return i
 
     it = _map_ordered(task, range(1000), 4)
     assert [next(it) for _ in range(5)] == list(range(5))
     it.close()
-    assert threading.active_count() == before
-    assert len(ran) < 100 and sorted(ran) == list(range(len(ran)))  # claimed in order
+    assert no_child_left()
+    ran = sorted(int(i) for i in call_log.entries())
+    assert len(ran) < 100 and len(set(ran)) == len(ran)  # each task run at most once
+
+
+def test_pool_interrupted_reaps_its_workers(monkeypatch, no_child_left):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 4)
+
+    def task(i):
+        if i == 8:  # the caller's third task
+            raise KeyboardInterrupt
+        time.sleep(0.005)
+        return i
+
+    with pytest.raises(KeyboardInterrupt):
+        list(_map_ordered(task, range(1000), 4))
+    assert no_child_left()
+
+
+def test_pool_workers_write_nothing(monkeypatch, capfd):
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+
+    def task(i):
+        print(f"out {i}", flush=True)
+        os.write(2, f"err {i}\n".encode())
+        return i
+
+    assert list(_map_ordered(task, range(6), 2)) == list(range(6))
+    out, err = capfd.readouterr()
+    assert (out, err) == ("out 0\nout 3\nout 4\n", "err 0\nerr 3\nerr 4\n")  # the caller's
 
 
 def test_usable_cpus_counts_this_process():

@@ -111,14 +111,14 @@ def test_sampling_is_deterministic_and_thread_invariant():
     assert e_other.e_est != e1.e_est
 
 
-def test_block_pool_is_bounded_by_blocks_and_cpus(recording_pool):
+def test_block_pool_is_bounded_by_blocks_and_cpus(forks):
     m = builtin_model("family1")
     b = unit([0.25, -0.33, 0.91])
     args = dict(shots=5 * 16384 + 7, seed=11)
     serial = estimate_correlation(m, Z, b, ExperimentConfig(**args))
     many = estimate_correlation(m, Z, b, ExperimentConfig(**args, threads=2000))
     assert (many.e_est, many.stderr) == (serial.e_est, serial.stderr)
-    assert recording_pool == [3]  # six blocks, four usable CPUs: three helpers and the caller
+    assert len(forks) == 3  # six blocks, four usable CPUs: three forked workers and the caller
 
 
 def test_pairs_use_independent_streams():
@@ -495,10 +495,9 @@ def _undefined_at_x_model(calls):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, threads):
+def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, call_log, threads):
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-    calls = []
-    m = _undefined_at_x_model(calls)
+    m = _undefined_at_x_model(call_log)  # the forked worker's evaluations are logged too
     settings = np.array([[Z, X], [X, Z], [Z, X], [X, Z]])
     with pytest.raises(MeasureZeroError, match="undefined on 32768 of 32768 draws at "
                                                "settings pair 1"):
@@ -507,9 +506,9 @@ def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, threads):
     # pairs 1 and 3 keep no row and count all, pairs 0 and 2 run as they would alone
     jobs = [(RandomStream(19).split(2, i), [(a, b)], m.kernel_masked)
             for i, (a, b) in enumerate(settings)]
-    calls.clear()
+    call_log.path.write_text("")
     out = _mc_means(m, jobs, 2 * 16384, threads=threads)
-    assert len(calls) == 8 and sum(calls) == 4
+    assert sorted(call_log.entries()) == ["False"] * 4 + ["True"] * 4
     for p in (0, 2):
         assert out[p][0][0] == 2 * 16384 and out[p][0][3] == 0
         assert out[p] == _mc_means(m, jobs[p:p + 1], 2 * 16384)[0]

@@ -925,29 +925,32 @@ def test_validator_config_accepts_counts_at_their_bounds(field, value):
     assert getattr(ValidatorConfig(**{field: value}), field) == value
 
 
-def test_run_full_suite_pool_is_bounded_by_cpus(recording_pool):
+def test_run_full_suite_pool_is_bounded_by_cpus(forks, no_child_left):
     m = builtin_model("cerf")
     two_blocks = ValidatorConfig(**{**SMALL_MC.__dict__, "mc_samples": 2 * 16384})
     many = run_full_suite(m, ValidatorConfig(**{**two_blocks.__dict__, "threads": 2000}), seed=3)
     assert many.to_json() == run_full_suite(m, two_blocks, seed=3).to_json()
-    # two MC jobs of two blocks, four usable CPUs: three helpers and the caller
-    assert recording_pool == [3]
+    # six checks and two MC jobs of two blocks, four usable CPUs: three forked
+    # workers and the caller
+    assert len(forks) == 3
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
-def test_run_full_suite_with_quadrature_starts_no_pool(recording_pool, name):
+def test_run_full_suite_with_quadrature_starts_no_pool(forks, name):
     m = _quadrature_model(name)
     serial = run_full_suite(m, FAST, seed=3).to_json()
     for threads in (2, 2000):
         cfg = ValidatorConfig(**{**FAST.__dict__, "threads": threads})
         assert run_full_suite(m, cfg, seed=3).to_json() == serial
-    assert recording_pool == []
+    assert forks == []
 
 
-def test_run_full_suite_without_quadrature_pools_its_mc_pass(recording_pool):
+def test_run_full_suite_without_quadrature_pools_its_mc_pass(forks, no_child_left):
     cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
     run_full_suite(builtin_model("cerf"), cfg, seed=1)
-    assert recording_pool == [1]  # one helper and the caller
+    assert len(forks) == 1  # one forked worker and the caller
+    assert no_child_left()
 
 
 def test_run_full_suite_cerf_small_budget_inconclusive():
@@ -957,22 +960,29 @@ def test_run_full_suite_cerf_small_budget_inconclusive():
 
 
 def test_run_full_suite_makes_one_mc_pass(monkeypatch):
-    calls = []
-    mc_means = validator._mc_means
+    blocks, passes = [], []
+    mc_blocks, map_ordered = validator._mc_blocks, validator._map_ordered
 
-    def recording(model, jobs, n, *, threads=1):
-        calls.append(([(stream, len(pairs), evaluate) for stream, pairs, evaluate in jobs],
-                      n, threads))
-        return mc_means(model, jobs, n, threads=threads)
+    def recording_blocks(model, jobs, n):
+        blocks.append(([(stream, len(pairs), evaluate) for stream, pairs, evaluate in jobs], n))
+        return mc_blocks(model, jobs, n)
 
-    monkeypatch.setattr(validator, "_mc_means", recording)
+    def recording_pass(fn, args, threads):
+        passes.append((len(args), threads))
+        return map_ordered(fn, args, threads)
+
+    monkeypatch.setattr(validator, "_mc_blocks", recording_blocks)
+    monkeypatch.setattr(validator, "_map_ordered", recording_pass)
     m = builtin_model("cerf")
     cfg = ValidatorConfig(**{**SMALL_MC.__dict__, "threads": 2})
     res = run_full_suite(m, cfg, seed=1)
     root = RandomStream(1).split(3)
-    # qm-reproduction's job first, then zero-average's, on the suite's threads
-    assert calls == [([(root.split(9), cfg.qm_settings, m.kernel_masked),
-                       (root.split(4), cfg.mc_settings, m.implied_c)], cfg.mc_samples, 2)]
+    # qm-reproduction's job first, then zero-average's, in one pass on the
+    # suite's workers with the six per-lambda checks
+    assert blocks == [([(root.split(9), cfg.qm_settings, m.kernel_masked),
+                        (root.split(4), cfg.mc_settings, m.implied_c)], cfg.mc_samples)]
+    n_blocks = -(-cfg.mc_samples // 16384)
+    assert passes == [(6 + 2 * n_blocks, 2)]
     assert res.to_json() == run_full_suite(m, SMALL_MC, seed=1).to_json()
 
 
