@@ -13,6 +13,10 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
   250000``) and the two recipe specs, and on cerf at ``--mc-samples 2000``,
   where zero-average is ``inconclusive`` (the unresolved branch of the
   Monte Carlo checks);
+* ``validate --lambda-n 0`` and ``validate --settings-n 0`` on the same six
+  models (cerf at ``--mc-samples 250000``): the table scans, and on cerf
+  coincident-zero, scan no rows, and a quadrature's zero-average has no
+  pairs, so those checks take their ``inconclusive`` no-samples branch;
 * ``chsh`` and ``simulate --settings random:3`` in sampling and analytic
   mode on the same six models, at 120001 shots: seven full 16384-shot
   blocks and a ragged one of 5313 shots;
@@ -84,6 +88,9 @@ def collect(src: Path) -> dict[str, str]:
                     tag = f"{name} seed={seed} t={threads}"
                     extra = ["--mc-samples", CERF_MC_SAMPLES] if model == "cerf" else []
                     outputs[f"validate {tag}"] = run(["validate", *common, *extra])
+                    for flag in ("--lambda-n", "--settings-n"):
+                        outputs[f"validate {flag} 0 {tag}"] = run(
+                            ["validate", *common, *extra, flag, 0])
                     if model == "cerf":
                         outputs[f"validate mc={CERF_SMALL_MC_SAMPLES} {tag}"] = run(
                             ["validate", *common, "--mc-samples", CERF_SMALL_MC_SAMPLES])

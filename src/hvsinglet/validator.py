@@ -20,6 +20,13 @@ the canonical form P = (1 - sigma*tau*(a.b - C))/4:
   (eps/4)(1 +- 2^(s+-) eps^(s-+ - 1) G);
 * qm-reproduction: lambda-averaged tables match the singlet table.
 
+Every witness comes from one scan (``_Worst``): per batch it takes the
+argmax or argmin of the values, keeps the worst witness and counts the rows.
+The per-lambda checks and the quadrature integral checks take their verdict
+from it too, and one that scanned no rows is ``inconclusive``. A NaN on a
+row the rule calls defined is the worst value, so the check fails with a
+``null`` witness value.
+
 The two integral checks draw their settings pairs first, then sum over the
 model's quadrature one pair at a time (``models._quad_means``) or, without
 one, run the MC engine shared with the simulator (``models._mc_means``): it
@@ -202,10 +209,72 @@ def _entry_sums(flat: np.ndarray) -> np.ndarray:
     return flat[:, 0] + flat[:, 1] + flat[:, 2] + flat[:, 3]
 
 
-def _no_evidence(constraint_id: str, tol: float, details: dict | None = None) -> ConstraintReport:
-    """A check that evaluated no rows can neither pass nor fail."""
-    return ConstraintReport(constraint_id, CheckStatus.INCONCLUSIVE, None, tol, 0,
-                            details={**(details or {}), "reason": "no samples"})
+_NO_LABELS = ((None, None),)
+_ENTRIES = tuple(itertools.product(OUTCOMES, OUTCOMES))  # (sigma, tau) of a flat table's columns
+_SIGMA_SIDES = tuple((s, None) for s in OUTCOMES)
+_TAU_SIDES = tuple((None, t) for t in OUTCOMES)
+
+
+class _Worst:
+    """A check's worst value, the witness where it was seen and the rows it scanned.
+
+    ``add`` scans one batch's values, a row per lambda row and a column per
+    (sigma, tau) label, by ``rank`` (the values themselves by default): its
+    argmin when ``lowest``, else its argmax. A batch replaces the witness
+    only when strictly worse, so of two equal values the first wins. A NaN
+    is worse than any number: argmin and argmax return the first NaN, and it
+    replaces any witness but an earlier NaN, so a NaN on a defined row fails
+    the check with a ``null`` value.
+    """
+
+    def __init__(self, lowest: bool = False):
+        self.lowest = lowest
+        self.key = np.inf if lowest else -np.inf
+        self.witness: Witness | None = None
+        self.used = 0
+
+    @property
+    def value(self):
+        """The worst witness's stored value; None before the first."""
+        return None if self.witness is None else self.witness.value
+
+    def _worse(self, key: float) -> bool:
+        return (key < self.key if self.lowest else key > self.key) or (
+            math.isnan(key) and not math.isnan(self.key))
+
+    def add(self, values, batch=None, row_of=None, a=None, b=None, labels=_NO_LABELS, *,
+            rank=None, rows=None) -> None:
+        """Scan one batch; ``rows`` lambda rows stand behind it, one per row of values
+        by default. ``row_of`` maps a row of values to its row of ``batch``."""
+        self.used += len(values) if rows is None else rows
+        if len(values) == 0:
+            return
+        rank = values if rank is None else rank
+        j = int(rank.argmin() if self.lowest else rank.argmax())
+        key = float(rank.flat[j])
+        if self._worse(key):
+            row, col = divmod(j, len(labels))
+            lam = None if batch is None else batch.point(row if row_of is None else row_of(row))
+            self.key, self.witness = key, Witness(float(values.flat[j]), lam, a, b, *labels[col])
+
+    def take(self, scan: "_Worst", key: float) -> None:
+        """Fold in a finished ``scan``, ranked by ``key``, a function of its worst value."""
+        self.used += scan.used
+        if self._worse(key):
+            self.key, self.witness = key, scan.witness
+
+    def report(self, constraint_id: str, tol: float, passed: bool, details: dict | None = None,
+               extremal: float | None = None) -> ConstraintReport:
+        """PASS when ``passed``, else FAIL, at the worst key unless ``extremal`` is given.
+
+        A check that scanned no rows can neither pass nor fail.
+        """
+        if self.used == 0:
+            return ConstraintReport(constraint_id, CheckStatus.INCONCLUSIVE, None, tol, 0,
+                                    details={"reason": "no samples"})
+        return ConstraintReport(constraint_id, CheckStatus.PASS if passed else CheckStatus.FAIL,
+                                self.key if extremal is None else extremal, tol, self.used,
+                                self.witness, details or {})
 
 
 # ---------------------------------------------------------------------------
@@ -316,53 +385,19 @@ def check_table_scan(model: HiddenVariableModel, n_settings: int, n_lambda: int,
     """One scan, three verdicts: normalization, positivity, half bound."""
     gen = as_generator(source)
     tol = 1e-12
-    used = 0
-    worst_min = Witness(np.inf)
-    worst_max = Witness(-np.inf)
-    worst_norm = Witness(-np.inf)
-
+    norm, low, high = _Worst(), _Worst(lowest=True), _Worst()
     for i in range(n_settings):
         a, b = _random_pair(gen, endpoint=(i % 2 == 1))
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
         tables, row_of = _valid_rows(tables, ok)
-        if len(tables) == 0:
-            continue
-        used += len(tables)
-
         flat = tables.reshape(-1, 4)
-        norm_dev = np.abs(_entry_sums(flat) - 1.0)
-        j = int(norm_dev.argmax())
-        if norm_dev[j] > worst_norm.value:
-            worst_norm = Witness(float(norm_dev[j]), batch.point(row_of(j)), a, b)
-
-        j = int(flat.argmin())
-        row, entry = divmod(j, 4)
-        if flat.flat[j] < worst_min.value:
-            worst_min = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
-                                OUTCOMES[entry // 2], OUTCOMES[entry % 2])
-        j = int(flat.argmax())
-        row, entry = divmod(j, 4)
-        if flat.flat[j] > worst_max.value:
-            worst_max = Witness(float(flat.flat[j]), batch.point(row_of(row)), a, b,
-                                OUTCOMES[entry // 2], OUTCOMES[entry % 2])
-
-    if used == 0:
-        return tuple(_no_evidence(cid, tol) for cid in CONSTRAINT_ORDER[:3])
-
-    def verdict(cond: bool) -> CheckStatus:
-        return CheckStatus.PASS if cond else CheckStatus.FAIL
-
-    norm_rep = ConstraintReport(
-        "normalization", verdict(worst_norm.value <= tol), worst_norm.value, tol, used,
-        worst_norm)
-    pos_rep = ConstraintReport(
-        "positivity", verdict(worst_min.value >= -tol), worst_min.value, tol, used,
-        worst_min)
-    half_rep = ConstraintReport(
-        "entry-half-bound", verdict(worst_max.value <= 0.5 + tol), worst_max.value, tol,
-        used, worst_max)
-    return norm_rep, pos_rep, half_rep
+        norm.add(np.abs(_entry_sums(flat) - 1.0), batch, row_of, a, b)
+        low.add(flat, batch, row_of, a, b, _ENTRIES)
+        high.add(flat, batch, row_of, a, b, _ENTRIES)
+    return (norm.report("normalization", tol, norm.key <= tol),
+            low.report("positivity", tol, low.key >= -tol),
+            high.report("entry-half-bound", tol, high.key <= 0.5 + tol))
 
 
 def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lambda: int,
@@ -370,33 +405,18 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
     """Per-lambda one-side marginals must equal 1/2 (setting independence)."""
     gen = as_generator(source)
     tol = 1e-10
-    used = 0
-    worst = Witness(-np.inf)
+    worst = _Worst()
     for _ in range(n_settings):
         a, b = _random_pair(gen, endpoint=False)
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
         tables, row_of = _valid_rows(tables, ok)
-        if len(tables) == 0:
-            continue
-        used += len(tables)
-        # the two-term sums of tables.sum(axis=2) and tables.sum(axis=1)
-        for marginals, outcomes in ((tables[:, :, 0] + tables[:, :, 1], "sigma"),
-                                    (tables[:, 0] + tables[:, 1], "tau")):
-            gap = np.abs(marginals - 0.5)
-            j = int(gap.argmax())
-            row, side = divmod(j, 2)
-            if gap.flat[j] > worst.value:
-                w = Witness(float(gap.flat[j]), batch.point(row_of(row)), a, b)
-                if outcomes == "sigma":
-                    w.sigma = OUTCOMES[side]
-                else:
-                    w.tau = OUTCOMES[side]
-                worst = w
-    if used == 0:
-        return _no_evidence("marginal-triviality", tol)
-    status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
-    return ConstraintReport("marginal-triviality", status, worst.value, tol, used, worst)
+        # the two-term sums of tables.sum(axis=2) and tables.sum(axis=1), over the same rows
+        worst.add(np.abs(tables[:, :, 0] + tables[:, :, 1] - 0.5), batch, row_of, a, b,
+                  _SIGMA_SIDES)
+        worst.add(np.abs(tables[:, 0] + tables[:, 1] - 0.5), batch, row_of, a, b, _TAU_SIDES,
+                  rows=0)
+    return worst.report("marginal-triviality", tol, worst.key <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +427,20 @@ def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel
                       n_settings: int, evaluate, deviation) -> ConstraintReport:
     """``deviation(a, b, W, mean)`` of each pair's ``_quad_means`` must stay <= tol, and
     without a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
-    if n_settings < 1:
-        return _no_evidence(constraint_id, tol, {"mode": "quadrature"})
     gen = as_generator(source)
     pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
-    worst, undefined = Witness(-np.inf), 0.0
+    worst, undefined, n_nodes = _Worst(), 0.0, len(model.lambda_space.quadrature[1])
     for (a, b), (weight, mean) in zip(pairs, _quad_means(model, evaluate, pairs)):
         undefined = max(undefined, 1.0 - float(weight))
         dev = np.ravel(deviation(a, b, weight, mean))  # one value, or the (sigma, tau) entries
-        j = int(dev.argmax())
-        if dev[j] > worst.value:
-            outcomes = (OUTCOMES[j // 2], OUTCOMES[j % 2]) if len(dev) > 1 else ()
-            worst = Witness(float(dev[j]), None, a, b, *outcomes)
-    status = (CheckStatus.FAIL if not worst.value <= tol else CheckStatus.INCONCLUSIVE
-              if undefined > _UNDEFINED_TOL else CheckStatus.PASS)
-    details = {"mode": "quadrature"}
+        worst.add(dev, a=a, b=b, labels=_ENTRIES if len(dev) > 1 else _NO_LABELS, rows=n_nodes)
+    rep = worst.report(constraint_id, tol, worst.key <= tol)
+    rep.details["mode"] = "quadrature"
     if undefined > 0.0:
-        details["undefined_mass"] = undefined
-    return ConstraintReport(constraint_id, status, worst.value, tol,
-                            n_settings * len(model.lambda_space.quadrature[1]), worst, details)
+        rep.details["undefined_mass"] = undefined
+    if rep.status is CheckStatus.PASS and undefined > _UNDEFINED_TOL:
+        rep.status = CheckStatus.INCONCLUSIVE
+    return rep
 
 
 def _mc_job(source, n_settings: int, evaluate):
@@ -481,10 +496,11 @@ def _zero_average_mc(model: HiddenVariableModel, n_settings: int, source):
     def report(stats) -> ConstraintReport:
         estimates, used, status, details = _mc_estimates(
             job[1], stats, lambda a, b, mean, stderr: (np.abs(mean), stderr))
-        top = max(estimates, key=lambda e: e[3], default=None)  # the first largest deviation
-        worst = None if top is None else Witness(top[3], None, top[0], top[1])
-        return ConstraintReport("zero-average", status, None if worst is None else worst.value,
-                                1e-2, used, worst, details)
+        worst = _Worst()
+        for a, b, _, dev, _, _ in estimates:
+            worst.add(np.ravel(dev), a=a, b=b)
+        return ConstraintReport("zero-average", status, worst.value, 1e-2, used, worst.witness,
+                                details)
 
     return job, report
 
@@ -504,25 +520,15 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
     """C(lambda, a, +-a) = 0 per lambda: perfect (anti)correlations survive."""
     gen = as_generator(source)
     tol = 1e-10
-    used = 0
-    worst = Witness(-np.inf)
+    worst = _Worst()
     for _ in range(n_axes):
         a = sample_uniform_sphere(gen)
         nodes, _ = model.lambda_space.nodes(gen, n_lambda)
         for b in (a, -a):
             c, ok = model.implied_c(nodes, a, b)
             c, row_of = _valid_rows(c, ok)
-            c = np.abs(c)
-            used += len(c)
-            if len(c) == 0:
-                continue
-            j = int(c.argmax())
-            if c[j] > worst.value:
-                worst = Witness(float(c[j]), nodes.point(row_of(j)), a, b)
-    if used == 0:
-        return _no_evidence("coincident-zero", tol)
-    status = CheckStatus.PASS if worst.value <= tol else CheckStatus.FAIL
-    return ConstraintReport("coincident-zero", status, worst.value, tol, used, worst)
+            worst.add(np.abs(c), nodes, row_of, a, b)
+    return worst.report("coincident-zero", tol, worst.key <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -645,44 +651,28 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
                      "s_plus": float(sp), "s_minus": float(sm)})
 
     gen = as_generator(source)
-    used = 0
-    worst_margin = -np.inf
-    worst = None
+    worst = _Worst()  # the sides ranked by their margin max |G| - bound
     side_details: dict[str, Any] = {}
     min_fraction = 1.0
     for label, sign, bound in sides:
-        max_g = -np.inf
+        scan = _Worst()
         nonzero_weight = 0.0
-        wit = None
         for _ in range(n_pairs):
             a = sample_uniform_sphere(gen)
             tangent = sample_uniform_sphere(gen)
             b = with_dot(a, tangent, sign * (1.0 - eps))
             nodes, w = model.lambda_space.nodes(gen, n_lambda)
             g = np.abs(_g_values(model.c_values(nodes, a, b), a, b, sp, sm))
-            if len(g) == 0:
-                continue
-            used += len(g)
+            scan.add(g, nodes, a=a, b=b)
             nonzero_weight = max(nonzero_weight, float(w[g > 1e-9].sum()))
-            j = int(g.argmax())
-            if g[j] > max_g:
-                max_g = float(g[j])
-                wit = Witness(max_g, nodes.point(j), a, b)
-        margin = max_g - bound
-        if margin > worst_margin:
-            worst_margin = margin
-            worst = wit
+        worst.take(scan, scan.key - bound)
         min_fraction = min(min_fraction, nonzero_weight)
-        side_details[label] = {"bound": bound, "max_abs_g": max_g,
+        side_details[label] = {"bound": bound, "max_abs_g": scan.key,
                                "nonzero_fraction": nonzero_weight}
-    if used == 0:
-        return _no_evidence("endpoint-g-bound", tol)
-    ok = worst_margin <= tol and min_fraction >= 0.01
-    status = CheckStatus.PASS if ok else CheckStatus.FAIL
-    return ConstraintReport(
-        "endpoint-g-bound", status, None if worst is None else worst.value, tol, used,
-        worst, details={"sides": side_details, "min_nonzero_fraction": min_fraction,
-                        "s_plus": float(sp), "s_minus": float(sm)})
+    return worst.report(
+        "endpoint-g-bound", tol, worst.key <= tol and min_fraction >= 0.01,
+        {"sides": side_details, "min_nonzero_fraction": min_fraction, "s_plus": float(sp),
+         "s_minus": float(sm)}, extremal=worst.value)
 
 
 def check_expansion(model: HiddenVariableModel, source,
@@ -705,13 +695,11 @@ def check_expansion(model: HiddenVariableModel, source,
         return ConstraintReport("expansion", CheckStatus.NOT_APPLICABLE, None, tol, 0,
                                 details={"reason": "needs declared endpoint exponents"})
     gen = as_generator(source)
-    used = 0
-    worst_ratio = -np.inf   # relative deviation / eps, must stay < 10
-    worst = None
+    worst = _Worst()  # ranked by relative deviation / eps, which must stay < 10
+    negative = _Worst(lowest=True)  # the lowest entry, up to the first negative one
     per_eps: dict[str, float] = {}
-    negative = None
     for eps in eps_list:
-        max_rel = 0.0
+        scan = _Worst()
         for _ in range(n_axes):
             a = sample_uniform_sphere(gen)
             tangent = sample_uniform_sphere(gen)
@@ -728,7 +716,6 @@ def check_expansion(model: HiddenVariableModel, source,
                 if not c.flags.owndata:  # a view may alias the nodes: never write into it
                     c = c.copy()
                 exact = np.subtract(setting_dot(a, b), c)  # k, then the entry
-                used += len(nodes)
                 g = _g_values(c, a, b, sp, sm, out=c)
                 if sign > 0:  # sigma = tau = +1: (1 - k)/4, (eps/4) (1 + 2^s+ eps^(s- - 1) G)
                     np.subtract(1.0, exact, out=exact)
@@ -738,25 +725,18 @@ def check_expansion(model: HiddenVariableModel, source,
                     np.subtract(1.0, np.multiply(2.0**sm * eps ** (sp - 1.0), g, out=g), out=g)
                 np.divide(exact, 4.0, out=exact)
                 formula = np.multiply(eps / 4.0, g, out=g)
-                if negative is None and float(exact.min()) < -1e-12:
-                    j = int(exact.argmin())
-                    negative = Witness(float(exact[j]), nodes.point(j), a, b)
+                if not negative.key < -1e-12:
+                    negative.add(exact, nodes, a=a, b=b)
                 rel = np.abs(np.subtract(formula, exact, out=formula), out=formula)
                 np.divide(rel, np.maximum(exact, eps / 40.0, out=exact), out=rel)
-                j = int(rel.argmax())
-                if rel[j] / eps > worst_ratio:
-                    worst_ratio = float(rel[j]) / eps
-                    worst = Witness(float(rel[j]), nodes.point(j), a, b)
-                max_rel = max(max_rel, float(rel[j]))
-        per_eps[f"{eps:g}"] = max_rel
-    if used == 0:
-        return _no_evidence("expansion", tol)
+                scan.add(rel, nodes, a=a, b=b)
+        worst.take(scan, scan.key / eps)
+        per_eps[f"{eps:g}"] = scan.key
     details = {"max_rel_dev_per_eps": per_eps, "s_plus": float(sp), "s_minus": float(sm)}
-    if negative is not None:
-        return ConstraintReport("expansion", CheckStatus.FAIL, negative.value, tol, used,
-                                negative, details={**details, "reason": "negative entry"})
-    status = CheckStatus.PASS if worst_ratio < tol else CheckStatus.FAIL
-    return ConstraintReport("expansion", status, worst_ratio, tol, used, worst, details)
+    if negative.key < -1e-12:
+        return ConstraintReport("expansion", CheckStatus.FAIL, negative.key, tol, worst.used,
+                                negative.witness, {**details, "reason": "negative entry"})
+    return worst.report("expansion", tol, worst.key < tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -787,15 +767,12 @@ def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
 
     def report(stats) -> ConstraintReport:
         estimates, used, status, details = _mc_estimates(job[1], stats, compare)
-        worst, worst_z = None, -np.inf
-        for a, b, _, dev, _, z in estimates:
-            z = np.where(np.isnan(z), -np.inf, z)  # an unresolved entry sets no z
-            i, j = divmod(int(z.argmax()), 2)
-            if z[i, j] > worst_z:
-                worst_z = float(z[i, j])
-                worst = Witness(float(dev[i, j]), None, a, b, OUTCOMES[i], OUTCOMES[j])
-        return ConstraintReport("qm-reproduction", status, None if worst is None else worst_z,
-                                5.0, used, worst, details)
+        worst = _Worst()  # ranked by z, storing the deviation
+        for a, b, _, dev, _, z in estimates:  # an unresolved entry sets no z
+            worst.add(dev, a=a, b=b, labels=_ENTRIES, rank=np.where(np.isnan(z), -np.inf, z))
+        return ConstraintReport("qm-reproduction", status,
+                                None if worst.witness is None else worst.key, 5.0, used,
+                                worst.witness, details)
 
     return job, report
 

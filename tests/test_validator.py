@@ -38,6 +38,7 @@ from hvsinglet.validator import (
     ValidatorConfig,
     Witness,
     _entry_sums,
+    _g_values,
     _random_pair,
     check_coincident_zero,
     check_endpoint_g_bound,
@@ -466,6 +467,11 @@ def test_table_checks_map_witnesses_back_to_valid_rows():
     assert rep.status is CheckStatus.FAIL and rep.witness.lam.scalars[0] > -0.3
     c, _ = kernel.implied_c(rep.witness.lam, rep.witness.a, rep.witness.b)
     assert abs(float(c[0])) == rep.extremal_value
+    canonical = builtin_model("family1")
+    rep = check_endpoint_g_bound(canonical, stream(45), n_pairs=3)
+    w = rep.witness
+    g = _g_values(canonical.c_values(w.lam, w.a, w.b), w.a, w.b, *canonical.declared_exponents)
+    assert abs(g) == rep.extremal_value
 
 
 def test_mc_checks_without_samples_are_inconclusive():
@@ -496,6 +502,35 @@ def test_scan_checks_without_rows_are_inconclusive():
     for cid in ("normalization", "coincident-zero", "endpoint-g-bound", "expansion"):
         assert res.report(cid).status is CheckStatus.INCONCLUSIVE, cid
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("quadrature", [True, False])
+def test_a_nan_on_a_defined_row_fails_its_checks(quadrature):
+    # C is NaN on the first row of every batch, a row the canonical rule calls defined
+    m = builtin_model("family1")
+
+    def fn(batch, a, b):
+        c = np.array(m.c_function(batch, a, b))
+        c[:1] = np.nan
+        return c
+
+    space = (m.lambda_space if quadrature
+             else LambdaSpace(m.lambda_space.shape, m.lambda_space.sampler))
+    nan_model = HiddenVariableModel("nan-row", space,
+                                    c_function=CFunction(fn, *m.declared_exponents))
+
+    def reject(name):
+        raise ValueError(name)
+
+    report = json.loads(run_full_suite(nan_model, FAST, seed=1).to_json(), parse_constant=reject)
+    checks = {c["constraint-id"]: c for c in report["checks"]}
+    assert not [cid for cid, c in checks.items() if c["status"] == "pass"]
+    per_lambda = ["normalization", "positivity", "entry-half-bound", "marginal-triviality",
+                  "coincident-zero", "endpoint-g-bound", "expansion"]
+    integral = ["zero-average", "qm-reproduction"] if quadrature else []
+    for cid in per_lambda + integral:
+        assert checks[cid]["status"] == "fail", cid
+        assert checks[cid]["witness"]["value"] is None, cid
 
 
 def test_report_json_has_no_non_finite_numbers():
