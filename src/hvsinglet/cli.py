@@ -34,7 +34,6 @@ from .geometry import _SEED_MAX, GeometryError, RandomStream, dot, sample_unifor
 from .models import (
     _MAX_DRAWS,
     _MAX_GAUSS_NODES,
-    _SIGMA_TAU,
     ModelSpecError,
     RECIPE_REGISTRY,
     _masked_rows,
@@ -334,29 +333,21 @@ def cmd_scan(args) -> int:
 def _scan_row(model, batch, w, a, b) -> tuple:
     """Weighted mean |C| and the extreme table entries over the valid rows.
 
-    The rule is evaluated once, and C and k take the bits that ``implied_c``
-    and ``kernel_masked`` give them. A kernel model builds no tables: its
-    entries are (1 -+ k)/4 and rounding is monotone, so k's extremes give
-    theirs exactly.
+    The rule is evaluated once: C and its values v (k, or a direct rule's
+    tables) take the bits of ``implied_c`` and ``_values_masked``. Each entry
+    and its rounding are monotone in each value, so the entries of v's
+    per-lambda min and max hold the extremes exactly, with no tables for k.
     """
-    if model.has_kernel:
-        if model.is_canonical:
-            c = model.c_values(batch, a, b)
-            k = setting_dot(a, b) - c
-        else:
-            k, ok = model.kernel_masked(batch, a, b)
-            w, k = _masked_rows(ok, w, k)
-            c = dot(a, b) - k
-        k_lo, k_hi = k.min(), k.max()
-        lo = np.minimum((1.0 - k_hi) / 4.0, (1.0 + k_lo) / 4.0)
-        hi = np.maximum((1.0 - k_lo) / 4.0, (1.0 + k_hi) / 4.0)
+    if model.is_canonical:
+        c = model.c_values(batch, a, b)
+        v = setting_dot(a, b) - c
     else:
-        tables, ok = model.tables_masked(batch, a, b)
-        c = np.einsum("nij,ij->n", tables, _SIGMA_TAU)
+        v, ok = model._values_masked(batch, a, b)
+        w, v = _masked_rows(ok, w, v)
+        c = model._maps.correlator(v)
         c += dot(a, b)
-        w, c, tables = _masked_rows(ok, w, c, tables)
-        lo, hi = tables.min(), tables.max()
-    return np.sum(w * np.abs(c)) / max(np.sum(w), 1e-300), lo, hi
+    ends = np.array([model._maps.entries(v.min(axis=0)), model._maps.entries(v.max(axis=0))])
+    return np.sum(w * np.abs(c)) / max(np.sum(w), 1e-300), ends.min(), ends.max()
 
 
 def cmd_build_recipe(args) -> int:

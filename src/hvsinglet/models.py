@@ -18,13 +18,12 @@ Three rule styles are supported:
 * direct: an arbitrary per-lambda table rule with a validity mask, for
   tables whose marginals need not be trivial.
 
-``HiddenVariableModel`` alone maps a rule style to a correlator or a
-correction: ``correlations_masked`` gives the per-lambda correlator (-k for
-canonical and kernel models, the table contraction for direct rules) and
-``implied_c`` the correction (C for canonical models, correlator + a.b
-otherwise). Outside this module only the outcome draw, qm-reproduction's
-mean tables and ``scan``'s extreme entries ask ``has_kernel``, to skip
-building tables.
+Only ``HiddenVariableModel`` knows a rule style: ``_values_masked`` gives
+the rule's per-lambda values (k, or a direct rule's tables) and ``_maps``
+takes them, or their lambda-mean, to the entry columns ((W -+ k)/4 for k)
+and to the correlator (-k, or the table contraction). ``tables_masked``,
+``correlations_masked``, ``implied_c``, the outcome draw, qm-reproduction
+and ``scan`` are built on the two, so a kernel model builds no tables.
 ``LambdaSpace.nodes`` gives the quadrature, or else a 1/n-weighted sample.
 
 The measure over lambda never depends on the settings, and per-lambda
@@ -92,8 +91,7 @@ __all__ = [
 
 OUTCOMES = (1, -1)
 
-# sigma*tau for table index (i, j); used to turn tables into correlators.
-# Shared with the validator and the simulator.
+# sigma*tau for table index (i, j), which turns tables into correlators
 _SIGMA_TAU = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Tolerance below which a sign argument in the sign rule counts as zero.
@@ -126,7 +124,7 @@ class ModelSpecError(ValueError):
 
 
 class MeasureZeroError(ValueError):
-    """The direct rule was evaluated on its measure-zero undefined set."""
+    """A rule was evaluated on its measure-zero undefined set."""
 
 
 class NegativeProbabilityError(ValueError):
@@ -288,17 +286,30 @@ def canonical_prob(sigma: int, tau: int, x: float, c: float) -> float:
     return (1.0 - sigma * tau * (x - c)) / 4.0
 
 
+def _kernel_entries(k, weight=1.0) -> tuple:
+    """Entry columns (p00, p01, p10, p11) of the tables (1 - sigma*tau*k)/4: for a
+    lambda-mean of k over valid mass W, (W - k)/4 and (W + k)/4. At W = 0 their
+    absolute values are the entries' stderr given k's."""
+    diag, off = (weight - k) / 4.0, (weight + k) / 4.0
+    return diag, off, off, diag
+
+
 def _tables_from_kernel(k: np.ndarray) -> np.ndarray:
     """Tables (1 - sigma*tau*k)/4 for a batch of kernels k (n,)."""
     k = np.asarray(k, dtype=float)
-    out = np.empty(k.shape + (2, 2))
-    diag = (1.0 - k) / 4.0
-    off = (1.0 + k) / 4.0
-    out[..., 0, 0] = diag
-    out[..., 1, 1] = diag
-    out[..., 0, 1] = off
-    out[..., 1, 0] = off
-    return out
+    return np.stack(_kernel_entries(k), axis=-1).reshape(k.shape + (2, 2))
+
+
+class _RuleMaps(NamedTuple):
+    """Pure maps of a rule style's per-lambda values v (``_values_masked``)."""
+
+    entries: Callable  # (v or its lambda-mean, valid mass W) -> columns (p00, p01, p10, p11)
+    correlator: Callable  # v -> per-row sum_{sigma,tau} sigma*tau*P
+
+
+_KERNEL_MAPS = _RuleMaps(_kernel_entries, np.negative)
+_TABLE_MAPS = _RuleMaps(lambda t, weight=1.0: t.reshape(-1, 4).T,  # a mean table holds its W
+                        lambda t: np.einsum("nij,ij->n", t, _SIGMA_TAU))
 
 
 def canonical_table(x: float, c) -> np.ndarray:
@@ -386,13 +397,21 @@ class HiddenVariableModel:
         x = setting_dot(a, b)
         return x - self.c_function(batch, a, b), np.ones(len(batch), dtype=bool)
 
-    def tables_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lambda tables plus validity mask (no admissibility checks)."""
+    def _values_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """The rule's per-lambda values with mask: k (n,), or a direct rule's tables."""
         if self.has_kernel:
-            k, ok = self.kernel_masked(lam, a, b)
-            return _tables_from_kernel(k), ok
+            return self.kernel_masked(lam, a, b)
         batch, _ = self._as_batch(lam)
         return self.table_rule(batch, require_unit(a, name="a"), require_unit(b, name="b"))
+
+    @property
+    def _maps(self) -> _RuleMaps:
+        return _KERNEL_MAPS if self.has_kernel else _TABLE_MAPS
+
+    def tables_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lambda tables plus validity mask (no admissibility checks)."""
+        v, ok = self._values_masked(lam, a, b)
+        return (_tables_from_kernel(v) if self.has_kernel else v), ok
 
     def tables(self, lam, a, b, *, check: bool = False) -> np.ndarray:
         """Per-lambda tables; raises on undefined rows.
@@ -430,15 +449,9 @@ class HiddenVariableModel:
         return tables[0] if single else tables
 
     def correlations_masked(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lambda correlator sum_{sigma,tau} sigma*tau*P, with mask.
-
-        That is -k for models with a kernel; only direct rules build tables.
-        """
-        if self.has_kernel:
-            k, ok = self.kernel_masked(lam, a, b)
-            return -k, ok
-        tables, ok = self.tables_masked(lam, a, b)
-        return np.einsum("nij,ij->n", tables, _SIGMA_TAU), ok
+        """Per-lambda correlator sum_{sigma,tau} sigma*tau*P, with mask."""
+        v, ok = self._values_masked(lam, a, b)
+        return self._maps.correlator(v), ok
 
     def implied_c(self, lam, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Correction C with mask: C itself for canonical models, else correlator + a.b.

@@ -12,11 +12,10 @@ draw, and the +-1 products sum to an exact integer. Undefined rows are left
 out and counted; above ``models._UNDEFINED_TOL`` of a pair's draws they
 raise MeasureZeroError.
 
-Kernel models, whose tables are (1 - sigma*tau*k)/4, draw outcomes from
-the per-lambda kernel k alone: no (n, 2, 2) tables are built and the draw
-uses four running-sum compares per shot. It consumes the same random
-numbers with the same arithmetic as the table draw, so the output bytes
-are those of the table path.
+Outcomes are drawn from the entry columns the model maps its rule's values
+to: a kernel model's (1 -+ k)/4 need no (n, 2, 2) tables, with four
+running-sum compares per shot. The draw consumes the same random numbers
+with the same arithmetic as a draw from tables, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -174,18 +173,12 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
         return [CorrelationEstimate(a, b, float(e), 0.0, q, n, "analytic", cfg.seed)
                 for (a, b), q, (_, e) in zip(pairs, e_qm, means)]
 
-    # kernel models draw outcomes from k and never build the tables (1 - sigma*tau*k)/4
-    evaluate = (model.correlations_masked if cfg.mode == "analytic" else
-                model.kernel_masked if model.has_kernel else model.tables_masked)
+    evaluate = model.correlations_masked if cfg.mode == "analytic" else model._values_masked
+    entries = model._maps.entries
 
     def outcomes(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
         """The moments of one outcome draw per row, from the block's generator."""
-        if model.has_kernel:
-            diag, off = (1.0 - vals) / 4.0, (1.0 + vals) / 4.0
-            cols = diag, off, off, diag
-        else:
-            cols = vals.reshape(-1, 4).T
-        total = float(_sample_products(cols, gen).sum())
+        total = float(_sample_products(entries(vals), gen).sum())
         # +-1 products: an exact integer sum, a sum of squares n, and all
         # products equal exactly when |total| = n
         n = len(vals)

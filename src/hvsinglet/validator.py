@@ -592,7 +592,7 @@ def check_exponent_bound(model: HiddenVariableModel, source,
     tol = 0.05
     if not model.is_canonical:
         return ConstraintReport("exponent-bound", CheckStatus.NOT_APPLICABLE, None, tol, 0,
-                                details={"reason": "direct rule, no canonical C"})
+                                details={"reason": "no canonical C"})
     est = estimate or estimate_exponents(model, source, window, n_points, n_lambda)
     details = {
         "s_plus": est.s_plus, "s_minus": est.s_minus,
@@ -633,7 +633,7 @@ def check_endpoint_g_bound(model: HiddenVariableModel, source, *, eps: float = 1
     tol = 1e-9
     if not model.is_canonical:
         return ConstraintReport("endpoint-g-bound", CheckStatus.NOT_APPLICABLE, None, tol, 0,
-                                details={"reason": "direct rule, no canonical C"})
+                                details={"reason": "no canonical C"})
     sp = model.c_function.s_plus if s_plus is None else s_plus
     sm = model.c_function.s_minus if s_minus is None else s_minus
     if sp is None or sm is None or not np.isfinite(sp) or not np.isfinite(sm):
@@ -743,17 +743,18 @@ def check_expansion(model: HiddenVariableModel, source,
 # Statistics reproduction
 
 
+def _mean_table(model: HiddenVariableModel, mean, weight) -> np.ndarray:
+    """The table of a lambda-mean of the model's values (k: no tables built) over mass W."""
+    return np.reshape(model._maps.entries(mean, weight), (2, 2))
+
+
 def _qm_terms(model: HiddenVariableModel):
-    """qm-reproduction's evaluator and its deviation(a, b, W, mean) from the singlet table.
-
-    Kernel models average k in both modes: the mean table is
-    (W - sigma*tau*kbar)/4 over the valid mass W (1 for MC draws).
-    """
+    """qm-reproduction's evaluator and its deviation(a, b, W, mean) from the singlet
+    table, W the valid mass (1 for MC draws)."""
     def deviation(a, b, weight, mean):
-        table = (weight - _SIGMA_TAU * mean) / 4.0 if model.has_kernel else mean
-        return np.abs(table - qm_table(a, b))
+        return np.abs(_mean_table(model, mean, weight) - qm_table(a, b))
 
-    return (model.kernel_masked if model.has_kernel else model.tables_masked), deviation
+    return model._values_masked, deviation
 
 
 def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
@@ -761,9 +762,8 @@ def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
     evaluate, deviation = _qm_terms(model)
     job = _mc_job(source, n_settings, evaluate)
 
-    def compare(a, b, mean, stderr):
-        return deviation(a, b, 1.0, mean), (np.full((2, 2), stderr / 4.0)  # stderr(k)/4
-                                            if model.has_kernel else stderr)
+    def compare(a, b, mean, stderr):  # the entries' stderr: the linear part at W = 0
+        return deviation(a, b, 1.0, mean), np.abs(_mean_table(model, stderr, 0.0))
 
     def report(stats) -> ConstraintReport:
         estimates, used, status, details = _mc_estimates(job[1], stats, compare)

@@ -1,4 +1,4 @@
-"""The public names and the demo scripts stay importable."""
+"""The public names and the demo scripts stay importable; one module knows rule styles."""
 
 import importlib
 import importlib.util
@@ -25,3 +25,12 @@ def test_exports_and_scripts_resolve():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # main() runs only as __main__
         assert callable(module.main), path.name
+
+
+def test_only_models_reads_the_rule_style():
+    # the other modules reach a rule through HiddenVariableModel's private members
+    src = Path(hvsinglet.__file__).parent
+    readers = {path.name: name for path in src.glob("*.py") if path.name != "models.py"
+               for name in ("has_kernel", "kernel_rule", "table_rule")
+               if name in path.read_text(encoding="utf-8")}
+    assert readers == {}

@@ -257,29 +257,6 @@ def test_seed_ends_give_different_streams(capsys):
     assert run_cli(capsys, *scan, "0")[1] != run_cli(capsys, *scan, str((1 << 64) - 1))[1]
 
 
-@pytest.mark.parametrize("seed, ok", _SEED_ENDS)
-def test_validate_script_bounds_its_seed(tmp_path, seed, ok):
-    # an out-of-range seed exits 64 before any model runs; a valid one is not
-    # run here (the script validates all four built-ins)
-    script = Path(__file__).parents[1] / "scripts" / "validate_builtin_models.py"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, str(script), "--seed", seed, "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == (0 if ok else EX_USAGE), proc.stderr
-    assert ok or "--seed must be" in proc.stderr
-
-
-@pytest.mark.parametrize("value, ok", [("-1", False), ("0", True), (str(_MAX_DRAWS), True),
-                                       (str(_MAX_DRAWS + 1), False)])
-def test_validate_script_bounds_its_mc_samples(value, ok):
-    script = Path(__file__).parents[1] / "scripts" / "validate_builtin_models.py"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, str(script), "--mc-samples", value, "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == (0 if ok else EX_USAGE), proc.stderr
-    assert ok or "--mc-samples must be" in proc.stderr
-
-
 def test_validate_inconclusive_lines_say_why(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", "--model", "cerf", "--seed", "1",
                              "--mc-samples", "2000")

@@ -224,7 +224,7 @@ def test_tables_check_raises_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# Sign model (direct rule)
+# Sign model (kernel rule)
 
 
 def test_cerf_prob_entries_and_normalization():

@@ -600,6 +600,19 @@ def test_exponent_bound_verdicts():
     assert check_exponent_bound(builtin_model("cerf"), stream(16)).status is CheckStatus.NOT_APPLICABLE
 
 
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("check", [check_exponent_bound, check_endpoint_g_bound])
+def test_no_canonical_c_reason_names_no_rule_style(check, direct):
+    # cerf has a kernel rule, its tables a direct one: neither has a canonical C
+    cerf = builtin_model("cerf")
+    m = (HiddenVariableModel("cerf-tables", cerf.lambda_space,
+                             table_rule=lambda batch, a, b: cerf.tables_masked(batch, a, b))
+         if direct else cerf)
+    rep = check(m, stream(16))
+    assert rep.status is CheckStatus.NOT_APPLICABLE
+    assert rep.details == {"reason": "no canonical C"}
+
+
 def test_endpoint_g_bound_family_values():
     # family1: G = g, sup |G| = gamma = 0.4 against bound 1/2
     rep = check_endpoint_g_bound(builtin_model("family1"), stream(17), n_pairs=3, n_lambda=100)
@@ -1014,7 +1027,7 @@ def test_run_full_suite_makes_one_mc_pass(monkeypatch):
     root = RandomStream(1).split(3)
     # qm-reproduction's job first, then zero-average's, in one pass on the
     # suite's workers with the six per-lambda checks
-    assert blocks == [([(root.split(9), cfg.qm_settings, m.kernel_masked),
+    assert blocks == [([(root.split(9), cfg.qm_settings, m._values_masked),
                         (root.split(4), cfg.mc_settings, m.implied_c)], cfg.mc_samples)]
     n_blocks = -(-cfg.mc_samples // 16384)
     assert passes == [(6 + 2 * n_blocks, 2)]
