@@ -286,11 +286,17 @@ def canonical_prob(sigma: int, tau: int, x: float, c: float) -> float:
     return (1.0 - sigma * tau * (x - c)) / 4.0
 
 
+def _kernel_entry(k, sigma_tau: float, weight=1.0, out=None):
+    """The entry (W - sigma*tau*k)/4 of the tables (1 - sigma*tau*k)/4, for a
+    lambda-mean of k over valid mass W; ``out`` (which may be k) takes the result."""
+    return np.divide((np.subtract if sigma_tau > 0 else np.add)(weight, k, out=out), 4.0,
+                     out=out)
+
+
 def _kernel_entries(k, weight=1.0) -> tuple:
-    """Entry columns (p00, p01, p10, p11) of the tables (1 - sigma*tau*k)/4: for a
-    lambda-mean of k over valid mass W, (W - k)/4 and (W + k)/4. At W = 0 their
-    absolute values are the entries' stderr given k's."""
-    diag, off = (weight - k) / 4.0, (weight + k) / 4.0
+    """Entry columns (p00, p01, p10, p11) of the tables (1 - sigma*tau*k)/4. At W = 0
+    their absolute values are the entries' stderr given k's."""
+    diag, off = _kernel_entry(k, 1.0, weight), _kernel_entry(k, -1.0, weight)
     return diag, off, off, diag
 
 
@@ -1121,11 +1127,12 @@ class _Moments(NamedTuple):
     undefined: int = 0
 
     @staticmethod
-    def of(vals: np.ndarray, spread: bool = False) -> "_Moments":
-        """The moments of kept values; ``spread`` True (draws known to differ) skips a compare."""
+    def of(gen: np.random.Generator, vals: np.ndarray) -> "_Moments":
+        """The moments of kept values: a job's reduce when the values are the estimate
+        (``gen``, the block's generator, is not drawn from)."""
         first = np.array(vals[0])  # a copy: a view would hold the whole block
         return _Moments(vals.sum(axis=0), (vals * vals).sum(axis=0), len(vals), first,
-                        True if spread else (vals != first).any(axis=0))
+                        (vals != first).any(axis=0))
 
     def merge(self, later: "_Moments") -> "_Moments":
         undefined = self.undefined + later.undefined
@@ -1158,15 +1165,15 @@ def _mc_blocks(model: HiddenVariableModel, jobs, n: int):
     """The one Monte Carlo engine, as block tasks and their in-order fold: lambda-means
     for independent jobs.
 
-    A job is (stream, pairs, evaluate): n draws of the masked evaluator
-    ``evaluate`` per pair, in ``_MC_BLOCK``-row blocks and a ragged last one;
-    block i comes from ``stream.split(i)`` (counter-based streams: Salmon et
-    al., SC'11), so its bytes follow from its key alone. A block draws its
-    rows once and evaluates them at each pair in turn (common random
-    numbers); rows where the rule is undefined are left out of the pair's
-    moments and counted. A fourth job entry ``reduce(gen, values)`` replaces
-    ``_Moments.of``; it runs right after its pair's evaluation and may draw
-    from the block's generator.
+    A job is (stream, pairs, evaluate, reduce): n draws of the masked
+    evaluator ``evaluate`` per pair, in ``_MC_BLOCK``-row blocks and a ragged
+    last one; block i comes from ``stream.split(i)`` (counter-based streams:
+    Salmon et al., SC'11), so its bytes follow from its key alone. A block
+    draws its rows once and evaluates them at each pair in turn (common
+    random numbers); rows where the rule is undefined are left out of the
+    pair's moments and counted. ``reduce(gen, values)`` turns a pair's kept
+    values into its block moments, ``_Moments.of`` or one that draws from
+    the block's generator right after the pair's evaluation.
 
     Returns (count, run, fold). ``run(t)`` runs task t < count, block
     t % blocks of job t // blocks, and gives its per-pair moments;
@@ -1177,26 +1184,18 @@ def _mc_blocks(model: HiddenVariableModel, jobs, n: int):
     """
     full, rest = divmod(n, _MC_BLOCK)
     n_blocks = full + (rest > 0)
-    # per job and pair, the index of a block whose draws differed (else
-    # n_blocks), as seen by this process. A later block skips the compare: a
-    # fold that reaches it has merged that block's spread, so the result is
-    # the same whichever process ran which block.
-    spread_in = [[n_blocks] * len(pairs) for _, pairs, *_ in jobs]
 
     def run(task: int) -> list[_Moments]:
         j, i = divmod(task, n_blocks)
-        stream, pairs, evaluate, *reduce = jobs[j]
+        stream, pairs, evaluate, reduce = jobs[j]
         gen = stream.split(i).generator()
         batch = model.lambda_space.sample(gen, _MC_BLOCK if i < full else rest)
         moments = []
-        for p, (a, b) in enumerate(pairs):
+        for a, b in pairs:
             v, ok = evaluate(batch, a, b)
             (kept,) = _masked_rows(ok, v)
-            m = (_Moments() if not len(kept) else reduce[0](gen, kept) if reduce
-                 else _Moments.of(kept, spread_in[j][p] < i))
+            m = reduce(gen, kept) if len(kept) else _Moments()
             moments.append(m._replace(undefined=len(v) - len(kept)) if len(kept) < len(v) else m)
-            if i < spread_in[j][p] and np.all(m.spread):
-                spread_in[j][p] = i
         return moments
 
     def fold(results) -> list:

@@ -185,8 +185,8 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
     root = RandomStream(cfg.seed)
-    reduce = [] if cfg.mode == "analytic" else [outcomes]  # analytic: the values' own moments
-    jobs = [(root.split(2, i), [pair], evaluate, *reduce) for i, pair in zip(indices, pairs)]
+    reduce = _Moments.of if cfg.mode == "analytic" else outcomes  # analytic: no draw
+    jobs = [(root.split(2, i), [pair], evaluate, reduce) for i, pair in zip(indices, pairs)]
     out = []
     for i, (a, b), q, [(n, e, stderr, undefined)] in zip(
             indices, pairs, e_qm, _mc_means(model, jobs, cfg.shots, threads=cfg.threads)):

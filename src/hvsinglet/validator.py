@@ -27,25 +27,28 @@ from it too, and one that scanned no rows is ``inconclusive``. A NaN on a
 row the rule calls defined is the worst value, so the check fails with a
 ``null`` witness value.
 
-The two integral checks draw their settings pairs first, then sum over the
-model's quadrature one pair at a time (``models._quad_means``) or, without
-one, run the MC engine shared with the simulator (``models._mc_means``): it
-draws 16384-row lambda blocks keyed by (check stream, block index),
-evaluates each block at every pair (common random numbers) and counts the
-rows where the rule is undefined. In both modes kernel models average k, so
-no check builds tables over the quadrature. An MC pair fails at 5 sigma; a
-standard error above 1e-2, a pair with fewer than two samples, zero spread
-with a nonzero deviation, or a pair undefined on more than
-``models._UNDEFINED_TOL`` of its rows leaves the check ``inconclusive``
-rather than guessing, as does a check that evaluated no rows. Each MC check
-is a job (its pairs, its block streams, its evaluator) and a report made
-from the job's result. ``run_full_suite`` runs a model without a
-quadrature as one pass on worker processes, the caller one of them: the
-six per-lambda checks and both jobs' blocks (``models._mc_blocks``). A
-model with a quadrature runs every check in the calling process: forking
-its short checks saved little and slowed one-worker runs, for a cause not
-found. The checks take the correction from ``model.implied_c`` and their
-lambda rows from ``LambdaSpace.nodes``.
+Each integral check is one record (``_Integral``): its evaluator, the
+deviation of a pair's lambda-sum S over valid mass W from the target, the
+map of S's stderr to the deviation's, and the MC witness rule. A check
+draws its settings pairs first, then sums over the model's quadrature one
+pair at a time (``models._quad_means``) or, without one, runs the MC engine
+shared with the simulator (``models._mc_means``): it draws 16384-row lambda
+blocks keyed by (check stream, block index), evaluates each block at every
+pair (common random numbers) and counts the rows where the rule is
+undefined. In both modes kernel models average k, so no check builds
+tables over the quadrature. An MC pair fails at 5 sigma; a standard error
+above 1e-2, a pair with fewer than two samples, zero spread with a nonzero
+deviation, or a pair undefined on more than ``models._UNDEFINED_TOL`` of
+its rows leaves the check ``inconclusive`` rather than guessing, as does a
+check that evaluated no rows. By MC, zero-average reports its largest
+deviation against 1e-2 and qm-reproduction its largest z against 5.
+``run_full_suite`` runs a model without a quadrature as one pass on worker
+processes, the caller one of them: the six per-lambda checks and the
+blocks of both checks' MC jobs (``models._mc_blocks``). A model with a
+quadrature runs every check in the calling process: forking its short
+checks saved little and slowed one-worker runs, for a cause not found. The
+checks take the correction from ``model.implied_c`` and their lambda rows
+from ``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -69,8 +72,10 @@ from .models import (
     HiddenVariableModel,
     LambdaPoint,
     OUTCOMES,
+    _kernel_entry,
     _mc_blocks,
     _mc_means,
+    _Moments,
     _quad_means,
     qm_table,
     setting_dot,
@@ -423,18 +428,56 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
 # Integral constraints
 
 
-def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel, source,
-                      n_settings: int, evaluate, deviation) -> ConstraintReport:
-    """``deviation(a, b, W, mean)`` of each pair's ``_quad_means`` must stay <= tol, and
-    without a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
+class _Integral(NamedTuple):
+    """An integral check: at each settings pair, the lambda-sum S of the model's
+    ``evaluator`` over the valid mass W; ``deviation(model, a, b, W, S)`` is its
+    distance from the target, one value or the entries of ``labels``.
+
+    Over a quadrature the deviation must stay within ``quad_tol``. By Monte Carlo
+    S is a mean (W = 1) and ``stderr(model, s)`` maps its stderr s to the
+    deviation's. The MC witness is ranked by z when ``by_z``, which reports
+    max z against 5 sigma, else by the deviation, which it reports against 1e-2.
+    """
+
+    constraint_id: str
+    quad_tol: float
+    evaluator: Callable  # model -> its masked evaluator
+    deviation: Callable
+    stderr: Callable
+    labels: tuple
+    by_z: bool
+
+
+_ZERO_AVERAGE = _Integral("zero-average", 1e-10, lambda m: m.implied_c,
+                          lambda m, a, b, weight, total: np.abs(total), lambda m, s: s,
+                          _NO_LABELS, by_z=False)
+# kernel models average k: the mean table is (W -+ kbar)/4, no tables are built
+_QM_REPRODUCTION = _Integral(
+    "qm-reproduction", 1e-9, lambda m: m._values_masked,
+    lambda m, a, b, weight, total: np.abs(
+        np.reshape(m._maps.entries(total, weight), (2, 2)) - qm_table(a, b)),
+    lambda m, s: np.abs(np.reshape(m._maps.entries(s, 0.0), (2, 2))),  # the linear part
+    _ENTRIES, by_z=True)
+
+
+def _integral_job(check: _Integral, model: HiddenVariableModel, n_settings: int, source):
+    """``check``'s MC job (stream, pairs, evaluate, reduce): its settings pairs are drawn
+    first from ``source``, MC block i then from ``source.split(i)``."""
     gen = as_generator(source)
-    pairs = [_random_pair(gen, endpoint=False) for _ in range(n_settings)]
+    return (source, [_random_pair(gen, endpoint=False) for _ in range(n_settings)],
+            check.evaluator(model), _Moments.of)
+
+
+def _quadrature_check(check: _Integral, model: HiddenVariableModel, job) -> ConstraintReport:
+    """``check.deviation`` of each job pair's ``_quad_means`` must stay <= its tolerance, and
+    without a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
+    _, pairs, evaluate, _ = job
     worst, undefined, n_nodes = _Worst(), 0.0, len(model.lambda_space.quadrature[1])
-    for (a, b), (weight, mean) in zip(pairs, _quad_means(model, evaluate, pairs)):
+    for (a, b), (weight, total) in zip(pairs, _quad_means(model, evaluate, pairs)):
         undefined = max(undefined, 1.0 - float(weight))
-        dev = np.ravel(deviation(a, b, weight, mean))  # one value, or the (sigma, tau) entries
-        worst.add(dev, a=a, b=b, labels=_ENTRIES if len(dev) > 1 else _NO_LABELS, rows=n_nodes)
-    rep = worst.report(constraint_id, tol, worst.key <= tol)
+        worst.add(np.ravel(check.deviation(model, a, b, weight, total)), a=a, b=b,
+                  labels=check.labels, rows=n_nodes)
+    rep = worst.report(check.constraint_id, check.quad_tol, worst.key <= check.quad_tol)
     rep.details["mode"] = "quadrature"
     if undefined > 0.0:
         rep.details["undefined_mass"] = undefined
@@ -443,26 +486,18 @@ def _quadrature_check(constraint_id: str, tol: float, model: HiddenVariableModel
     return rep
 
 
-def _mc_job(source, n_settings: int, evaluate):
-    """An MC check's job: pairs from ``source.generator()``, block i from ``source.split(i)``."""
-    if not isinstance(source, RandomStream):
-        raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
-    gen = source.generator()
-    return source, [_random_pair(gen, endpoint=False) for _ in range(n_settings)], evaluate
+def _mc_report(check: _Integral, model: HiddenVariableModel, job, stats) -> ConstraintReport:
+    """An MC check's report from its job's ``_mc_means`` result.
 
-
-def _mc_estimates(pairs, stats, compare):
-    """An MC check's compare/z step over its job's ``_mc_means`` result.
-
-    ``compare(a, b, mean, stderr)`` gives (dev, stderr) and z = dev / stderr;
-    zero spread is not evidence, so stderr 0 gives z = 0 for dev 0 and NaN
-    otherwise. A pair fails above 5 sigma; else a stderr above 1e-2 (with
-    ``samples_needed``, from stderr ~ 1/sqrt(n)) or an unresolved pair (none
-    at all, fewer than two kept values, undefined above ``_UNDEFINED_TOL``, a
-    NaN z) makes the check inconclusive. Returns (the (a, b, n, dev, stderr,
-    z) of pairs with n >= 2, kept values, status, details).
+    z = dev / stderr; zero spread is not evidence, so stderr 0 gives z = 0
+    for dev 0 and NaN otherwise. A pair fails above 5 sigma; else a stderr
+    above 1e-2 (with ``samples_needed``, from stderr ~ 1/sqrt(n)) or an
+    unresolved pair (none at all, fewer than two kept values, undefined above
+    ``_UNDEFINED_TOL``, a NaN z) makes the check inconclusive. An unresolved
+    entry ranks below every z.
     """
-    estimates = []
+    _, pairs, *_ = job
+    worst, spreads = _Worst(), []
     unresolved = not pairs
     max_stderr, worst_z, undefined_rows = 0.0, -np.inf, 0
     for (a, b), (n, mean, stderr, undefined) in zip(pairs, stats):
@@ -470,49 +505,44 @@ def _mc_estimates(pairs, stats, compare):
         unresolved = unresolved or n < 2 or undefined > _UNDEFINED_TOL * (n + undefined)
         if n < 2:
             continue
-        dev, stderr = compare(a, b, mean, stderr)
+        dev, stderr = check.deviation(model, a, b, 1.0, mean), check.stderr(model, stderr)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, dev / stderr, np.where(dev == 0, 0.0, np.nan))
         unresolved = unresolved or bool(np.isnan(z).any())
-        max_stderr = max(max_stderr, float(np.max(stderr)))
-        worst_z = max(worst_z, float(np.max(np.where(np.isnan(z), -np.inf, z))))
-        estimates.append((a, b, n, dev, stderr, z))
+        z = np.where(np.isnan(z), -np.inf, z)
+        spreads.append((n, float(np.max(stderr))))
+        max_stderr, worst_z = max(max_stderr, spreads[-1][1]), max(worst_z, float(np.max(z)))
+        worst.add(np.ravel(dev), a=a, b=b, labels=check.labels, rank=z if check.by_z else None)
     status = (CheckStatus.FAIL if worst_z > 5.0 else CheckStatus.INCONCLUSIVE
               if unresolved or max_stderr > _MC_STDERR_TOL else CheckStatus.PASS)
     details = {"mode": "mc", "max_stderr": max_stderr, "max_z": worst_z}
     if undefined_rows:
         details["undefined_rows"] = undefined_rows
     if status is CheckStatus.INCONCLUSIVE and max_stderr > _MC_STDERR_TOL:
-        details["samples_needed"] = max(
-            math.ceil(n * (float(np.max(stderr)) / _MC_STDERR_TOL) ** 2)
-            for _, _, n, _, stderr, _ in estimates)
-    return estimates, sum(n for n, *_ in stats), status, details
+        details["samples_needed"] = max(math.ceil(n * (s / _MC_STDERR_TOL) ** 2)
+                                        for n, s in spreads)
+    extremal = (None if worst.witness is None else worst.key) if check.by_z else worst.value
+    return ConstraintReport(check.constraint_id, status, extremal,
+                            5.0 if check.by_z else _MC_STDERR_TOL, sum(n for n, *_ in stats),
+                            worst.witness, details)
 
 
-def _zero_average_mc(model: HiddenVariableModel, n_settings: int, source):
-    """zero-average's MC job and the report it makes of the job's result."""
-    job = _mc_job(source, n_settings, model.implied_c)
-
-    def report(stats) -> ConstraintReport:
-        estimates, used, status, details = _mc_estimates(
-            job[1], stats, lambda a, b, mean, stderr: (np.abs(mean), stderr))
-        worst = _Worst()
-        for a, b, _, dev, _, _ in estimates:
-            worst.add(np.ravel(dev), a=a, b=b)
-        return ConstraintReport("zero-average", status, worst.value, 1e-2, used, worst.witness,
-                                details)
-
-    return job, report
+def _integral_check(check: _Integral, model: HiddenVariableModel, n_settings: int, source,
+                    mc_samples: int) -> ConstraintReport:
+    """``check`` at ``n_settings`` pairs: over the model's quadrature, else by
+    ``mc_samples`` MC draws per pair."""
+    job = _integral_job(check, model, n_settings, source)
+    if model.lambda_space.quadrature is not None:
+        return _quadrature_check(check, model, job)
+    if not isinstance(source, RandomStream):
+        raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
+    return _mc_report(check, model, job, *_mc_means(model, [job], mc_samples))
 
 
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
                        mc_samples: int = 1_000_000) -> ConstraintReport:
     """The lambda-average of C (or of the implied correction) must vanish."""
-    if model.lambda_space.quadrature is not None:
-        return _quadrature_check("zero-average", 1e-10, model, source, n_settings,
-                                 model.implied_c, lambda a, b, weight, mean: abs(float(mean)))
-    job, report = _zero_average_mc(model, n_settings, source)
-    return report(*_mc_means(model, [job], mc_samples))
+    return _integral_check(_ZERO_AVERAGE, model, n_settings, source, mc_samples)
 
 
 def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int,
@@ -709,21 +739,19 @@ def check_expansion(model: HiddenVariableModel, source,
             for sign in (+1.0, -1.0):
                 x = sign * (1.0 - eps)
                 b = with_dot(a, tangent, x)
-                # a canonical model's entry (1 -+ k)/4, k = a.b - C, without the other
-                # three. C is evaluated once; the entry, G, the formula and rel take C's
+                # a canonical model's entry (1 -+ k)/4, k = a.b - C, at sigma = +1 and
+                # tau = sign. C is evaluated once; the entry, G, the formula and rel take C's
                 # buffer and one more, each with its whole-array expression's operations.
                 c = model.c_values(nodes, a, b)
                 if not c.flags.owndata:  # a view may alias the nodes: never write into it
                     c = c.copy()
-                exact = np.subtract(setting_dot(a, b), c)  # k, then the entry
+                k = np.subtract(setting_dot(a, b), c)
+                exact = _kernel_entry(k, sign, out=k)
                 g = _g_values(c, a, b, sp, sm, out=c)
-                if sign > 0:  # sigma = tau = +1: (1 - k)/4, (eps/4) (1 + 2^s+ eps^(s- - 1) G)
-                    np.subtract(1.0, exact, out=exact)
+                if sign > 0:  # (eps/4) (1 + 2^s+ eps^(s- - 1) G)
                     np.add(1.0, np.multiply(2.0**sp * eps ** (sm - 1.0), g, out=g), out=g)
-                else:  # sigma = +1, tau = -1: (1 + k)/4, (eps/4) (1 - 2^s- eps^(s+ - 1) G)
-                    np.add(1.0, exact, out=exact)
+                else:  # (eps/4) (1 - 2^s- eps^(s+ - 1) G)
                     np.subtract(1.0, np.multiply(2.0**sm * eps ** (sp - 1.0), g, out=g), out=g)
-                np.divide(exact, 4.0, out=exact)
                 formula = np.multiply(eps / 4.0, g, out=g)
                 if not negative.key < -1e-12:
                     negative.add(exact, nodes, a=a, b=b)
@@ -743,48 +771,10 @@ def check_expansion(model: HiddenVariableModel, source,
 # Statistics reproduction
 
 
-def _mean_table(model: HiddenVariableModel, mean, weight) -> np.ndarray:
-    """The table of a lambda-mean of the model's values (k: no tables built) over mass W."""
-    return np.reshape(model._maps.entries(mean, weight), (2, 2))
-
-
-def _qm_terms(model: HiddenVariableModel):
-    """qm-reproduction's evaluator and its deviation(a, b, W, mean) from the singlet
-    table, W the valid mass (1 for MC draws)."""
-    def deviation(a, b, weight, mean):
-        return np.abs(_mean_table(model, mean, weight) - qm_table(a, b))
-
-    return model._values_masked, deviation
-
-
-def _qm_reproduction_mc(model: HiddenVariableModel, n_settings: int, source):
-    """qm-reproduction's MC job and the report it makes of the job's result."""
-    evaluate, deviation = _qm_terms(model)
-    job = _mc_job(source, n_settings, evaluate)
-
-    def compare(a, b, mean, stderr):  # the entries' stderr: the linear part at W = 0
-        return deviation(a, b, 1.0, mean), np.abs(_mean_table(model, stderr, 0.0))
-
-    def report(stats) -> ConstraintReport:
-        estimates, used, status, details = _mc_estimates(job[1], stats, compare)
-        worst = _Worst()  # ranked by z, storing the deviation
-        for a, b, _, dev, _, z in estimates:  # an unresolved entry sets no z
-            worst.add(dev, a=a, b=b, labels=_ENTRIES, rank=np.where(np.isnan(z), -np.inf, z))
-        return ConstraintReport("qm-reproduction", status,
-                                None if worst.witness is None else worst.key, 5.0, used,
-                                worst.witness, details)
-
-    return job, report
-
-
 def check_qm_reproduction(model: HiddenVariableModel, n_settings: int, source, *,
                           mc_samples: int = 1_000_000) -> ConstraintReport:
     """Lambda-averaged tables must equal (1 - sigma*tau*a.b)/4."""
-    if model.lambda_space.quadrature is not None:
-        return _quadrature_check("qm-reproduction", 1e-9, model, source, n_settings,
-                                 *_qm_terms(model))
-    job, report = _qm_reproduction_mc(model, n_settings, source)
-    return report(*_mc_means(model, [job], mc_samples))
+    return _integral_check(_QM_REPRODUCTION, model, n_settings, source, mc_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -875,21 +865,24 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
         lambda: check_expansion(model, root.split(8), cfg.expansion_eps, cfg.expansion_axes,
                                 cfg.n_lambda),
     ]
-    if model.lambda_space.quadrature is None:
-        mc = [_qm_reproduction_mc(model, cfg.qm_settings, root.split(9)),
-              _zero_average_mc(model, cfg.mc_settings, root.split(4))]
-        count, block, fold = _mc_blocks(model, [job for job, _ in mc], cfg.mc_samples)
+    quadrature = model.lambda_space.quadrature is not None
+    integrals = (_QM_REPRODUCTION, _ZERO_AVERAGE)
+    jobs = [_integral_job(_QM_REPRODUCTION, model, cfg.qm_settings, root.split(9)),
+            _integral_job(_ZERO_AVERAGE, model, cfg.n_settings if quadrature else cfg.mc_settings,
+                          root.split(4))]
+    if quadrature:
+        per_lambda = [check() for check in checks]
+        integral = [_quadrature_check(check, model, job) for check, job in zip(integrals, jobs)]
+    else:
+        count, block, fold = _mc_blocks(model, jobs, cfg.mc_samples)
 
         def task(t: int):
             return checks[t]() if t < len(checks) else block(t - len(checks))
 
         with closing(_map_ordered(task, range(len(checks) + count), cfg.threads)) as results:
             per_lambda = list(itertools.islice(results, len(checks)))
-            integral = [report(stats) for (_, report), stats in zip(mc, fold(results))]
-    else:
-        per_lambda = [check() for check in checks]
-        integral = [check_qm_reproduction(model, cfg.qm_settings, root.split(9)),
-                    check_zero_average(model, cfg.n_settings, root.split(4))]
+            integral = [_mc_report(check, model, job, stats)
+                        for check, job, stats in zip(integrals, jobs, fold(results))]
     scan, *others = per_lambda
     by_id = {r.constraint_id: r for r in [*integral, *scan, *others]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]

@@ -864,49 +864,10 @@ def test_builtin_model_names():
 # Monte Carlo moments
 
 
-def _constant_k_model():
-    def rule(batch, a, b):  # k = a.b on every draw: no pair ever shows spread
-        return np.full(len(batch), setting_dot(a, b)), np.ones(len(batch), dtype=bool)
-
-    return HiddenVariableModel("constant-k", cerf_model().lambda_space, kernel_rule=rule)
-
-
-@pytest.mark.parametrize("which", ["kernel", "tables", "constant"])
-def test_moments_skip_the_compare_once_a_pair_has_spread(monkeypatch, which):
-    model = _constant_k_model() if which == "constant" else cerf_model()
-    evaluate = model.tables_masked if which == "tables" else model.kernel_masked
-    pairs = [(Z, X), (X, unit([1.0, 1.0, 0.0])), (Z, unit([0.0, 0.6, 0.8]))]
-    of, seen = _Moments.of, []
-
-    def run(threads):
-        [stats] = _mc_means(model, [(RandomStream(61), pairs, evaluate)], 4 * 4096 + 100,
-                            threads=threads)
-        return [np.concatenate([np.ravel(x) for x in s]) for s in stats]
-
-    def recorded(vals, spread=False):
-        seen.append(bool(spread))
-        return of(vals, spread)
-
-    def every_row(vals, spread=False):  # the rule before the skip: always compare
-        return of(vals)
-
-    monkeypatch.setattr(models, "_MC_BLOCK", 4096)
-    monkeypatch.setattr(_Moments, "of", staticmethod(recorded))
-    skipping = run(1)
-    # five blocks per pair: cerf's first block shows spread, so the other four skip
-    assert sum(seen) == (0 if which == "constant" else 4 * len(pairs))
-    threaded = run(2)
-    monkeypatch.setattr(_Moments, "of", staticmethod(every_row))
-    reference = run(1)
-    for new, two, old in zip(skipping, threaded, reference):
-        assert np.array_equal(new, old, equal_nan=True)
-        assert np.array_equal(two, old, equal_nan=True)
-
-
-def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
+def test_mc_estimates_under_many_workers_keep_the_serial_bytes(monkeypatch):
     # k = +1 on a rare lambda set: most 64-row blocks show no spread and a
-    # few do, so which blocks skip the compare depends on which worker
-    # process ran which earlier blocks; the estimates must not
+    # few do, and the workers each see a different share of the blocks; the
+    # merged spread, and so the estimates, must not depend on the share
     from hvsinglet import geometry
 
     def rule(batch, a, b):
@@ -917,8 +878,8 @@ def test_spread_skip_under_many_threads_keeps_the_serial_bytes(monkeypatch):
     pairs = [(Z, X), (X, Z)]
 
     def run(threads):
-        [stats] = _mc_means(model, [(RandomStream(62), pairs, model.kernel_masked)], 200 * 64,
-                            threads=threads)
+        job = (RandomStream(62), pairs, model.kernel_masked, _Moments.of)
+        [stats] = _mc_means(model, [job], 200 * 64, threads=threads)
         return [np.array(s, dtype=float) for s in stats]
 
     monkeypatch.setattr(models, "_MC_BLOCK", 64)

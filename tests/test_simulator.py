@@ -16,6 +16,7 @@ from hvsinglet.models import (
     LambdaSpace,
     MeasureZeroError,
     _mc_means,
+    _Moments,
     _scalar_uniform_space,
     _sample_valid,
     _tables_from_kernel,
@@ -504,7 +505,7 @@ def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, call_log, thr
         run_experiment(m, settings, ExperimentConfig(shots=2 * 16384, seed=19, threads=threads))
     # the engine's view: every pair evaluates each of its two blocks once;
     # pairs 1 and 3 keep no row and count all, pairs 0 and 2 run as they would alone
-    jobs = [(RandomStream(19).split(2, i), [(a, b)], m.kernel_masked)
+    jobs = [(RandomStream(19).split(2, i), [(a, b)], m.kernel_masked, _Moments.of)
             for i, (a, b) in enumerate(settings)]
     call_log.path.write_text("")
     out = _mc_means(m, jobs, 2 * 16384, threads=threads)
@@ -524,7 +525,8 @@ def test_one_pass_holds_only_the_blocks_in_flight(monkeypatch, threads):
     monkeypatch.setattr(models, "_MC_BLOCK", 1)
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
     m = builtin_model("family1")
-    jobs = [(RandomStream(20).split(2, i), [(Z, X)], m.kernel_masked) for i in range(12)]
+    jobs = [(RandomStream(20).split(2, i), [(Z, X)], m.kernel_masked, _Moments.of)
+            for i in range(12)]
     _mc_means(m, jobs[:1], 20, threads=threads)  # warm-up
     tracemalloc.start()
     try:

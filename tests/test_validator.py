@@ -26,6 +26,7 @@ from hvsinglet.models import (
     qm_table,
     setting_dot,
     _tables_from_kernel,
+    _Moments,
     _quad_means,
     _scalar_two_point_space,
     _scalar_uniform_space,
@@ -187,6 +188,25 @@ def test_zero_average_mc_paths():
     # starved of samples the verdict degrades to inconclusive, not fail
     rep = check_zero_average(m, 2, stream(8), mc_samples=2000)
     assert rep.status is CheckStatus.INCONCLUSIVE
+
+
+def test_mc_failures_report_each_checks_convention():
+    # family1 with unequal weights has E[C] != 0; sampled without its quadrature,
+    # zero-average reports its largest |mean C| against 1e-2, and qm-reproduction
+    # its largest z against 5, the deviation at that z as the witness value
+    m = family1_model(0.4, weights=(0.75, 0.25))
+    sampled = HiddenVariableModel("family1-mc", LambdaSpace(
+        m.lambda_space.shape, m.lambda_space.sampler), c_function=m.c_function)
+    zero = check_zero_average(sampled, 3, RandomStream(5).split(1), mc_samples=20000)
+    assert zero.status is CheckStatus.FAIL and zero.tolerance == 1e-2
+    assert zero.extremal_value == zero.witness.value == pytest.approx(0.1782, abs=1e-4)
+    assert (zero.witness.sigma, zero.witness.tau) == (None, None)
+    qm = check_qm_reproduction(sampled, 3, RandomStream(5).split(1), mc_samples=20000)
+    assert qm.status is CheckStatus.FAIL and qm.tolerance == 5.0
+    assert qm.extremal_value == qm.details["max_z"] == pytest.approx(81.71, abs=1e-2)
+    assert qm.witness.value == pytest.approx(0.04456, abs=1e-5)
+    assert (qm.witness.sigma, qm.witness.tau) == (1, -1)
+    assert qm.samples_used == zero.samples_used == 3 * 20000
 
 
 def test_mc_budget_off_block_multiple_is_spent_exactly():
@@ -1007,12 +1027,30 @@ def test_run_full_suite_cerf_small_budget_inconclusive():
     assert res.report("zero-average").status is CheckStatus.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("name", ["family1", "cerf"])
+def test_suite_integral_reports_are_the_standalone_checks(name):
+    # quadrature (family1) and the one MC pass (cerf) report what each check
+    # reports on its own stream; zero-average takes mc_settings pairs by MC
+    m = builtin_model(name)
+    cfg = ValidatorConfig(**{**FAST.__dict__, "mc_samples": 2 * 16384})
+    res = run_full_suite(m, cfg, seed=1)
+    root = RandomStream(1).split(3)
+    n_zero = cfg.n_settings if m.lambda_space.quadrature is not None else cfg.mc_settings
+    zero = check_zero_average(m, n_zero, root.split(4), mc_samples=cfg.mc_samples)
+    qm = check_qm_reproduction(m, cfg.qm_settings, root.split(9), mc_samples=cfg.mc_samples)
+    assert zero.details["mode"] == qm.details["mode"] == (
+        "mc" if name == "cerf" else "quadrature")
+    assert res.report("zero-average").to_dict() == zero.to_dict()
+    assert res.report("qm-reproduction").to_dict() == qm.to_dict()
+
+
 def test_run_full_suite_makes_one_mc_pass(monkeypatch):
     blocks, passes = [], []
     mc_blocks, map_ordered = validator._mc_blocks, validator._map_ordered
 
     def recording_blocks(model, jobs, n):
-        blocks.append(([(stream, len(pairs), evaluate) for stream, pairs, evaluate in jobs], n))
+        blocks.append(([(stream, len(pairs), evaluate, reduce)
+                        for stream, pairs, evaluate, reduce in jobs], n))
         return mc_blocks(model, jobs, n)
 
     def recording_pass(fn, args, threads):
@@ -1027,8 +1065,9 @@ def test_run_full_suite_makes_one_mc_pass(monkeypatch):
     root = RandomStream(1).split(3)
     # qm-reproduction's job first, then zero-average's, in one pass on the
     # suite's workers with the six per-lambda checks
-    assert blocks == [([(root.split(9), cfg.qm_settings, m._values_masked),
-                        (root.split(4), cfg.mc_settings, m.implied_c)], cfg.mc_samples)]
+    assert blocks == [([(root.split(9), cfg.qm_settings, m._values_masked, _Moments.of),
+                        (root.split(4), cfg.mc_settings, m.implied_c, _Moments.of)],
+                       cfg.mc_samples)]
     n_blocks = -(-cfg.mc_samples // 16384)
     assert passes == [(6 + 2 * n_blocks, 2)]
     assert res.to_json() == run_full_suite(m, SMALL_MC, seed=1).to_json()
