@@ -112,12 +112,10 @@ def _add_common(p: argparse.ArgumentParser, *, out_help: str) -> None:
     _add_count(p, "--threads", 1, default=1,
                help="worker processes of the command's one pass, at most one per task "
                     "and per CPU this process may use; the calling process is one of "
-                    "them, so N workers fork N-1 processes; in validate it sizes the "
-                    "pass of a model without a quadrature, while a model with a "
-                    "quadrature runs every check in the calling process (forking its "
-                    "short checks slowed the benchmark's one-worker runs, cause not "
-                    "found); scan runs no pass, but the value is still checked; "
-                    "results do not depend on this")
+                    "them, so N workers fork N-1 processes; a model's quadrature runs in "
+                    "the calling process alone (a fork restarts OpenBLAS's threads, which "
+                    "costs more than its millisecond blocks); scan runs no pass, but the "
+                    "value is still checked; results do not depend on this")
     p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
 

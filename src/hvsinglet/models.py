@@ -24,7 +24,8 @@ takes them, or their lambda-mean, to the entry columns ((W -+ k)/4 for k)
 and to the correlator (-k, or the table contraction). ``tables_masked``,
 ``correlations_masked``, ``implied_c``, the outcome draw, qm-reproduction
 and ``scan`` are built on the two, so a kernel model builds no tables.
-``LambdaSpace.nodes`` gives the quadrature, or else a 1/n-weighted sample.
+``LambdaSpace.nodes`` gives the quadrature, or else a 1/n-weighted sample;
+``_mc_blocks``, the one lambda-mean engine, takes the quadrature as one block.
 
 The measure over lambda never depends on the settings, and per-lambda
 marginals for canonical models never depend on the remote axis; the
@@ -102,9 +103,9 @@ _MAX_REDRAW_ROUNDS = 100
 
 # Tables need be defined only for almost every lambda. Above this share of a
 # pair's rows undefined (undefined / drawn on MC, 1 - W on a quadrature) no
-# integral check passes and run_experiment raises MeasureZeroError. cerf's
-# undefined band (measure ~1e-12) stays below one row at the default 1e6
-# draws, and 1e-6 sits four decades below the 1e-2 stderr tolerance.
+# integral check passes, and run_experiment's draws raise MeasureZeroError.
+# cerf's undefined band (measure ~1e-12) stays below one row at the default
+# 1e6 draws, and 1e-6 sits four decades below the 1e-2 stderr tolerance.
 _UNDEFINED_TOL = 1e-6
 
 _FAMILIES = ("family1", "family2", "wrongtrial", "cerf", "recipe")
@@ -1144,14 +1145,20 @@ class _Moments(NamedTuple):
                         self.n + later.n, first, spread, undefined)
 
     def estimate(self):
-        """(count, mean, stderr, undefined), variance divisor n - 1; no spread: the draw and 0."""
+        """(n, W = 1.0, mean, stderr, undefined), variance divisor n - 1; no spread: draw, 0."""
         n = self.n
         mean = self.total / n if n else np.nan
         if n < 2:  # one draw carries no estimate of its own spread
-            return n, mean, np.nan, self.undefined
+            return n, 1.0, mean, np.nan, self.undefined
         var = np.maximum(0.0, (self.total_sq - n * mean * mean) / (n - 1))
-        return n, np.where(self.spread, mean, self.first), np.where(
+        return n, 1.0, np.where(self.spread, mean, self.first), np.where(
             self.spread, np.sqrt(var / n), 0.0), self.undefined
+
+
+def _node_sums(w: np.ndarray, v: np.ndarray, ok: np.ndarray) -> tuple:
+    """(nodes, valid mass W, S = sum of w * v over the valid nodes, None, undefined nodes)."""
+    w_ok, v_ok = _masked_rows(ok, w, v)  # S is np.sum(w * v) for k or C
+    return len(v), np.sum(w_ok), np.sum((v_ok.T * w_ok).T, axis=0), None, len(v) - len(v_ok)
 
 
 # Rows per Monte Carlo block, the unit of streams and of worker tasks: each
@@ -1161,46 +1168,57 @@ _MC_BLOCK = 16384
 _MAX_DRAWS = _SPLIT_MAX * _MC_BLOCK
 
 
-def _mc_blocks(model: HiddenVariableModel, jobs, n: int):
-    """The one Monte Carlo engine, as block tasks and their in-order fold: lambda-means
-    for independent jobs.
+def _mc_blocks(model: HiddenVariableModel, jobs, n: int | None):
+    """The one lambda-mean engine, as block tasks and their in-order fold: means for
+    independent jobs over the node source that ``n`` names.
 
-    A job is (stream, pairs, evaluate, reduce): n draws of the masked
-    evaluator ``evaluate`` per pair, in ``_MC_BLOCK``-row blocks and a ragged
-    last one; block i comes from ``stream.split(i)`` (counter-based streams:
-    Salmon et al., SC'11), so its bytes follow from its key alone. A block
-    draws its rows once and evaluates them at each pair in turn (common
-    random numbers); rows where the rule is undefined are left out of the
-    pair's moments and counted. ``reduce(gen, values)`` turns a pair's kept
-    values into its block moments, ``_Moments.of`` or one that draws from
-    the block's generator right after the pair's evaluation.
+    A job is (stream, pairs, evaluate, reduce): the masked evaluator
+    ``evaluate`` at each pair. A block holds its rows once and evaluates
+    them at each pair in turn (common random numbers); rows where the rule
+    is undefined are left out of the pair's result and counted. With
+    ``n=None`` the source is the model's quadrature, one block of all its
+    nodes (``_node_sums``). Else it is n draws per pair, in ``_MC_BLOCK``-row
+    blocks and a ragged last one; block i comes from ``stream.split(i)``
+    (counter-based streams: Salmon et al., SC'11), so its bytes follow from
+    its key alone, and ``reduce(gen, values)`` turns a pair's kept values
+    into its block moments, ``_Moments.of`` or one that draws from the
+    block's generator right after the pair's evaluation.
 
     Returns (count, run, fold). ``run(t)`` runs task t < count, block
-    t % blocks of job t // blocks, and gives its per-pair moments;
+    t % blocks of job t // blocks, and gives its per-pair results;
     ``fold(results)`` takes every task's result, in task order, from the
-    iterator ``results`` and returns, per job, [(kept, mean, stderr,
-    undefined)] per pair. Each job folds its blocks in order, so whichever
-    process runs a task changes no byte.
+    iterator ``results`` and returns, per job, one tuple (rows, W, S,
+    stderr, undefined) per pair: (kept, 1.0, mean, stderr, undefined) by
+    draws, ``_node_sums`` over the quadrature. Each job folds its blocks in
+    order, so whichever process runs a task changes no byte.
     """
-    full, rest = divmod(n, _MC_BLOCK)
+    if n is not None and not all(isinstance(stream, RandomStream) for stream, *_ in jobs):
+        raise TypeError("Monte Carlo blocks are keyed by RandomStream job streams")
+    full, rest = (1, 0) if n is None else divmod(n, _MC_BLOCK)
     n_blocks = full + (rest > 0)
 
-    def run(task: int) -> list[_Moments]:
+    def run(task: int) -> list:
         j, i = divmod(task, n_blocks)
         stream, pairs, evaluate, reduce = jobs[j]
+        if n is None:
+            nodes, weights = model.lambda_space.quadrature
+            return [_node_sums(weights, *evaluate(nodes, a, b)) for a, b in pairs]
         gen = stream.split(i).generator()
         batch = model.lambda_space.sample(gen, _MC_BLOCK if i < full else rest)
-        moments = []
+        per_pair = []
         for a, b in pairs:
             v, ok = evaluate(batch, a, b)
             (kept,) = _masked_rows(ok, v)
             m = reduce(gen, kept) if len(kept) else _Moments()
-            moments.append(m._replace(undefined=len(v) - len(kept)) if len(kept) < len(v) else m)
-        return moments
+            per_pair.append(m._replace(undefined=len(v) - len(kept)) if len(kept) < len(v) else m)
+        return per_pair
 
     def fold(results) -> list:
         out = []
         for _, pairs, *_ in jobs:
+            if n is None:  # one block, whose sums are the result
+                out.append(next(results))
+                continue
             totals = [_Moments()] * len(pairs)
             for moments in itertools.islice(results, n_blocks):
                 totals = [t.merge(m) for t, m in zip(totals, moments)]
@@ -1210,18 +1228,11 @@ def _mc_blocks(model: HiddenVariableModel, jobs, n: int):
     return len(jobs) * n_blocks, run, fold
 
 
-def _mc_means(model: HiddenVariableModel, jobs, n: int, *, threads: int = 1):
-    """``_mc_blocks``' estimates: its tasks in one ``_map_ordered`` pass on up to
-    ``threads`` worker processes, the caller one of them, folded as they come."""
+def _mc_means(model: HiddenVariableModel, jobs, n: int | None, *, threads: int = 1):
+    """``_mc_blocks``' results: its tasks in one ``_map_ordered`` pass on up to
+    ``threads`` worker processes, the caller one of them, folded as they come. A
+    quadrature runs in the caller alone: its blocks take milliseconds, and a fork
+    restarts OpenBLAS's thread pool, which doubled the time of the numpy work after it."""
     count, run, fold = _mc_blocks(model, jobs, n)
-    with closing(_map_ordered(run, range(count), threads)) as results:
+    with closing(_map_ordered(run, range(count), 1 if n is None else threads)) as results:
         return fold(results)
-
-
-def _quad_means(model: HiddenVariableModel, evaluate, pairs):
-    """Per pair, one at a time: (valid mass W, sum of w * v) over its valid quadrature nodes."""
-    nodes, w = model.lambda_space.quadrature
-    for a, b in pairs:
-        v, ok = evaluate(nodes, a, b)
-        w_ok, v_ok = _masked_rows(ok, w, v)
-        yield np.sum(w_ok), np.sum((v_ok.T * w_ok).T, axis=0)  # np.sum(w * v) for k or C

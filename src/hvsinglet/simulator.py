@@ -1,16 +1,17 @@
 """Correlation experiments: finite-shot sampling, analytic averages, CHSH.
 
-The Monte Carlo estimates of an experiment are one pass of the MC engine
-(``models._mc_means``) with one job per settings pair: 16384-shot blocks,
-block i of pair p drawn once from the stream (seed, p, i). Every block of
-every pair is one task of a single pass on worker processes, the calling
-process one of them (``geometry._map_ordered``), and each pair merges its
-blocks in index order, so estimates are bitwise identical for any worker
-count. Each row where the rule is defined
-gets one outcome draw from the block's stream right after the block's lambda
-draw, and the +-1 products sum to an exact integer. Undefined rows are left
-out and counted; above ``models._UNDEFINED_TOL`` of a pair's draws they
-raise MeasureZeroError.
+The estimates of an experiment are one pass of the lambda-mean engine
+(``models._mc_means``) with one job per settings pair. Every job's blocks
+are tasks of a single pass (``geometry._map_ordered``) on worker processes,
+the calling process one of them, and each pair merges its blocks in index
+order, so estimates are bitwise identical for any worker count. In mode
+'analytic' a model with a quadrature has one block per pair, all its nodes,
+and the caller runs them alone. Otherwise block i of pair p holds 16384
+shots drawn once from the stream (seed, p, i); in mode 'sampling' each row
+where the rule is defined gets one outcome draw from the block's stream
+right after the block's lambda draw, and the +-1 products sum to an exact
+integer. Undefined draws are left out and counted; above
+``models._UNDEFINED_TOL`` of a pair's draws they raise MeasureZeroError.
 
 Outcomes are drawn from the entry columns the model maps its rule's values
 to: a kernel model's (1 -+ k)/4 need no (n, 2, 2) tables, with four
@@ -27,7 +28,7 @@ import numpy as np
 
 from .geometry import _SPLIT_MAX, RandomStream, require_unit, unit
 from .models import (_MAX_DRAWS, _MC_BLOCK, _UNDEFINED_TOL, HiddenVariableModel, LambdaPoint,
-                     MeasureZeroError, _mc_means, _Moments, _quad_means, _signs)
+                     MeasureZeroError, _mc_means, _Moments, _signs)
 
 __all__ = [
     "OPTIMAL_CHSH_SETTINGS",
@@ -131,14 +132,14 @@ def estimate_correlation(model: HiddenVariableModel, a, b,
                          pair_index: int = 0) -> CorrelationEstimate:
     """Estimate E(a, b) = sum sigma*tau P(sigma, tau | a, b) for one pair.
 
-    mode 'analytic' integrates the lambda-conditioned correlator over the
-    model's quadrature (stderr 0); models without a quadrature fall back to
-    a lambda-level Monte Carlo average of the conditional correlator with
-    ``shots`` draws. mode 'sampling' simulates the experiment shot by shot:
-    draw lambda, draw (sigma, tau) from the conditional table, average the
-    products. Kernel models draw from k alone. A Monte Carlo estimate from
-    fewer than two draws reports stderr NaN. This is the one-pair case of
-    ``run_experiment``, on the streams of pair ``pair_index``.
+    mode 'analytic' averages the lambda-conditioned correlator on the
+    lambda-mean engine: over the model's quadrature (stderr 0), or, for a
+    model without one, over ``shots`` draws. mode 'sampling' simulates the
+    experiment shot by shot: draw lambda, draw (sigma, tau) from the
+    conditional table, average the products. Kernel models draw from k
+    alone. A Monte Carlo estimate from fewer than two draws reports stderr
+    NaN. This is the one-pair case of ``run_experiment``, on the streams of
+    pair ``pair_index``.
     """
     [estimate] = _estimates(model, [(a, b)], config or ExperimentConfig(), [pair_index])
     return estimate
@@ -161,19 +162,15 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
                indices) -> list[CorrelationEstimate]:
     """The estimates of ``run_experiment`` for ``pairs``, pair p on the streams of ``indices[p]``.
 
-    A Monte Carlo run is one ``_mc_means`` pass with one job per pair; the
-    first pair undefined above ``_UNDEFINED_TOL`` raises MeasureZeroError.
+    They are one ``_mc_means`` pass with one job per pair, over the model's
+    quadrature in mode 'analytic' when it has one (stderr 0), else by
+    ``cfg.shots`` draws. The first pair whose draws are undefined above
+    ``_UNDEFINED_TOL`` raises MeasureZeroError.
     """
     pairs = [(require_unit(a, name="a"), require_unit(b, name="b")) for a, b in pairs]
     e_qm = [-float(np.clip(np.dot(a, b), -1.0, 1.0)) for a, b in pairs]
-
-    if cfg.mode == "analytic" and model.lambda_space.quadrature is not None:
-        n = len(model.lambda_space.quadrature[1])
-        means = _quad_means(model, model.correlations_masked, pairs)
-        return [CorrelationEstimate(a, b, float(e), 0.0, q, n, "analytic", cfg.seed)
-                for (a, b), q, (_, e) in zip(pairs, e_qm, means)]
-
-    evaluate = model.correlations_masked if cfg.mode == "analytic" else model._values_masked
+    analytic = cfg.mode == "analytic"
+    evaluate = model.correlations_masked if analytic else model._values_masked
     entries = model._maps.entries
 
     def outcomes(gen: np.random.Generator, vals: np.ndarray) -> _Moments:
@@ -185,15 +182,17 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
         return _Moments(total, float(n), n, total / n, abs(total) != n)
 
     root = RandomStream(cfg.seed)
-    reduce = _Moments.of if cfg.mode == "analytic" else outcomes  # analytic: no draw
+    reduce = _Moments.of if analytic else outcomes  # analytic: no draw
+    n = None if analytic and model.lambda_space.quadrature is not None else cfg.shots
     jobs = [(root.split(2, i), [pair], evaluate, reduce) for i, pair in zip(indices, pairs)]
     out = []
-    for i, (a, b), q, [(n, e, stderr, undefined)] in zip(
-            indices, pairs, e_qm, _mc_means(model, jobs, cfg.shots, threads=cfg.threads)):
-        if undefined > _UNDEFINED_TOL * (n + undefined):
+    for i, (a, b), q, [(rows, _, e, stderr, undefined)] in zip(
+            indices, pairs, e_qm, _mc_means(model, jobs, n, threads=cfg.threads)):
+        if stderr is not None and undefined > _UNDEFINED_TOL * (rows + undefined):
             raise MeasureZeroError(f"model '{model.name}': rule undefined on {undefined} of "
-                                   f"{n + undefined} draws at settings pair {i}")
-        out.append(CorrelationEstimate(a, b, float(e), float(stderr), q, n, cfg.mode, cfg.seed))
+                                   f"{rows + undefined} draws at settings pair {i}")
+        out.append(CorrelationEstimate(a, b, float(e), 0.0 if stderr is None else float(stderr),
+                                       q, rows, cfg.mode, cfg.seed))
     return out
 
 

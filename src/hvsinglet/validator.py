@@ -30,25 +30,25 @@ row the rule calls defined is the worst value, so the check fails with a
 Each integral check is one record (``_Integral``): its evaluator, the
 deviation of a pair's lambda-sum S over valid mass W from the target, the
 map of S's stderr to the deviation's, and the MC witness rule. A check
-draws its settings pairs first, then sums over the model's quadrature one
-pair at a time (``models._quad_means``) or, without one, runs the MC engine
-shared with the simulator (``models._mc_means``): it draws 16384-row lambda
-blocks keyed by (check stream, block index), evaluates each block at every
-pair (common random numbers) and counts the rows where the rule is
-undefined. In both modes kernel models average k, so no check builds
-tables over the quadrature. An MC pair fails at 5 sigma; a standard error
-above 1e-2, a pair with fewer than two samples, zero spread with a nonzero
-deviation, or a pair undefined on more than ``models._UNDEFINED_TOL`` of
-its rows leaves the check ``inconclusive`` rather than guessing, as does a
-check that evaluated no rows. By MC, zero-average reports its largest
-deviation against 1e-2 and qm-reproduction its largest z against 5.
-``run_full_suite`` runs a model without a quadrature as one pass on worker
-processes, the caller one of them: the six per-lambda checks and the
-blocks of both checks' MC jobs (``models._mc_blocks``). A model with a
-quadrature runs every check in the calling process: forking its short
-checks saved little and slowed one-worker runs, for a cause not found. The
-checks take the correction from ``model.implied_c`` and their lambda rows
-from ``LambdaSpace.nodes``.
+draws its settings pairs first, then runs the lambda-mean engine shared
+with the simulator (``models._mc_means``) on its node source: the model's
+quadrature, one block of all its nodes, or else 16384-row lambda blocks
+keyed by (check stream, block index). Each block is evaluated at every pair
+(common random numbers), and the rows where the rule is undefined are
+counted. In both modes kernel models average k, so no check builds tables
+over the quadrature. The two modes keep two reports, as their verdict rules
+and details differ. A quadrature pair fails above the check's tolerance. An
+MC pair fails at 5 sigma; a standard error above 1e-2, a pair with fewer
+than two samples, zero spread with a nonzero deviation, or a pair undefined
+on more than ``models._UNDEFINED_TOL`` of its rows leaves the check
+``inconclusive`` rather than guessing, as does a check that evaluated no
+rows. By MC, zero-average reports its largest deviation against 1e-2 and
+qm-reproduction its largest z against 5.
+``run_full_suite`` runs every model as one pass: the six per-lambda checks
+and the blocks of both integral checks' jobs (``models._mc_blocks``), on
+worker processes unless the model has a quadrature. The checks take the
+correction from ``model.implied_c`` and their lambda rows from
+``LambdaSpace.nodes``.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ from .models import (
     LambdaPoint,
     OUTCOMES,
     _kernel_entry,
+    _masked_rows,
     _mc_blocks,
     _mc_means,
     _Moments,
-    _quad_means,
     qm_table,
     setting_dot,
 )
@@ -194,17 +194,6 @@ def _jsonable(obj):
     return obj
 
 
-def _valid_rows(values: np.ndarray, ok: np.ndarray):
-    """``values[ok]`` and a map from its rows back to the batch rows.
-
-    When every row is valid the values come back as they are, uncopied.
-    """
-    if ok.all():
-        return values, lambda j: j
-    rows = np.flatnonzero(ok)
-    return values[rows], lambda j: int(rows[j])
-
-
 def _entry_sums(flat: np.ndarray) -> np.ndarray:
     """Row sums of (n, 4) table entries, bit for bit ``tables.sum(axis=(1, 2))``.
 
@@ -247,10 +236,10 @@ class _Worst:
         return (key < self.key if self.lowest else key > self.key) or (
             math.isnan(key) and not math.isnan(self.key))
 
-    def add(self, values, batch=None, row_of=None, a=None, b=None, labels=_NO_LABELS, *,
+    def add(self, values, batch=None, ok=None, a=None, b=None, labels=_NO_LABELS, *,
             rank=None, rows=None) -> None:
         """Scan one batch; ``rows`` lambda rows stand behind it, one per row of values
-        by default. ``row_of`` maps a row of values to its row of ``batch``."""
+        by default. The values are ``batch``'s rows where the mask ``ok`` holds."""
         self.used += len(values) if rows is None else rows
         if len(values) == 0:
             return
@@ -259,7 +248,8 @@ class _Worst:
         key = float(rank.flat[j])
         if self._worse(key):
             row, col = divmod(j, len(labels))
-            lam = None if batch is None else batch.point(row if row_of is None else row_of(row))
+            row = row if ok is None else int(np.flatnonzero(ok)[row])
+            lam = None if batch is None else batch.point(row)
             self.key, self.witness = key, Witness(float(values.flat[j]), lam, a, b, *labels[col])
 
     def take(self, scan: "_Worst", key: float) -> None:
@@ -332,8 +322,7 @@ class ValidatorConfig:
     """Scan sizes and Monte Carlo budgets for the full suite.
 
     ``threads`` caps the worker processes, the caller one of them, of the
-    one pass that runs every check of a model without a quadrature. Every
-    check of a model with a quadrature runs in the calling process.
+    one pass that runs every check.
     """
 
     n_settings: int = 100
@@ -395,11 +384,11 @@ def check_table_scan(model: HiddenVariableModel, n_settings: int, n_lambda: int,
         a, b = _random_pair(gen, endpoint=(i % 2 == 1))
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
-        tables, row_of = _valid_rows(tables, ok)
+        (tables,) = _masked_rows(ok, tables)
         flat = tables.reshape(-1, 4)
-        norm.add(np.abs(_entry_sums(flat) - 1.0), batch, row_of, a, b)
-        low.add(flat, batch, row_of, a, b, _ENTRIES)
-        high.add(flat, batch, row_of, a, b, _ENTRIES)
+        norm.add(np.abs(_entry_sums(flat) - 1.0), batch, ok, a, b)
+        low.add(flat, batch, ok, a, b, _ENTRIES)
+        high.add(flat, batch, ok, a, b, _ENTRIES)
     return (norm.report("normalization", tol, norm.key <= tol),
             low.report("positivity", tol, low.key >= -tol),
             high.report("entry-half-bound", tol, high.key <= 0.5 + tol))
@@ -415,11 +404,11 @@ def check_marginal_triviality(model: HiddenVariableModel, n_settings: int, n_lam
         a, b = _random_pair(gen, endpoint=False)
         batch = model.lambda_space.sample(gen, n_lambda)
         tables, ok = model.tables_masked(batch, a, b)
-        tables, row_of = _valid_rows(tables, ok)
+        (tables,) = _masked_rows(ok, tables)
         # the two-term sums of tables.sum(axis=2) and tables.sum(axis=1), over the same rows
-        worst.add(np.abs(tables[:, :, 0] + tables[:, :, 1] - 0.5), batch, row_of, a, b,
+        worst.add(np.abs(tables[:, :, 0] + tables[:, :, 1] - 0.5), batch, ok, a, b,
                   _SIGMA_SIDES)
-        worst.add(np.abs(tables[:, 0] + tables[:, 1] - 0.5), batch, row_of, a, b, _TAU_SIDES,
+        worst.add(np.abs(tables[:, 0] + tables[:, 1] - 0.5), batch, ok, a, b, _TAU_SIDES,
                   rows=0)
     return worst.report("marginal-triviality", tol, worst.key <= tol)
 
@@ -468,15 +457,16 @@ def _integral_job(check: _Integral, model: HiddenVariableModel, n_settings: int,
             check.evaluator(model), _Moments.of)
 
 
-def _quadrature_check(check: _Integral, model: HiddenVariableModel, job) -> ConstraintReport:
-    """``check.deviation`` of each job pair's ``_quad_means`` must stay <= its tolerance, and
-    without a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
-    _, pairs, evaluate, _ = job
-    worst, undefined, n_nodes = _Worst(), 0.0, len(model.lambda_space.quadrature[1])
-    for (a, b), (weight, total) in zip(pairs, _quad_means(model, evaluate, pairs)):
+def _quadrature_check(check: _Integral, model: HiddenVariableModel, job,
+                      stats) -> ConstraintReport:
+    """``check.deviation`` of each job pair's (W, S) must stay <= its tolerance, and without
+    a failure an undefined mass 1 - W above ``_UNDEFINED_TOL`` is inconclusive."""
+    _, pairs, *_ = job
+    worst, undefined = _Worst(), 0.0
+    for (a, b), (rows, weight, total, _, _) in zip(pairs, stats):
         undefined = max(undefined, 1.0 - float(weight))
         worst.add(np.ravel(check.deviation(model, a, b, weight, total)), a=a, b=b,
-                  labels=check.labels, rows=n_nodes)
+                  labels=check.labels, rows=rows)
     rep = worst.report(check.constraint_id, check.quad_tol, worst.key <= check.quad_tol)
     rep.details["mode"] = "quadrature"
     if undefined > 0.0:
@@ -500,12 +490,12 @@ def _mc_report(check: _Integral, model: HiddenVariableModel, job, stats) -> Cons
     worst, spreads = _Worst(), []
     unresolved = not pairs
     max_stderr, worst_z, undefined_rows = 0.0, -np.inf, 0
-    for (a, b), (n, mean, stderr, undefined) in zip(pairs, stats):
+    for (a, b), (n, weight, mean, stderr, undefined) in zip(pairs, stats):
         undefined_rows += undefined
         unresolved = unresolved or n < 2 or undefined > _UNDEFINED_TOL * (n + undefined)
         if n < 2:
             continue
-        dev, stderr = check.deviation(model, a, b, 1.0, mean), check.stderr(model, stderr)
+        dev, stderr = check.deviation(model, a, b, weight, mean), check.stderr(model, stderr)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, dev / stderr, np.where(dev == 0, 0.0, np.nan))
         unresolved = unresolved or bool(np.isnan(z).any())
@@ -527,16 +517,20 @@ def _mc_report(check: _Integral, model: HiddenVariableModel, job, stats) -> Cons
                             worst.witness, details)
 
 
+def _node_source(model: HiddenVariableModel, mc_samples: int):
+    """(n, report): the node source, quadrature (None) or ``mc_samples`` draws, and its report."""
+    if model.lambda_space.quadrature is not None:
+        return None, _quadrature_check
+    return mc_samples, _mc_report
+
+
 def _integral_check(check: _Integral, model: HiddenVariableModel, n_settings: int, source,
                     mc_samples: int) -> ConstraintReport:
     """``check`` at ``n_settings`` pairs: over the model's quadrature, else by
     ``mc_samples`` MC draws per pair."""
     job = _integral_job(check, model, n_settings, source)
-    if model.lambda_space.quadrature is not None:
-        return _quadrature_check(check, model, job)
-    if not isinstance(source, RandomStream):
-        raise TypeError(f"a Monte Carlo check needs a RandomStream, got {type(source)!r}")
-    return _mc_report(check, model, job, *_mc_means(model, [job], mc_samples))
+    n, report = _node_source(model, mc_samples)
+    return report(check, model, job, *_mc_means(model, [job], n))
 
 
 def check_zero_average(model: HiddenVariableModel, n_settings: int, source, *,
@@ -556,8 +550,8 @@ def check_coincident_zero(model: HiddenVariableModel, n_axes: int, n_lambda: int
         nodes, _ = model.lambda_space.nodes(gen, n_lambda)
         for b in (a, -a):
             c, ok = model.implied_c(nodes, a, b)
-            c, row_of = _valid_rows(c, ok)
-            worst.add(np.abs(c), nodes, row_of, a, b)
+            (c,) = _masked_rows(ok, c)
+            worst.add(np.abs(c), nodes, ok, a, b)
     return worst.report("coincident-zero", tol, worst.key <= tol)
 
 
@@ -832,14 +826,13 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
     ``config.threads``: each check owns a stream derived from its fixed
     position in the battery, so scheduling cannot reorder draws.
 
-    The exponent fit, which two checks share, runs first. A model without a
-    quadrature then runs as one ``_map_ordered`` pass on up to
-    ``config.threads`` worker processes, the caller one of them: its tasks
-    are the six per-lambda checks, longest first, then the blocks of both
-    Monte Carlo jobs (``models._mc_blocks``), qm-reproduction's first, so
-    the checks overlap the blocks. A model with a quadrature runs every
-    check in the calling process: forking its short checks saved little and
-    slowed one-worker runs, for a cause not found.
+    The exponent fit, which two checks share, runs first. The rest runs as
+    one ``_map_ordered`` pass on up to ``config.threads`` worker processes,
+    the caller one of them: its tasks are the six per-lambda checks,
+    longest first, then the blocks of both integral checks' jobs
+    (``models._mc_blocks``), qm-reproduction's first, so the checks overlap
+    the blocks. Over a quadrature each job is one block, and the caller runs
+    the pass alone, as ``models._mc_means`` does.
     """
     cfg = config or ValidatorConfig()
     root = RandomStream(seed).split(3)  # purpose tag for validation streams
@@ -865,24 +858,21 @@ def run_full_suite(model: HiddenVariableModel, config: ValidatorConfig | None = 
         lambda: check_expansion(model, root.split(8), cfg.expansion_eps, cfg.expansion_axes,
                                 cfg.n_lambda),
     ]
-    quadrature = model.lambda_space.quadrature is not None
+    n, report = _node_source(model, cfg.mc_samples)
     integrals = (_QM_REPRODUCTION, _ZERO_AVERAGE)
     jobs = [_integral_job(_QM_REPRODUCTION, model, cfg.qm_settings, root.split(9)),
-            _integral_job(_ZERO_AVERAGE, model, cfg.n_settings if quadrature else cfg.mc_settings,
+            _integral_job(_ZERO_AVERAGE, model, cfg.n_settings if n is None else cfg.mc_settings,
                           root.split(4))]
-    if quadrature:
-        per_lambda = [check() for check in checks]
-        integral = [_quadrature_check(check, model, job) for check, job in zip(integrals, jobs)]
-    else:
-        count, block, fold = _mc_blocks(model, jobs, cfg.mc_samples)
+    count, block, fold = _mc_blocks(model, jobs, n)
 
-        def task(t: int):
-            return checks[t]() if t < len(checks) else block(t - len(checks))
+    def task(t: int):
+        return checks[t]() if t < len(checks) else block(t - len(checks))
 
-        with closing(_map_ordered(task, range(len(checks) + count), cfg.threads)) as results:
-            per_lambda = list(itertools.islice(results, len(checks)))
-            integral = [_mc_report(check, model, job, stats)
-                        for check, job, stats in zip(integrals, jobs, fold(results))]
+    threads = 1 if n is None else cfg.threads
+    with closing(_map_ordered(task, range(len(checks) + count), threads)) as results:
+        per_lambda = list(itertools.islice(results, len(checks)))
+        integral = [report(check, model, job, stats)
+                    for check, job, stats in zip(integrals, jobs, fold(results))]
     scan, *others = per_lambda
     by_id = {r.constraint_id: r for r in [*integral, *scan, *others]}
     reports = [by_id[cid] for cid in CONSTRAINT_ORDER]

@@ -382,6 +382,13 @@ def test_two_workers_leave_no_process_behind(capsys, forks, no_child_left, argv)
     assert len(forks) == 1 and no_child_left()
 
 
+def test_analytic_quadrature_estimates_run_in_the_caller(capsys, forks):
+    argv = ("chsh", "--model", "family2", "--seed", "1", "--mode", "analytic")
+    serial = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--threads", "2") == serial
+    assert forks == []
+
+
 def test_chsh_witness_flag(capsys):
     code, _, err = run_cli(capsys, "chsh", "--model", "family1", "--mode", "analytic",
                            "--witness")

@@ -511,10 +511,12 @@ def test_an_undefined_pair_raises_and_counts_its_rows(monkeypatch, call_log, thr
     out = _mc_means(m, jobs, 2 * 16384, threads=threads)
     assert sorted(call_log.entries()) == ["False"] * 4 + ["True"] * 4
     for p in (0, 2):
-        assert out[p][0][0] == 2 * 16384 and out[p][0][3] == 0
+        [(kept, _, _, _, undefined)] = out[p]
+        assert kept == 2 * 16384 and undefined == 0
         assert out[p] == _mc_means(m, jobs[p:p + 1], 2 * 16384)[0]
     for p in (1, 3):
-        assert out[p][0][0] == 0 and out[p][0][3] == 2 * 16384
+        [(kept, _, _, _, undefined)] = out[p]
+        assert kept == 0 and undefined == 2 * 16384
     assert estimate_correlation(m, Z, X, ExperimentConfig(shots=100, seed=19)).n_shots == 100
 
 

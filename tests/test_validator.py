@@ -26,8 +26,8 @@ from hvsinglet.models import (
     qm_table,
     setting_dot,
     _tables_from_kernel,
+    _mc_means,
     _Moments,
-    _quad_means,
     _scalar_two_point_space,
     _scalar_uniform_space,
 )
@@ -712,7 +712,10 @@ def test_shipped_quadratures_have_unit_mass_at_every_pair(name):
     gen = stream(60).generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(20)]
     for evaluate in (m.implied_c, m.kernel_masked):
-        assert [weight for weight, _ in _quad_means(m, evaluate, pairs)] == [1.0] * 20
+        [stats] = _mc_means(m, [(stream(60), pairs, evaluate, _Moments.of)], None)
+        assert [weight for _, weight, *_ in stats] == [1.0] * 20
+        n_nodes = len(m.lambda_space.quadrature[1])  # every node, no stderr, none undefined
+        assert [(rows, s, u) for rows, _, _, s, u in stats] == [(n_nodes, None, 0)] * 20
     for check in (check_zero_average, check_qm_reproduction):
         assert "undefined_mass" not in check(m, 20, stream(60)).details
 
@@ -742,7 +745,8 @@ def test_quadrature_means_keep_the_old_sums(name):
     gen = stream(54).generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(6)]
     old_zero = []
-    for (a, b), (weight, mean) in zip(pairs, _quad_means(m, m.implied_c, pairs)):
+    [stats] = _mc_means(m, [(stream(54), pairs, m.implied_c, _Moments.of)], None)
+    for (a, b), (_, weight, mean, *_) in zip(pairs, stats):
         c, ok = m.implied_c(nodes, a, b)
         old_zero.append(abs(float((w[ok] * c[ok]).sum())))
         assert (weight, abs(float(mean))) == (np.sum(w), old_zero[-1])
@@ -768,7 +772,8 @@ def test_qm_k_sum_table_matches_the_table_einsum(name):
     gen = stream(55).generator()
     pairs = [_random_pair(gen, endpoint=False) for _ in range(20)]
     devs = []
-    for (a, b), (weight, kbar) in zip(pairs, _quad_means(m, m.kernel_masked, pairs)):
+    [stats] = _mc_means(m, [(stream(55), pairs, m.kernel_masked, _Moments.of)], None)
+    for (a, b), (_, weight, kbar, *_) in zip(pairs, stats):
         tables, ok = m.tables_masked(nodes, a, b)
         assert ok.all()
         by_k = (weight - _SIGMA_TAU * kbar) / 4.0
@@ -1005,13 +1010,23 @@ def test_run_full_suite_pool_is_bounded_by_cpus(forks, no_child_left):
 
 
 @pytest.mark.parametrize("name", ["family1", "family2", "wrongtrial", "square", "cross_uab"])
-def test_run_full_suite_with_quadrature_starts_no_pool(forks, name):
+def test_run_full_suite_with_quadrature_starts_no_pool(monkeypatch, forks, name):
+    # one pass of the six per-lambda checks and one quadrature block per
+    # integral check, run by the caller alone at any thread count
+    passes, map_ordered = [], validator._map_ordered
+
+    def recording_pass(fn, args, threads):
+        passes.append((len(args), threads))
+        return map_ordered(fn, args, threads)
+
+    monkeypatch.setattr(validator, "_map_ordered", recording_pass)
     m = _quadrature_model(name)
     serial = run_full_suite(m, FAST, seed=3).to_json()
     for threads in (2, 2000):
         cfg = ValidatorConfig(**{**FAST.__dict__, "threads": threads})
         assert run_full_suite(m, cfg, seed=3).to_json() == serial
     assert forks == []
+    assert passes == [(6 + 2, 1)] * 3
 
 
 def test_run_full_suite_without_quadrature_pools_its_mc_pass(forks, no_child_left):
