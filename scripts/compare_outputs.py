@@ -9,18 +9,23 @@ and runs, at seeds 1-3 and ``--threads`` 1 and 2:
 
 * ``build-recipe square 2`` and ``build-recipe cross_uab 1`` (the benchmark
   recipes; the written spec is compared);
+* three spec files (``SPECS``) that size the measures away from their
+  defaults: family1 on the uniform measure at gamma 0.3 with 8 nodes,
+  family2 on two points weighted 0.25/0.75 with an 8 x 16 sphere, and
+  wrongtrial on the uniform measure at gamma 0.6;
 * ``validate`` on family1, family2, wrongtrial, cerf (``--mc-samples
-  250000``) and the two recipe specs, and on cerf at ``--mc-samples 2000``,
+  250000``), the two recipe specs and the three spec files, and on cerf at
+  ``--mc-samples 2000``,
   where zero-average is ``inconclusive`` (the unresolved branch of the
   Monte Carlo checks);
-* ``validate --lambda-n 0`` and ``validate --settings-n 0`` on the same six
+* ``validate --lambda-n 0`` and ``validate --settings-n 0`` on the same nine
   models (cerf at ``--mc-samples 250000``): the table scans, and on cerf
   coincident-zero, scan no rows, and a quadrature's zero-average has no
   pairs, so those checks take their ``inconclusive`` no-samples branch;
 * ``chsh`` and ``simulate --settings random:3`` in sampling and analytic
-  mode on the same six models, at 120001 shots: seven full 16384-shot
+  mode on the same nine models, at 120001 shots: seven full 16384-shot
   blocks and a ragged one of 5313 shots;
-* ``scan`` on the same six models.
+* ``scan`` on the same nine models.
 
 Each output is compared byte for byte, exit code included. The script
 prints one line per output that differs, with the JSON keys whose values
@@ -51,6 +56,14 @@ CERF_MC_SAMPLES = "250000"
 CERF_SMALL_MC_SAMPLES = "2000"  # too few draws: zero-average is inconclusive
 BUILTINS = ("family1", "family2", "wrongtrial", "cerf")
 RECIPES = (("square", "2"), ("cross_uab", "1"))
+SPECS = {  # non-default parameters of the canonical builders
+    "family1-uniform": {"family": "family1", "scalar_measure": "uniform", "gamma": 0.3,
+                        "parameters": {"n_nodes": 8}},
+    "family2-two_point": {"family": "family2", "scalar_measure": "two_point",
+                          "parameters": {"weights": [0.25, 0.75], "n_polar": 8,
+                                         "n_azimuth": 16}},
+    "wrongtrial-uniform": {"family": "wrongtrial", "scalar_measure": "uniform", "gamma": 0.6},
+}
 MAX_KEYS = 8  # differing JSON keys printed per output
 
 
@@ -73,8 +86,11 @@ def collect(src: Path) -> dict[str, str]:
 
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
+        specs = [Path(tmp) / f"{name}-spec.json" for name in SPECS]
+        for path, spec in zip(specs, SPECS.values()):
+            path.write_text(json.dumps(spec), encoding="utf-8")
         for seed in SEEDS:
-            models = list(BUILTINS)
+            models = [*BUILTINS, *specs]
             for f, s in RECIPES:
                 spec = Path(tmp) / f"recipe-{f}-s{s}-seed{seed}.json"
                 rc = run(["build-recipe", f, s, "--seed", seed, "--out", spec])

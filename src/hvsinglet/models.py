@@ -62,7 +62,6 @@ __all__ = [
     "ModelSpecError",
     "MeasureZeroError",
     "NegativeProbabilityError",
-    "LambdaShape",
     "LambdaPoint",
     "LambdaBatch",
     "LambdaSpace",
@@ -141,12 +140,6 @@ class NegativeProbabilityError(ValueError):
 
 
 @dataclass(frozen=True)
-class LambdaShape:
-    scalars: int
-    vectors: int
-
-
-@dataclass(frozen=True)
 class LambdaPoint:
     """A single hidden-variable value: scalar components plus unit vectors."""
 
@@ -186,10 +179,6 @@ class LambdaBatch:
     def __len__(self) -> int:
         return self.scalars.shape[0]
 
-    @property
-    def shape(self) -> LambdaShape:
-        return LambdaShape(self.scalars.shape[1], self.vectors.shape[1])
-
     def point(self, i: int) -> LambdaPoint:
         return LambdaPoint(
             tuple(float(s) for s in self.scalars[i]),
@@ -209,18 +198,18 @@ class LambdaBatch:
 
 @dataclass(frozen=True)
 class LambdaSpace:
-    """Sampler plus optional quadrature for one hidden-variable measure.
+    """A hidden-variable measure: its sampler plus an optional quadrature.
 
     The sampler signature is (generator, n) -> LambdaBatch and deliberately
     has no access to measurement settings (uncorrelated choice is enforced
     structurally). ``quadrature`` is (nodes_batch, weights) with weights
-    summing to 1; None for measures without a practical product rule.
+    summing to 1; None for measures without a practical product rule. The
+    space carries nothing else: a builder writes its model's spec from the
+    values it resolved.
     """
 
-    shape: LambdaShape
     sampler: Callable[[np.random.Generator, int], LambdaBatch]
     quadrature: tuple[LambdaBatch, np.ndarray] | None = None
-    meta: dict = field(default_factory=dict)
 
     def sample(self, source, n: int) -> LambdaBatch:
         gen = as_generator(source)
@@ -592,12 +581,7 @@ def _scalar_two_point_space(gamma: float, weights=(0.5, 0.5)) -> LambdaSpace:
         return LambdaBatch(g[:, None], np.zeros((n, 0, 3)))
 
     nodes = LambdaBatch(np.array([[gamma], [-gamma]]), np.zeros((2, 0, 3)))
-    return LambdaSpace(
-        LambdaShape(1, 0),
-        sampler,
-        (nodes, w.copy()),
-        meta={"measure": "two_point", "gamma": gamma, "weights": (float(w[0]), float(w[1]))},
-    )
+    return LambdaSpace(sampler, (nodes, w.copy()))
 
 
 def _scalar_uniform_space(gamma: float, n_nodes: int = 16) -> LambdaSpace:
@@ -612,12 +596,7 @@ def _scalar_uniform_space(gamma: float, n_nodes: int = 16) -> LambdaSpace:
 
     x, w = np.polynomial.legendre.leggauss(int(n_nodes))
     nodes = LambdaBatch((gamma * x)[:, None], np.zeros((len(x), 0, 3)))
-    return LambdaSpace(
-        LambdaShape(1, 0),
-        sampler,
-        (nodes, w / 2.0),
-        meta={"measure": "uniform", "gamma": gamma, "n_nodes": int(n_nodes)},
-    )
+    return LambdaSpace(sampler, (nodes, w / 2.0))
 
 
 def _unread(family: str, measure: str | None, keys) -> ModelSpecError:
@@ -627,22 +606,27 @@ def _unread(family: str, measure: str | None, keys) -> ModelSpecError:
 
 
 def _scalar_space(family: str, measure: str, gamma: float, *, weights=None, n_nodes=None,
-                  default_nodes: int = 16) -> LambdaSpace:
-    """The scalar measure; a keyword it does not read (``n_nodes`` on two points,
+                  default_nodes: int = 16) -> tuple[LambdaSpace, dict]:
+    """The scalar measure and its spec parameters, ``{"weights": [w+, w-]}`` or
+    ``{"n_nodes": n}``; a keyword it does not read (``n_nodes`` on two points,
     ``weights`` on the uniform measure) is an error naming ``family``."""
     if measure == "two_point":
         if n_nodes is not None:
             raise _unread(family, measure, ["n_nodes"])
-        return _scalar_two_point_space(gamma, weights if weights is not None else (0.5, 0.5))
+        space = _scalar_two_point_space(gamma, weights if weights is not None else (0.5, 0.5))
+        return space, {"weights": [float(w) for w in space.quadrature[1]]}
     if measure == "uniform":
         if weights is not None:
             raise _unread(family, measure, ["weights"])
-        return _scalar_uniform_space(gamma, default_nodes if n_nodes is None else n_nodes)
+        n_nodes = default_nodes if n_nodes is None else n_nodes
+        return _scalar_uniform_space(gamma, n_nodes), {"n_nodes": int(n_nodes)}
     raise ModelSpecError(f"unknown scalar_measure '{measure}' (known: {', '.join(_MEASURES)})")
 
 
-def _with_unit_vector(base: LambdaSpace, n_polar: int, n_azimuth: int) -> LambdaSpace:
-    """Product measure: base scalars times one uniform unit vector.
+def _with_unit_vector(base: LambdaSpace, params: dict, n_polar: int,
+                      n_azimuth: int) -> tuple[LambdaSpace, dict]:
+    """Product measure: base scalars times one uniform unit vector, and the base's
+    spec ``params`` with ``n_polar`` and ``n_azimuth`` added.
 
     The vector's quadrature is ``sphere_quadrature(n_polar, n_azimuth)``,
     built only once the sizes are within their caps.
@@ -657,10 +641,10 @@ def _with_unit_vector(base: LambdaSpace, n_polar: int, n_azimuth: int) -> Lambda
             raise ModelSpecError(f"the quadrature would have {n} nodes (scalar nodes x n_polar "
                                  f"x n_azimuth); it must have <= {_MAX_QUAD_NODES}")
     grid = sphere_quadrature(n_polar, n_azimuth)
-    nv = base.shape.vectors
 
     def sampler(gen: np.random.Generator, n: int) -> LambdaBatch:
         b = base.sampler(gen, n)
+        nv = b.vectors.shape[1]
         vectors = np.empty((n, nv + 1, 3))
         vectors[:, :nv] = b.vectors
         _fill_uniform_sphere(gen, vectors[:, nv])
@@ -681,9 +665,8 @@ def _with_unit_vector(base: LambdaSpace, n_polar: int, n_azimuth: int) -> Lambda
         weights = np.outer(bw, grid.weights).ravel()
         quad = (LambdaBatch(scalars, vectors), weights)
 
-    meta = dict(base.meta)
-    meta.update({"n_polar": grid.n_polar, "n_azimuth": grid.n_azimuth})
-    return LambdaSpace(LambdaShape(base.shape.scalars, base.shape.vectors + 1), sampler, quad, meta)
+    return LambdaSpace(sampler, quad), {**params, "n_polar": grid.n_polar,
+                                         "n_azimuth": grid.n_azimuth}
 
 
 def _cerf_space() -> LambdaSpace:
@@ -693,11 +676,27 @@ def _cerf_space() -> LambdaSpace:
         _fill_uniform_sphere(gen, vectors[:, 1])
         return LambdaBatch(np.zeros((n, 0)), vectors)
 
-    return LambdaSpace(LambdaShape(0, 2), sampler, None, meta={"measure": "two_sphere"})
+    return LambdaSpace(sampler)
 
 
 # ---------------------------------------------------------------------------
 # Builders
+
+
+def _canonical_model(family: str, c, s: float, gamma_max: float, gamma, measure, weights,
+                     n_nodes, seed, sphere=None, default_nodes: int = 16) -> HiddenVariableModel:
+    """The canonical model C = c(batch, a, b) with exponents s+ = s- = ``s`` on a scalar
+    measure on [-gamma, gamma], times a unit vector of ``sphere`` = (n_polar, n_azimuth)."""
+    gamma = float(gamma)
+    if not 0.0 < gamma <= gamma_max:
+        raise ModelSpecError(f"{family} needs 0 < gamma <= {gamma_max:g}, got {gamma}")
+    space, params = _scalar_space(family, measure, gamma, weights=weights, n_nodes=n_nodes,
+                                  default_nodes=default_nodes)
+    if sphere is not None:
+        space, params = _with_unit_vector(space, params, *sphere)
+    spec = {"family": family, "scalar_measure": measure, "gamma": gamma, "seed": int(seed),
+            "parameters": params}
+    return HiddenVariableModel(family, space, c_function=CFunction(c, s, s), spec=spec)
 
 
 def family1_model(gamma: float = 0.4, measure: str = "two_point", *, weights=None,
@@ -707,16 +706,9 @@ def family1_model(gamma: float = 0.4, measure: str = "two_point", *, weights=Non
     ``weights`` sizes the two-point measure and ``n_nodes`` (default 16) the
     uniform one's quadrature; either under the other measure is an error.
     """
-    gamma = float(gamma)
-    if not 0.0 < gamma <= 0.5:
-        raise ModelSpecError(f"family1 needs 0 < gamma <= 0.5 for positivity, got {gamma}")
-    space = _scalar_space("family1", measure, gamma, weights=weights, n_nodes=n_nodes)
-
-    def fn(batch: LambdaBatch, a, b):
-        return family1_c(batch.scalars[:, 0], setting_dot(a, b))
-
-    spec = _normalize_spec("family1", space, seed)
-    return HiddenVariableModel("family1", space, c_function=CFunction(fn, 1.0, 1.0), spec=spec)
+    return _canonical_model(
+        "family1", lambda batch, a, b: family1_c(batch.scalars[:, 0], setting_dot(a, b)),
+        1.0, 0.5, gamma, measure, weights, n_nodes, seed)
 
 
 def family2_model(gamma: float = 0.5, measure: str = "two_point", *, weights=None,
@@ -727,19 +719,10 @@ def family2_model(gamma: float = 0.5, measure: str = "two_point", *, weights=Non
     The scalar keywords are family1's (``n_nodes`` default 8); the vector's
     quadrature is ``n_polar`` x ``n_azimuth`` (default 64 x 128).
     """
-    gamma = float(gamma)
-    if not 0.0 < gamma <= 0.5:
-        raise ModelSpecError(f"family2 needs 0 < gamma <= 0.5 for positivity, got {gamma}")
-    base = _scalar_space("family2", measure, gamma, weights=weights, n_nodes=n_nodes,
-                         default_nodes=8)
-    space = _with_unit_vector(base, 64 if n_polar is None else n_polar,
-                              128 if n_azimuth is None else n_azimuth)
-
-    def fn(batch: LambdaBatch, a, b):
-        return family2_c(batch.scalars[:, 0], batch.vectors[:, 0, :], a, b)
-
-    spec = _normalize_spec("family2", space, seed)
-    return HiddenVariableModel("family2", space, c_function=CFunction(fn, 1.0, 1.0), spec=spec)
+    return _canonical_model(
+        "family2", lambda batch, a, b: family2_c(batch.scalars[:, 0], batch.vectors[:, 0, :], a, b),
+        1.0, 0.5, gamma, measure, weights, n_nodes, seed, default_nodes=8,
+        sphere=(64 if n_polar is None else n_polar, 128 if n_azimuth is None else n_azimuth))
 
 
 def wrongtrial_model(gamma: float = 0.4, measure: str = "two_point", *, weights=None,
@@ -748,16 +731,9 @@ def wrongtrial_model(gamma: float = 0.4, measure: str = "two_point", *, weights=
 
     The scalar keywords are family1's.
     """
-    gamma = float(gamma)
-    if not 0.0 < gamma <= 1.0:
-        raise ModelSpecError(f"wrongtrial needs 0 < gamma <= 1, got {gamma}")
-    space = _scalar_space("wrongtrial", measure, gamma, weights=weights, n_nodes=n_nodes)
-
-    def fn(batch: LambdaBatch, a, b):
-        return wrongtrial_c(batch.scalars[:, 0], setting_dot(a, b))
-
-    spec = _normalize_spec("wrongtrial", space, seed)
-    return HiddenVariableModel("wrongtrial", space, c_function=CFunction(fn, 0.5, 0.5), spec=spec)
+    return _canonical_model(
+        "wrongtrial", lambda batch, a, b: wrongtrial_c(batch.scalars[:, 0], setting_dot(a, b)),
+        0.5, 1.0, gamma, measure, weights, n_nodes, seed)
 
 
 def cerf_model(seed: int = 0) -> HiddenVariableModel:
@@ -765,24 +741,6 @@ def cerf_model(seed: int = 0) -> HiddenVariableModel:
     space = _cerf_space()
     spec = {"family": "cerf", "seed": int(seed), "parameters": {}}
     return HiddenVariableModel("cerf", space, kernel_rule=_cerf_kernel_rule, spec=spec)
-
-
-def _normalize_spec(family: str, space: LambdaSpace, seed: int, extra: dict | None = None) -> dict:
-    meta = space.meta
-    params: dict[str, Any] = {}
-    for key in ("weights", "n_nodes", "n_polar", "n_azimuth"):
-        if key in meta:
-            params[key] = list(meta[key]) if key == "weights" else meta[key]
-    if extra:
-        params.update(extra)
-    spec: dict[str, Any] = {
-        "family": family,
-        "scalar_measure": meta.get("measure"),
-        "gamma": meta.get("gamma"),
-        "seed": int(seed),
-        "parameters": params,
-    }
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +871,10 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
     if not 0.0 < gamma <= 1.0:
         raise ModelSpecError(f"recipe needs 0 < gamma <= 1 so |f| <= 1, got {gamma}")
     f = RECIPE_REGISTRY[f_name]
-    space = _scalar_space("recipe", measure, gamma, weights=weights, n_nodes=n_nodes)
+    space, params = _scalar_space("recipe", measure, gamma, weights=weights, n_nodes=n_nodes)
     if f.needs_vector:
-        space = _with_unit_vector(space, 32 if n_polar is None else n_polar,
-                                  64 if n_azimuth is None else n_azimuth)
+        space, params = _with_unit_vector(space, params, 32 if n_polar is None else n_polar,
+                                          64 if n_azimuth is None else n_azimuth)
     elif n_polar is not None or n_azimuth is not None:  # no hidden vector to size
         sphere = {"n_polar": n_polar, "n_azimuth": n_azimuth}
         raise _unread(f"{f_name} recipe", None, [k for k, v in sphere.items() if v is not None])
@@ -927,8 +885,8 @@ def build_recipe_model(f_name: str, s: float, *, gamma: float = 1.0,
         if scale <= 0.0:
             raise ModelSpecError(f"recipe scale must be positive, got {scale}")
     cfun = _recipe_c_function(space, f, s, scale)
-    spec = _normalize_spec("recipe", space, seed, extra={"f": f_name, "scale": scale})
-    spec["s"] = s
+    spec = {"family": "recipe", "scalar_measure": measure, "gamma": gamma, "seed": int(seed),
+            "parameters": {**params, "f": f_name, "scale": scale}, "s": s}
     return HiddenVariableModel("recipe", space, c_function=cfun, spec=spec)
 
 
@@ -989,6 +947,8 @@ _PARAM_KEYS = {"weights", "n_nodes", "n_polar", "n_azimuth", "f", "scale"}
 def _spec_number(value, key: str, kind):
     """``kind(value)`` for a spec entry; ModelSpecError naming ``key`` if malformed."""
     try:
+        if isinstance(value, bool):  # JSON true is not the number 1
+            raise TypeError(key)
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ModelSpecError(f"{key} must be a number, got {value!r}") from None

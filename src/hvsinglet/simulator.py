@@ -11,7 +11,8 @@ shots drawn once from the stream (seed, p, i); in mode 'sampling' each row
 where the rule is defined gets one outcome draw from the block's stream
 right after the block's lambda draw, and the +-1 products sum to an exact
 integer. Undefined draws are left out and counted; above
-``models._UNDEFINED_TOL`` of a pair's draws they raise MeasureZeroError.
+``models._UNDEFINED_TOL`` of a pair's draws, or of a quadrature's mass, they
+raise MeasureZeroError.
 
 Outcomes are drawn from the entry columns the model maps its rule's values
 to: a kernel model's (1 -+ k)/4 need no (n, 2, 2) tables, with four
@@ -164,8 +165,8 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
 
     They are one ``_mc_means`` pass with one job per pair, over the model's
     quadrature in mode 'analytic' when it has one (stderr 0), else by
-    ``cfg.shots`` draws. The first pair whose draws are undefined above
-    ``_UNDEFINED_TOL`` raises MeasureZeroError.
+    ``cfg.shots`` draws. The first pair whose draws, or quadrature mass 1 - W,
+    are undefined above ``_UNDEFINED_TOL`` raises MeasureZeroError.
     """
     pairs = [(require_unit(a, name="a"), require_unit(b, name="b")) for a, b in pairs]
     e_qm = [-float(np.clip(np.dot(a, b), -1.0, 1.0)) for a, b in pairs]
@@ -186,8 +187,11 @@ def _estimates(model: HiddenVariableModel, pairs, cfg: ExperimentConfig,
     n = None if analytic and model.lambda_space.quadrature is not None else cfg.shots
     jobs = [(root.split(2, i), [pair], evaluate, reduce) for i, pair in zip(indices, pairs)]
     out = []
-    for i, (a, b), q, [(rows, _, e, stderr, undefined)] in zip(
+    for i, (a, b), q, [(rows, weight, e, stderr, undefined)] in zip(
             indices, pairs, e_qm, _mc_means(model, jobs, n, threads=cfg.threads)):
+        if stderr is None and 1.0 - weight > _UNDEFINED_TOL:
+            raise MeasureZeroError(f"model '{model.name}': rule undefined on mass "
+                                   f"{1.0 - weight:.6g} of the quadrature at settings pair {i}")
         if stderr is not None and undefined > _UNDEFINED_TOL * (rows + undefined):
             raise MeasureZeroError(f"model '{model.name}': rule undefined on {undefined} of "
                                    f"{rows + undefined} draws at settings pair {i}")

@@ -155,6 +155,14 @@ RECIPE_POLY1 = {"family": "recipe", "scalar_measure": "uniform", "s": 1.0,
     # the uniform sampler draws on [-gamma, gamma]: numpy raised on a negative width
     ("recipe needs 0 < gamma <= 1", {**RECIPE_POLY1, "gamma": -0.0}),
     ("recipe needs 0 < gamma <= 1", {**RECIPE_POLY1, "gamma": 1.5}),
+    # a JSON boolean is not a number, though Python reads true as 1
+    ("n_polar must be a number", {"family": "family2",
+                                  "parameters": {"n_polar": True, "n_azimuth": 2}}),
+    ("n_nodes must be a number", {"family": "family1", "scalar_measure": "uniform",
+                                  "parameters": {"n_nodes": True}}),
+    ("gamma must be a number", {"family": "family1", "gamma": True}),
+    ("s must be a number", {**RECIPE_POLY1, "s": True}),
+    ("scale must be a number", {**RECIPE_POLY1, "parameters": {"f": "poly1", "scale": True}}),
 ])
 def test_malformed_spec_numbers_exit_64(tmp_path, capsys, message, spec):
     path = tmp_path / "spec.json"
@@ -269,7 +277,7 @@ def test_validate_inconclusive_lines_say_why(capsys, monkeypatch):
     assert "zero-average         inconclusive (no samples)\n" in err
     space = _scalar_uniform_space(1.0, 16)
     nowhere = HiddenVariableModel(
-        "nowhere", LambdaSpace(space.shape, space.sampler),
+        "nowhere", LambdaSpace(space.sampler),
         kernel_rule=lambda batch, a, b: (np.zeros(len(batch)), np.zeros(len(batch), bool)))
     monkeypatch.setattr(cli, "_load_model", lambda args: nowhere)
     code, _, err = run_cli(capsys, "validate", "--model", "nowhere", "--mc-samples", "100",

@@ -296,7 +296,7 @@ def test_kernel_redraws_match_table_redraws():
         batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
         return batch
 
-    space = LambdaSpace(cerf.lambda_space.shape, sampler)
+    space = LambdaSpace(sampler)
     m = HiddenVariableModel("holey", space, kernel_rule=cerf.kernel_rule)
     b = unit([0.3, 0.1, 0.95])
     got_t, t = sample_valid_tables(m, RandomStream(9).generator(), 1000, Z, b)
@@ -326,7 +326,7 @@ def _holey_cerf():
         batch.vectors[batch.vectors[:, 0, 0] > 0.8, 0] = X
         return batch
 
-    return HiddenVariableModel("holey", LambdaSpace(cerf.lambda_space.shape, sampler),
+    return HiddenVariableModel("holey", LambdaSpace(sampler),
                                kernel_rule=cerf.kernel_rule)
 
 
@@ -572,7 +572,7 @@ def test_vector_samplers_match_stacked_sphere_draws():
         fam2 = family2_model(measure=measure).lambda_space.sample(
             RandomStream(22).generator(), n)
         gen = RandomStream(22).generator()
-        base = _scalar_space("family2", measure, 0.5, default_nodes=8).sampler(gen, n)
+        base = _scalar_space("family2", measure, 0.5, default_nodes=8)[0].sampler(gen, n)
         u = sample_uniform_sphere(gen, n)
         assert np.array_equal(fam2.scalars, base.scalars)
         assert np.array_equal(fam2.vectors,

@@ -72,7 +72,8 @@ def test_analytic_correlation_matches_qm_for_quadrature_models():
 
 
 def test_analytic_correlation_sums_only_valid_nodes():
-    # junk kernel values where the rule is undefined must not reach the sum
+    # junk kernel values where the rule is undefined must not reach the sum,
+    # and an analytic estimate over undefined quadrature mass raises
     space = _scalar_uniform_space(1.0, 16)
     nodes, w = space.quadrature
 
@@ -85,8 +86,16 @@ def test_analytic_correlation_sums_only_valid_nodes():
     partial = []
     for b in (X, unit([0.3, 0.2, 0.7]), unit([-0.2, 0.5, 0.1])):
         corr, ok = m.correlations_masked(nodes, Z, b)
-        e = estimate_correlation(m, Z, b, ExperimentConfig(mode="analytic"))
-        assert e.e_est == float(np.sum(w[ok] * corr[ok]))
+        job = (RandomStream(0), [(Z, b)], m.correlations_masked, _Moments.of)
+        [[(_, weight, total, _, _)]] = _mc_means(m, [job], None)
+        assert (weight, total) == (np.sum(w[ok]), np.sum(w[ok] * corr[ok]))
+        cfg = ExperimentConfig(mode="analytic")
+        if ok.all():
+            assert estimate_correlation(m, Z, b, cfg).e_est == float(total)
+        else:
+            with pytest.raises(MeasureZeroError, match="undefined on mass .* of the quadrature "
+                                                       "at settings pair 0"):
+                estimate_correlation(m, Z, b, cfg)
         partial.append(not ok.all())
     assert any(partial) and not all(partial)
 
@@ -359,7 +368,7 @@ def _holed_cerf():
         calls.append(n)
         return batch
 
-    return HiddenVariableModel("holed", LambdaSpace(cerf.lambda_space.shape, sampler),
+    return HiddenVariableModel("holed", LambdaSpace(sampler),
                                kernel_rule=cerf.kernel_rule)
 
 
@@ -429,8 +438,7 @@ def test_chunked_estimate_is_the_full_block_rule(name, mode, threads):
     m = (_as_table_rule(builtin_model("cerf")) if name == "cerf-tables"
          else builtin_model(name))
     if mode == "analytic":  # no quadrature: the lambda-level Monte Carlo fallback
-        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.shape,
-                                                            m.lambda_space.sampler))
+        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.sampler))
     b = unit([0.25, -0.33, 0.91])
     # seven full blocks and a ragged one
     cfg = ExperimentConfig(shots=7 * 16384 + 4465, mode=mode, seed=16, threads=threads)
@@ -469,8 +477,7 @@ def test_one_pass_equals_the_pairs_one_at_a_time(monkeypatch, name, mode):
     m = (_as_table_rule(builtin_model("cerf")) if name == "cerf-tables"
          else builtin_model(name))
     if mode == "analytic":  # no quadrature: the lambda-level Monte Carlo fallback
-        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.shape,
-                                                            m.lambda_space.sampler))
+        m = dataclasses.replace(m, lambda_space=LambdaSpace(m.lambda_space.sampler))
     gen = RandomStream(18).generator()
     settings = np.stack([sample_uniform_sphere(gen, 3), sample_uniform_sphere(gen, 3)], axis=1)
     shots = 2 * 16384 + 4465  # two full blocks and a ragged one

@@ -195,8 +195,8 @@ def test_mc_failures_report_each_checks_convention():
     # zero-average reports its largest |mean C| against 1e-2, and qm-reproduction
     # its largest z against 5, the deviation at that z as the witness value
     m = family1_model(0.4, weights=(0.75, 0.25))
-    sampled = HiddenVariableModel("family1-mc", LambdaSpace(
-        m.lambda_space.shape, m.lambda_space.sampler), c_function=m.c_function)
+    sampled = HiddenVariableModel("family1-mc", LambdaSpace(m.lambda_space.sampler),
+                                  c_function=m.c_function)
     zero = check_zero_average(sampled, 3, RandomStream(5).split(1), mc_samples=20000)
     assert zero.status is CheckStatus.FAIL and zero.tolerance == 1e-2
     assert zero.extremal_value == zero.witness.value == pytest.approx(0.1782, abs=1e-4)
@@ -268,7 +268,7 @@ def _half_defined(with_quadrature):
         return np.full(len(lam), setting_dot(a, b)), lam > 0.0
 
     if not with_quadrature:
-        space = LambdaSpace(space.shape, space.sampler)
+        space = LambdaSpace(space.sampler)
     return HiddenVariableModel("half-defined", space, kernel_rule=rule)
 
 
@@ -304,7 +304,7 @@ def _nowhere_model(calls, with_quadrature=False):
         return np.zeros(len(batch)), np.zeros(len(batch), dtype=bool)
 
     quadrature = space.quadrature if with_quadrature else None
-    return HiddenVariableModel("nowhere", LambdaSpace(space.shape, sampler, quadrature),
+    return HiddenVariableModel("nowhere", LambdaSpace(sampler, quadrature),
                                kernel_rule=rule)
 
 
@@ -347,7 +347,7 @@ def _holed_model(holes):
         lam = batch.scalars[:, 0]
         return np.full(len(lam), setting_dot(a, b)), lam != 2.0
 
-    return HiddenVariableModel("holed", LambdaSpace(space.shape, sampler), kernel_rule=rule)
+    return HiddenVariableModel("holed", LambdaSpace(sampler), kernel_rule=rule)
 
 
 @pytest.mark.parametrize("holes", [1, 2])
@@ -515,8 +515,8 @@ def test_scan_checks_without_rows_are_inconclusive():
     assert check_zero_average(m, 0, stream(35)).status is CheckStatus.INCONCLUSIVE
     assert check_qm_reproduction(m, 0, stream(36)).status is CheckStatus.INCONCLUSIVE
     # a canonical model without quadrature samples its endpoint rows
-    sampled = HiddenVariableModel("family1-mc", LambdaSpace(
-        m.lambda_space.shape, m.lambda_space.sampler), c_function=m.c_function)
+    sampled = HiddenVariableModel("family1-mc", LambdaSpace(m.lambda_space.sampler),
+                                  c_function=m.c_function)
     res = run_full_suite(sampled, ValidatorConfig(**{**FAST.__dict__, "n_lambda": 0,
                                                      "exponent_lambda": 0}), seed=1)
     for cid in ("normalization", "coincident-zero", "endpoint-g-bound", "expansion"):
@@ -535,7 +535,7 @@ def test_a_nan_on_a_defined_row_fails_its_checks(quadrature):
         return c
 
     space = (m.lambda_space if quadrature
-             else LambdaSpace(m.lambda_space.shape, m.lambda_space.sampler))
+             else LambdaSpace(m.lambda_space.sampler))
     nan_model = HiddenVariableModel("nan-row", space,
                                     c_function=CFunction(fn, *m.declared_exponents))
 
@@ -1096,7 +1096,7 @@ def _undefined_at_model(a0):
         n = len(batch)
         return np.full(n, setting_dot(a, b)), np.full(n, not np.array_equal(a, a0))
 
-    return HiddenVariableModel("undefined-at-a0", LambdaSpace(space.shape, space.sampler),
+    return HiddenVariableModel("undefined-at-a0", LambdaSpace(space.sampler),
                                kernel_rule=rule)
 
 
